@@ -10,12 +10,11 @@ this bound is attained by an explicit extremal family.
 __version__ = "0.1.0"
 
 from .errors import ParameterError, ViolationError
-from .rationals import as_fraction, decimal_string, format_rational
+from .rationals import as_fraction, decimal_string
 from .tree import ROOT, NodeId, TreeShape, ancestors, leaves_under, make_shape, node_measure
 from .weights import (
     ExtremalParams,
     StepWeight,
-    constant_weight,
     extremal_exact,
     extremal_family,
     family_constant_formula,

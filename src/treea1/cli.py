@@ -17,15 +17,20 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ParameterError, ViolationError
-from .maximal import a1_constant, maximal_function, stopping_family
-from .rationals import as_fraction, decimal_string, format_rational
-from .rearrangement import profile_to_text, rearrange, sup_ratio
+from .maximal import maximal_function, stopping_family
+from .rationals import as_fraction, decimal_string
+from .rearrangement import profile_to_text
 from .search import SearchConfig, hill_climb
 from .tree import make_shape
-from .verify import ALL_CHECKS, audit_superlevel, fuzz_campaign, sharpness_sweep
+from .verify import ALL_CHECKS, _audit, check_rearrangement_bound, fuzz_campaign, sharpness_sweep
 from .weights import weight_from_text, weight_to_text
 
 MANIFEST_NAME = "manifest.json"
+# Data-file columns, in file order; each name is also the field it reads.
+_REPORT_RATIONALS = ("c", "bound", "sup_ratio", "margin")
+_REPORT_FLAGS = ("bound_holds", "stopping_consistent", "growth_bound_ok", "weak_type_ok",
+                 "decomposition_ok", "oracle_match", "kadic_ok")
+_SWEEP_RATIONALS = ("delta", "nominal_c", "measured_c", "bound", "sup_ratio", "ratio_at_branch_scale", "gap")
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -48,8 +53,14 @@ def _bool_cell(flag: bool | None) -> str:
     return "true" if flag else "false"
 
 
-def _rational_cells(value: Fraction) -> list[str]:
-    return [format_rational(value), decimal_string(value)]
+def _rational_header(names) -> list[str]:
+    """Each exact rational column followed by its lossy ``_dec`` twin."""
+    return [column for name in names for column in (name, f"{name}_dec")]
+
+
+def _rational_cells(record, names) -> list[str]:
+    values = (getattr(record, name) for name in names)
+    return [cell for value in values for cell in (str(value), decimal_string(value))]
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -71,6 +82,18 @@ def _write_manifest(outdir: Path, command: str, parameters: dict, seed, outputs:
     (outdir / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
+def _write_counterexample(
+    outdir: Path, command: str, parameters: dict, seed, exc: ViolationError, started: float
+) -> int:
+    """Write counterexample.txt and its manifest for a failed check; returns exit code 1."""
+    counter = outdir / "counterexample.txt"
+    counter.write_text(exc.weight_text + f"check: {exc.check}\ndetail: {exc.detail}\n")
+    _write_manifest(outdir, command, parameters, seed, [counter.name], started)
+    print(f"violation: {exc}", file=sys.stderr)
+    print(f"counterexample written to {counter}", file=sys.stderr)
+    return 1
+
+
 def _outdir(args) -> Path:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -86,16 +109,10 @@ def _cmd_verify(args) -> int:
         "k": args.k,
         "depth": args.depth,
         "trials": args.trials,
-        "grid": [format_rational(g) for g in grid],
+        "grid": [str(g) for g in grid],
         "exhaustive": args.exhaustive,
         "threads": args.threads,
     }
-    header = (
-        ["trial", "weight_hash"]
-        + ["c", "c_dec", "bound", "bound_dec", "sup_ratio", "sup_ratio_dec", "margin", "margin_dec"]
-        + ["bound_holds", "stopping_consistent", "growth_bound_ok", "weak_type_ok",
-           "decomposition_ok", "oracle_match", "kadic_ok"]
-    )
     try:
         summary = fuzz_campaign(
             args.k,
@@ -108,36 +125,23 @@ def _cmd_verify(args) -> int:
             threads=args.threads,
         )
     except ViolationError as exc:
-        counter = outdir / "counterexample.txt"
-        counter.write_text(exc.weight_text + f"check: {exc.check}\ndetail: {exc.detail}\n")
-        _write_manifest(outdir, "verify", parameters, args.seed, [counter.name], started)
-        print(f"violation: {exc}", file=sys.stderr)
-        print(f"counterexample written to {counter}", file=sys.stderr)
-        return 1
+        return _write_counterexample(outdir, "verify", parameters, args.seed, exc, started)
 
-    rows = []
-    for row in summary.rows:
-        cells = [str(row.index), row.weight_hash]
-        for value in (row.c, row.bound, row.sup_ratio, row.margin):
-            cells.extend(_rational_cells(value))
-        cells.extend(
-            _bool_cell(flag)
-            for flag in (
-                row.bound_holds,
-                row.stopping_consistent,
-                row.growth_bound_ok,
-                row.weak_type_ok,
-                row.decomposition_ok,
-                row.oracle_match,
-                row.kadic_ok,
-            )
-        )
-        rows.append(cells)
+    header = ["trial", "weight_hash"] + _rational_header(_REPORT_RATIONALS) + list(_REPORT_FLAGS)
+    rows = [
+        [str(row.index), row.weight_hash]
+        + _rational_cells(row, _REPORT_RATIONALS)
+        + [_bool_cell(getattr(row, name)) for name in _REPORT_FLAGS]
+        for row in summary.rows
+    ]
     report = outdir / "report.csv"
     _write_csv(report, header, rows)
     _write_manifest(outdir, "verify", parameters, summary.seed, [report.name], started)
-    worst = format_rational(summary.worst_margin) if summary.worst_margin is not None else "n/a"
+    worst = str(summary.worst_margin) if summary.worst_margin is not None else "n/a"
     print(f"{len(summary.rows)} weights checked, zero violations, worst margin {worst}")
+    print(f"{sum(1 for row in summary.rows if row.margin == 0)} weights attain the bound exactly")
+    if summary.worst_weight_text is not None:
+        print(f"worst-margin weight: {summary.worst_weight_text.strip()}")
     return 0
 
 
@@ -152,34 +156,16 @@ def _cmd_extremal(args) -> int:
         depths = _parse_int_list(args.depths)
         deltas = _parse_rational_list(args.delta_steps) if args.delta_steps else None
     rows = sharpness_sweep(args.k, c, depths, deltas)
-    header = []
-    for name in ("depth", "delta", "nominal_c", "measured_c", "bound", "sup_ratio", "ratio_at_branch_scale", "gap"):
-        if name == "depth":
-            header.append(name)
-        else:
-            header.extend([name, f"{name}_dec"])
-    table = []
-    for row in rows:
-        cells = [str(row.depth)]
-        for value in (
-            row.delta,
-            row.nominal_c,
-            row.measured_c,
-            row.bound,
-            row.sup_ratio,
-            row.ratio_at_branch_scale,
-            row.gap,
-        ):
-            cells.extend(_rational_cells(value))
-        table.append(cells)
+    header = ["depth"] + _rational_header(_SWEEP_RATIONALS)
+    table = [[str(row.depth)] + _rational_cells(row, _SWEEP_RATIONALS) for row in rows]
     sweep = outdir / "sweep.csv"
     _write_csv(sweep, header, table)
     parameters = {
         "k": args.k,
-        "c": format_rational(c),
+        "c": str(c),
         "mode": args.mode,
         "depths": depths,
-        "delta_steps": [format_rational(d) for d in deltas] if deltas else None,
+        "delta_steps": [str(d) for d in deltas] if deltas else None,
     }
     _write_manifest(outdir, "extremal", parameters, None, [sweep.name], started)
     print(f"{len(rows)} sweep rows written to {sweep}")
@@ -195,7 +181,11 @@ def _cmd_search(args) -> int:
         restarts=args.restarts,
         seed=args.seed,
     )
-    result = hill_climb(config)
+    parameters = {"k": args.k, "depth": args.depth, "iters": args.iters, "restarts": args.restarts}
+    try:
+        result = hill_climb(config)
+    except ViolationError as exc:
+        return _write_counterexample(outdir, "search", parameters, args.seed, exc, started)
 
     trace = outdir / "trace.csv"
     _write_csv(trace, ["iteration", "objective"], [[str(i), repr(v)] for i, v in enumerate(result.trace)])
@@ -207,7 +197,7 @@ def _cmd_search(args) -> int:
             {
                 "manifest": MANIFEST_NAME,
                 "best_objective": result.best_objective,
-                "exact_objective": format_rational(result.exact_objective),
+                "exact_objective": str(result.exact_objective),
                 "exact_objective_dec": decimal_string(result.exact_objective),
                 "objective_at_most_one": result.exact_objective <= 1,
                 "best_restart": result.best_restart,
@@ -217,7 +207,6 @@ def _cmd_search(args) -> int:
         )
         + "\n"
     )
-    parameters = {"k": args.k, "depth": args.depth, "iters": args.iters, "restarts": args.restarts}
     _write_manifest(outdir, "search", parameters, args.seed, [trace.name, best.name, summary.name], started)
     print(f"best objective {result.best_objective:.6f} (exact {result.exact_objective})")
     return 0
@@ -225,14 +214,14 @@ def _cmd_search(args) -> int:
 
 def _audit_json(audit) -> dict:
     payload = {
-        "t": format_rational(audit.t),
-        "level_value": format_rational(audit.level_value),
-        "threshold": format_rational(audit.threshold),
+        "t": str(audit.t),
+        "level_value": str(audit.level_value),
+        "threshold": str(audit.threshold),
         "degenerate": audit.degenerate,
         "nodes": [[n.level, n.index] for n in audit.nodes],
-        "superlevel_measure": format_rational(audit.superlevel_measure),
-        "above_threshold_measure": format_rational(audit.above_threshold_measure),
-        "set_average": format_rational(audit.set_average) if audit.set_average is not None else None,
+        "superlevel_measure": str(audit.superlevel_measure),
+        "above_threshold_measure": str(audit.above_threshold_measure),
+        "set_average": str(audit.set_average) if audit.set_average is not None else None,
         "checks": {
             "nodes_are_members": audit.nodes_are_members,
             "average_bounded": audit.average_bounded,
@@ -251,62 +240,59 @@ def _cmd_inspect(args) -> int:
     except OSError as exc:
         raise ParameterError(f"cannot read weight file {args.weight!r}: {exc}") from exc
     w = weight_from_text(text)
-    c = a1_constant(w)
-    bound = w.shape.k * c - w.shape.k + 1
+    report = check_rearrangement_bound(w)
     mf = maximal_function(w)
     fam = stopping_family(w)
     parts = fam.parts()
-    profile = rearrange(w)
-    ratio, witness = sup_ratio(profile)
-    audit = audit_superlevel(w, as_fraction(args.t)) if args.t is not None else None
+    audit = _audit(w, report, set(fam.members), args.t) if args.t is not None else None
 
     if args.json:
         payload = {
             "k": w.shape.k,
             "depth": w.shape.m,
-            "leaf_values": [format_rational(v) for v in w.leaf_values],
-            "a1_constant": format_rational(c),
-            "bound": format_rational(bound),
-            "maximal_function": [format_rational(v) for v in mf],
+            "leaf_values": [str(v) for v in w.leaf_values],
+            "a1_constant": str(report.c),
+            "bound": str(report.bound),
+            "maximal_function": [str(v) for v in mf],
             "stopping_family": [
                 {
                     "level": node.level,
                     "index": node.index,
-                    "average": format_rational(fam.node_averages[node]),
+                    "average": str(fam.node_averages[node]),
                     "star": [fam.star[node].level, fam.star[node].index] if node in fam.star else None,
                     "leaves": list(parts.get(node, ())),
                 }
                 for node in fam.members
             ],
             "profile": {
-                "pieces": [[format_rational(p.measure), format_rational(p.value)] for p in profile.pieces]
+                "pieces": [[str(p.measure), str(p.value)] for p in report.profile.pieces]
             },
-            "sup_ratio": format_rational(ratio),
-            "witness": format_rational(witness),
+            "sup_ratio": str(report.sup_ratio),
+            "witness": str(report.witness),
         }
         if audit is not None:
             payload["audit"] = _audit_json(audit)
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 0
 
-    print(f"weight on k={w.shape.k}, depth={w.shape.m}: {' '.join(format_rational(v) for v in w.leaf_values)}")
-    print(f"a1 constant  {format_rational(c)}  (bound k*c-k+1 = {format_rational(bound)})")
-    print(f"maximal fn   {' '.join(format_rational(v) for v in mf)}")
+    print(f"weight on k={w.shape.k}, depth={w.shape.m}: {' '.join(str(v) for v in w.leaf_values)}")
+    print(f"a1 constant  {report.c}  (bound k*c-k+1 = {report.bound})")
+    print(f"maximal fn   {' '.join(str(v) for v in mf)}")
     print("stopping family:")
     for node in fam.members:
         star = fam.star.get(node)
         star_text = f"-> ({star.level},{star.index})" if star is not None else "(root)"
         leaves = ",".join(str(i) for i in parts.get(node, ()))
         print(
-            f"  ({node.level},{node.index}) avg {format_rational(fam.node_averages[node])} "
+            f"  ({node.level},{node.index}) avg {fam.node_averages[node]} "
             f"{star_text} leaves [{leaves}]"
         )
     print("profile (measure value per line):")
-    for line in profile_to_text(profile).splitlines():
+    for line in profile_to_text(report.profile).splitlines():
         print(f"  {line}")
-    print(f"sup ratio    {format_rational(ratio)} at boundary t={format_rational(witness)}")
+    print(f"sup ratio    {report.sup_ratio} at boundary t={report.witness}")
     if audit is not None:
-        print(f"audit at t={format_rational(audit.t)}:")
+        print(f"audit at t={audit.t}:")
         for key, value in _audit_json(audit).items():
             if key == "t":
                 continue
@@ -329,7 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="campaign seed")
     p.add_argument("--grid", default="1,2,3", help="comma-separated positive rationals to draw from")
     p.add_argument("--exhaustive", action="store_true", help="enumerate every grid weight instead of sampling")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for the campaign")
+    p.add_argument("--threads", type=int, default=1,
+                   help="worker processes for a random campaign; --exhaustive always runs in one "
+                        "process, since it enumerates weights lazily and a pool would hold them all")
     p.add_argument("--out", required=True, help="output directory (report.csv + manifest.json)")
     p.set_defaults(func=_cmd_verify)
 

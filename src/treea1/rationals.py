@@ -9,8 +9,6 @@ from fractions import Fraction
 
 from .errors import ParameterError
 
-RationalLike = "int | str | Fraction"
-
 
 def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction or 'p/q' / decimal string to an exact Fraction.
@@ -26,11 +24,6 @@ def as_fraction(value) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise ParameterError(f"not a rational value: {value!r}") from exc
-
-
-def format_rational(value: Fraction) -> str:
-    """Render a Fraction as 'p/q' (or bare 'p' when the denominator is 1)."""
-    return str(value)
 
 
 def decimal_string(value: Fraction, digits: int = 12) -> str:

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, ViolationError
-from .maximal import a1_constant
-from .rearrangement import rearrange, sup_ratio
 from .tree import TreeShape
+from .verify import check_rearrangement_bound
 from .weights import StepWeight, weight_to_text
 
 # Perturbation factors are drawn from the rational grid 1 + q/_FACTOR_DENOM.
@@ -54,9 +53,8 @@ class SearchResult:
 
 def objective_exact(w: StepWeight) -> Fraction:
     """sup_ratio(w*) / (k*c - k + 1) as an exact rational; <= 1 always."""
-    c = a1_constant(w)
-    ratio, _ = sup_ratio(rearrange(w))
-    return ratio / (w.shape.k * c - w.shape.k + 1)
+    report = check_rearrangement_bound(w)
+    return report.sup_ratio / report.bound
 
 
 def objective(w: StepWeight) -> float:

@@ -46,9 +46,6 @@ class TreeShape:
     def level_size(self, level: int) -> int:
         return self.k**level
 
-    def node_count(self) -> int:
-        return (self.k ** (self.m + 1) - 1) // (self.k - 1)
-
 
 def make_shape(k: int, m: int) -> TreeShape:
     """Validated constructor for a tree shape."""
@@ -103,10 +100,6 @@ def leaves_under(shape: TreeShape, node: NodeId) -> range:
     node = check_node(shape, node)
     width = shape.k ** (shape.m - node.level)
     return range(node.index * width, (node.index + 1) * width)
-
-
-def is_leaf(shape: TreeShape, node: NodeId) -> bool:
-    return check_node(shape, node).level == shape.m
 
 
 def all_nodes(shape: TreeShape) -> Iterator[NodeId]:

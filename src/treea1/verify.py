@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -26,11 +26,21 @@ from .maximal import (
     superlevel_set,
 )
 from .rationals import as_fraction
-from .rearrangement import _check_t, kadic_constant, prefix_average, rearrange, sup_ratio
+from .rearrangement import RearrangedProfile, _check_t, kadic_constant, prefix_average, rearrange, sup_ratio
 from .tree import ROOT, NodeId, leaves_under, make_shape, node_measure
 from .weights import StepWeight, random_weight, weight_hash, weight_to_text
 
 ALL_CHECKS = ("stopping", "growth", "weak_type", "decomposition", "oracle", "kadic")
+# check name -> the flag field it fills in VerificationReport / WeightRow
+_FLAG_FIELDS = {
+    "stopping": "stopping_consistent",
+    "growth": "growth_bound_ok",
+    "weak_type": "weak_type_ok",
+    "decomposition": "decomposition_ok",
+    "oracle": "oracle_match",
+    "kadic": "kadic_ok",
+}
+_REPORT_CHECKS = ("stopping", "growth", "weak_type", "decomposition")
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,6 +53,7 @@ class VerificationReport:
     margin: Fraction
     witness: Fraction
     holds: bool
+    profile: RearrangedProfile  # the decreasing rearrangement w*
     stopping_consistent: bool | None = None
     growth_bound_ok: bool | None = None
     weak_type_ok: bool | None = None
@@ -191,26 +202,60 @@ def check_rearrangement_bound(
     c = a1_constant(w)
     k = w.shape.k
     bound = k * c - k + 1
-    ratio, witness = sup_ratio(rearrange(w))
+    profile = rearrange(w)
+    ratio, witness = sup_ratio(profile)
     margin = bound - ratio
-    report = dict(
+    report = VerificationReport(
         c=c,
         bound=bound,
         sup_ratio=ratio,
         margin=margin,
         witness=witness,
         holds=margin >= 0,
+        profile=profile,
     )
     if properties:
-        report.update(
-            stopping_consistent=check_stopping_consistency(w),
-            growth_bound_ok=check_growth_bound(w).ok,
-            weak_type_ok=all(check_weak_type(w, lam) for lam in average_thresholds(w)),
-            decomposition_ok=check_decomposition(w),
+        report = replace(
+            report,
+            **{_FLAG_FIELDS[name]: _failure(name, w, report) is None for name in _REPORT_CHECKS},
         )
     if with_audits:
-        report["audits"] = tuple(audit_superlevel(w, t) for t in audit_grid(w))
-    return VerificationReport(**report)
+        members = set(stopping_family(w).members)
+        report = replace(report, audits=tuple(_audit(w, report, members, t) for t in audit_grid(w)))
+    return report
+
+
+def _failure(name: str, w: StepWeight, report: VerificationReport) -> str | None:
+    """Detail of how the named check fails on the weight, or None when it holds.
+
+    Checks are looked up by their module-level names at call time, so a
+    replaced ``check_*`` function takes effect everywhere.
+    """
+    if name == "bound":
+        if report.margin < 0:
+            return f"sup_ratio={report.sup_ratio} exceeds bound={report.bound} (c={report.c})"
+        if report.c > report.bound:
+            return f"c={report.c} exceeds bound={report.bound}, impossible for c >= 1"
+        return None
+    if name == "stopping":
+        return None if check_stopping_consistency(w) else "criterion members differ from assignment image"
+    if name == "growth":
+        growth = check_growth_bound(w)
+        return None if growth.ok else f"member growth violated at {growth.violation}"
+    if name == "weak_type":
+        for lam in average_thresholds(w):
+            if not check_weak_type(w, lam):
+                return f"weak type fails at level {lam}"
+        return None
+    if name == "decomposition":
+        if check_decomposition(w):
+            return None
+        return "member averages over the partition do not rebuild the maximal function"
+    if name == "oracle":
+        return None if check_oracle_equality(w) else "fast maximal function disagrees with brute-force enumeration"
+    # the remaining check, "kadic", reuses the report's profile
+    value = kadic_constant(report.profile, w.shape.k, w.shape.m)
+    return None if value <= report.bound else f"k-adic constant {value} exceeds bound {report.bound}"
 
 
 def audit_superlevel(w: StepWeight, t) -> SuperlevelAudit:
@@ -223,11 +268,14 @@ def audit_superlevel(w: StepWeight, t) -> SuperlevelAudit:
     mu({w > threshold}) and t.  When the set is empty, w <= threshold must
     hold at every leaf.
     """
+    return _audit(w, check_rearrangement_bound(w), set(stopping_family(w).members), t)
+
+
+def _audit(w: StepWeight, report: VerificationReport, members: set[NodeId], t) -> SuperlevelAudit:
+    """Superlevel audit at one t, from the weight's report and stopping-family members."""
     t = _check_t(t)
-    c = a1_constant(w)
-    profile = rearrange(w)
-    lam = profile.value_at(t)
-    threshold = c * lam
+    lam = report.profile.value_at(t)
+    threshold = report.c * lam
     n = w.shape.leaf_count
     above = Fraction(sum(1 for v in w.leaf_values if v > threshold), n)
     nodes = superlevel_set(w, threshold)
@@ -250,13 +298,10 @@ def audit_superlevel(w: StepWeight, t) -> SuperlevelAudit:
             measures_ordered=True,
         )
 
-    k = w.shape.k
-    bound = k * c - k + 1
     sums = _level_sums(w)
     mu = sum(node_measure(w.shape, node) for node in nodes)
     integral = sum(sums[node.level][node.index] for node in nodes) / n
     set_average = integral / mu
-    members = set(stopping_family(w).members)
     return SuperlevelAudit(
         t=t,
         level_value=lam,
@@ -267,8 +312,8 @@ def audit_superlevel(w: StepWeight, t) -> SuperlevelAudit:
         above_threshold_measure=above,
         set_average=set_average,
         nodes_are_members=all(node in members for node in nodes),
-        average_bounded=set_average <= bound * lam,
-        dominates_prefix=set_average >= prefix_average(profile, t),
+        average_bounded=set_average <= report.bound * lam,
+        dominates_prefix=set_average >= prefix_average(report.profile, t),
         inside_level_set=all(
             w.leaf_values[leaf] > lam for node in nodes for leaf in leaves_under(w.shape, node)
         ),
@@ -320,94 +365,46 @@ def _examine(index: int, w: StepWeight, checks: tuple[str, ...]) -> tuple[Weight
     the serialized weight (for worst-margin bookkeeping).
     """
     text = weight_to_text(w)
-
-    def fail(check: str, detail: str):
-        raise ViolationError(
-            f"check '{check}' failed: {detail}", weight_text=text, check=check, detail=detail
-        )
-
-    c = a1_constant(w)
-    k = w.shape.k
-    bound = k * c - k + 1
-    profile = rearrange(w)
-    ratio, _ = sup_ratio(profile)
-    margin = bound - ratio
-    if margin < 0:
-        fail("bound", f"sup_ratio={ratio} exceeds bound={bound} (c={c})")
-    if c > bound:
-        fail("bound", f"c={c} exceeds bound={bound}, impossible for c >= 1")
-
-    flags: dict[str, bool | None] = {name: None for name in ALL_CHECKS}
-    for name in checks:
-        if name == "stopping":
-            ok = check_stopping_consistency(w)
-            if not ok:
-                fail(name, "criterion members differ from assignment image")
-        elif name == "growth":
-            res = check_growth_bound(w)
-            ok = res.ok
-            if not ok:
-                fail(name, f"member growth violated at {res.violation}")
-        elif name == "weak_type":
-            ok = True
-            for lam in average_thresholds(w):
-                if not check_weak_type(w, lam):
-                    ok = False
-                    fail(name, f"weak type fails at level {lam}")
-        elif name == "decomposition":
-            ok = check_decomposition(w)
-            if not ok:
-                fail(name, "member averages over the partition do not rebuild the maximal function")
-        elif name == "oracle":
-            ok = check_oracle_equality(w)
-            if not ok:
-                fail(name, "fast maximal function disagrees with brute-force enumeration")
-        elif name == "kadic":
-            value = kadic_constant(profile, k, w.shape.m)
-            ok = value <= bound
-            if not ok:
-                fail(name, f"k-adic constant {value} exceeds bound {bound}")
-        flags[name] = ok
-
+    report = check_rearrangement_bound(w)
+    for name in ("bound",) + checks:
+        detail = _failure(name, w, report)
+        if detail is not None:
+            raise ViolationError(
+                f"check '{name}' failed: {detail}", weight_text=text, check=name, detail=detail
+            )
     row = WeightRow(
         index=index,
         weight_hash=weight_hash(w),
-        c=c,
-        bound=bound,
-        sup_ratio=ratio,
-        margin=margin,
+        c=report.c,
+        bound=report.bound,
+        sup_ratio=report.sup_ratio,
+        margin=report.margin,
         bound_holds=True,
-        stopping_consistent=flags["stopping"],
-        growth_bound_ok=flags["growth"],
-        weak_type_ok=flags["weak_type"],
-        decomposition_ok=flags["decomposition"],
-        oracle_match=flags["oracle"],
-        kadic_ok=flags["kadic"],
+        **{field: True if name in checks else None for name, field in _FLAG_FIELDS.items()},
     )
     return row, text
 
 
-def _run_batch(payload) -> tuple[list[WeightRow], Fraction | None, str | None, tuple | None]:
-    """Worker for one block of seeded trials; returns rows and local extremes.
+def _scan(
+    pairs: Iterable[tuple[int, StepWeight]], checks: tuple[str, ...]
+) -> tuple[list[WeightRow], Fraction | None, str | None, tuple | None]:
+    """Examine (index, weight) pairs in order; returns rows and local extremes.
 
-    A violation is returned (not raised) as (index, check, detail, weight_text)
-    so the merge step can pick the lowest trial index deterministically.
+    A violation stops the scan and is returned (not raised) as
+    (index, check, detail, weight_text), so the merge step can pick the
+    lowest index deterministically across worker processes.
     """
-    k, m, grid, jobs, checks = payload
-    shape = make_shape(k, m)
     rows: list[WeightRow] = []
     worst: Fraction | None = None
     worst_text: str | None = None
-    for index, trial_seed in jobs:
-        w = random_weight(shape, trial_seed, grid)
+    for index, w in pairs:
         try:
             row, text = _examine(index, w, checks)
         except ViolationError as exc:
             return rows, worst, worst_text, (index, exc.check, exc.detail, exc.weight_text)
         rows.append(row)
         if worst is None or row.margin < worst:
-            worst = row.margin
-            worst_text = text
+            worst, worst_text = row.margin, text
     return rows, worst, worst_text, None
 
 
@@ -451,50 +448,45 @@ def fuzz_campaign(
     if not isinstance(threads, int) or threads < 1:
         raise ParameterError(f"threads must be a positive integer, got {threads!r}")
 
-    rows: list[WeightRow] = []
-    worst: Fraction | None = None
-    worst_text: str | None = None
-    violation: tuple | None = None
-
     if exhaustive:
         count = len(grid_values) ** shape.leaf_count
         if count > 500_000:
             raise ParameterError(
                 f"exhaustive enumeration of {count} weights is too large; shrink the grid or depth"
             )
-        for index, values in enumerate(itertools.product(grid_values, repeat=shape.leaf_count)):
-            w = StepWeight(shape, values)
-            try:
-                row, text = _examine(index, w, selected)
-            except ViolationError as exc:
-                violation = (index, exc.check, exc.detail, exc.weight_text)
-                break
-            rows.append(row)
-            if worst is None or row.margin < worst:
-                worst, worst_text = row.margin, text
-        total = count
-        used_seed = None
+        weights = (
+            StepWeight(shape, values)
+            for values in itertools.product(grid_values, repeat=shape.leaf_count)
+        )
+        total, used_seed = count, None
     else:
         master = random.Random(seed)
-        jobs = [(index, master.randrange(2**63)) for index in range(trials)]
-        if threads == 1 or trials == 0:
-            batches = [_run_batch((k, m, tuple(grid_values), jobs, selected))]
-        else:
-            step = -(-len(jobs) // threads)
-            payloads = [
-                (k, m, tuple(grid_values), jobs[i : i + step], selected)
-                for i in range(0, len(jobs), step)
-            ]
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                batches = list(pool.map(_run_batch, payloads))
-        for batch_rows, batch_worst, batch_text, batch_violation in batches:
-            rows.extend(batch_rows)
-            if batch_worst is not None and (worst is None or batch_worst < worst):
-                worst, worst_text = batch_worst, batch_text
-            if batch_violation is not None and (violation is None or batch_violation[0] < violation[0]):
-                violation = batch_violation
-        total = trials
-        used_seed = seed
+        seeds = [master.randrange(2**63) for _ in range(trials)]
+        weights = (random_weight(shape, trial_seed, grid_values) for trial_seed in seeds)
+        total, used_seed = trials, seed
+
+    # Exhaustive mode runs in this process whatever ``threads`` says: its
+    # enumeration is consumed lazily, while a pool would hold every weight in
+    # memory at once and add each worker's memory to the run's peak.
+    if exhaustive or threads == 1 or trials == 0:
+        batches = [_scan(enumerate(weights), selected)]
+    else:
+        pairs = list(enumerate(weights))
+        step = -(-len(pairs) // threads)
+        chunks = [pairs[i : i + step] for i in range(0, len(pairs), step)]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            batches = list(pool.map(_scan, chunks, itertools.repeat(selected)))
+
+    rows: list[WeightRow] = []
+    worst: Fraction | None = None
+    worst_text: str | None = None
+    violation: tuple | None = None
+    for batch_rows, batch_worst, batch_text, batch_violation in batches:
+        rows.extend(batch_rows)
+        if batch_worst is not None and (worst is None or batch_worst < worst):
+            worst, worst_text = batch_worst, batch_text
+        if batch_violation is not None and (violation is None or batch_violation[0] < violation[0]):
+            violation = batch_violation
 
     if violation is not None:
         index, check, detail, text = violation
@@ -576,22 +568,19 @@ def sharpness_sweep(k: int, c, depths: Sequence[int], deltas: Sequence | None = 
             params = ExtremalParams.from_constant(k, c, delta, depth)
             w = extremal_family(params)
             nominal = family_constant_formula(k, params.alpha, params.eps, delta)
-            measured = a1_constant(w)
-            profile = rearrange(w)
-            ratio, _ = sup_ratio(profile)
+            report = check_rearrangement_bound(w)
             branch_t = Fraction(1, k)
-            branch_ratio = prefix_average(profile, branch_t) / profile.value_at(branch_t)
-            bound = k * measured - k + 1
+            branch_ratio = prefix_average(report.profile, branch_t) / report.profile.value_at(branch_t)
             rows.append(
                 SweepRow(
                     depth=depth,
                     delta=delta,
                     nominal_c=nominal,
-                    measured_c=measured,
-                    bound=bound,
-                    sup_ratio=ratio,
+                    measured_c=report.c,
+                    bound=report.bound,
+                    sup_ratio=report.sup_ratio,
                     ratio_at_branch_scale=branch_ratio,
-                    gap=bound - ratio,
+                    gap=report.margin,
                 )
             )
     return tuple(rows)

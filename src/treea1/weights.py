@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
-from .rationals import as_fraction, format_rational
+from .rationals import as_fraction
 from .tree import TreeShape, make_shape
 
 
@@ -47,10 +47,6 @@ class StepWeight:
 def make_step_weight(shape: TreeShape, values: Sequence) -> StepWeight:
     """Build a step weight from any sequence of exact rationals."""
     return StepWeight(shape, tuple(values))
-
-
-def constant_weight(shape: TreeShape, value=1) -> StepWeight:
-    return StepWeight(shape, (as_fraction(value),) * shape.leaf_count)
 
 
 def scale(w: StepWeight, factor) -> StepWeight:
@@ -161,19 +157,10 @@ def extremal_exact(k: int, c) -> StepWeight:
     rearrangement sup-ratio is exactly ``k*c - k + 1``.
 
     With eps normalized to 1 and alpha = k*c - k + 1, the value alpha sits on
-    the first grandchild of every level-1 node and eps everywhere else.
+    the first grandchild of every level-1 node and eps everywhere else: the
+    extremal family at depth 2 with delta = 1/k^2.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ParameterError(f"homogeneity k must be an integer >= 2, got {k!r}")
-    c = as_fraction(c)
-    if c < 1:
-        raise ParameterError(f"target constant c must be >= 1, got {c}")
-    alpha = k * c - k + 1
-    eps = Fraction(1)
-    values = [eps] * (k * k)
-    for branch in range(k):
-        values[branch * k] = alpha
-    return StepWeight(make_shape(k, 2), tuple(values))
+    return extremal_family(ExtremalParams.from_constant(k, c, Fraction(1, k**2), 2))
 
 
 def extremal_family(params: ExtremalParams) -> StepWeight:
@@ -216,7 +203,7 @@ def family_constant_formula(k: int, alpha, eps, delta) -> Fraction:
 def weight_to_text(w: StepWeight) -> str:
     """Serialize as ``k m v_0 ... v_{k^m-1}`` with rationals as p/q, newline-terminated."""
     fields = [str(w.shape.k), str(w.shape.m)]
-    fields.extend(format_rational(v) for v in w.leaf_values)
+    fields.extend(str(v) for v in w.leaf_values)
     return " ".join(fields) + "\n"
 
 

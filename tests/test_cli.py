@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 
+import treea1.search
 import treea1.verify
 from treea1 import extremal_exact, weight_from_text, weight_to_text
 from treea1.cli import main
@@ -20,12 +21,17 @@ def read_csv(path):
     return header, [line.split(",") for line in lines[2:]]
 
 
-def test_verify_exhaustive_small_grid(tmp_path):
+def test_verify_exhaustive_small_grid(tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli(
         ["verify", "--k", "2", "--depth", "2", "--grid", "1,2,3", "--exhaustive", "--out", str(out)]
     )
     assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "81 weights checked, zero violations, worst margin 0",
+        "37 weights attain the bound exactly",
+        "worst-margin weight: 2 2 1 1 1 1",
+    ]
     header, rows = read_csv(out / "report.csv")
     assert len(rows) == 81
     assert header[:2] == ["trial", "weight_hash"]
@@ -134,6 +140,23 @@ def test_search_command(tmp_path):
     trace_lines = (out / "trace.csv").read_text().splitlines()
     assert trace_lines[1] == "iteration,objective"
     assert len(trace_lines) == 2 + 400
+
+
+def test_search_violation_exits_1_with_counterexample(tmp_path, monkeypatch):
+    monkeypatch.setattr(treea1.search, "objective_exact", lambda w: Fraction(2))
+    out = tmp_path / "run"
+    code = run_cli(
+        ["search", "--k", "2", "--depth", "2", "--iters", "20", "--restarts", "1",
+         "--seed", "1", "--out", str(out)]
+    )
+    assert code == 1
+    counterexample = (out / "counterexample.txt").read_text()
+    assert counterexample.startswith("2 2 ")
+    assert "check: objective" in counterexample
+    assert not (out / "summary.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "search"
+    assert manifest["outputs"] == ["counterexample.txt"]
 
 
 def test_search_usage_error(tmp_path):

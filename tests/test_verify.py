@@ -192,6 +192,29 @@ def test_fuzz_campaign_threads_match_serial():
     assert serial.worst_margin == parallel.worst_margin
 
 
+def test_fuzz_campaign_starts_no_more_workers_than_chunks(monkeypatch):
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(treea1.verify, "ProcessPoolExecutor", InlinePool)
+    pooled = fuzz_campaign(2, 2, 3, seed=5, grid=[1, 2, 3], checks=("kadic",), threads=50)
+    serial = fuzz_campaign(2, 2, 3, seed=5, grid=[1, 2, 3], checks=("kadic",))
+    assert started == [3]
+    assert [r.weight_hash for r in pooled.rows] == [r.weight_hash for r in serial.rows]
+
+
 def test_fuzz_campaign_exhaustive_covers_grid():
     summary = fuzz_campaign(2, 2, 0, seed=0, grid=[1, 2, 3], exhaustive=True)
     assert len(summary.rows) == 81
