@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import ParameterError, ViolationError
 from .rationals import as_fraction, decimal_string
-from .tree import ROOT, NodeId, TreeShape, ancestors, leaves_under, make_shape, node_measure
+from .tree import MAX_LEAVES, ROOT, NodeId, TreeShape, ancestors, leaves_under, make_shape, node_measure
 from .weights import (
     ExtremalParams,
     StepWeight,
@@ -28,7 +28,9 @@ from .weights import (
 )
 from .maximal import (
     StoppingFamily,
+    WeightAnalysis,
     a1_constant,
+    analyze,
     average,
     maximal_function,
     maximal_function_bruteforce,

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ParameterError, ViolationError
-from .maximal import maximal_function, stopping_family
 from .rationals import as_fraction, decimal_string
 from .rearrangement import profile_to_text
 from .search import SearchConfig, hill_climb
@@ -241,10 +240,10 @@ def _cmd_inspect(args) -> int:
         raise ParameterError(f"cannot read weight file {args.weight!r}: {exc}") from exc
     w = weight_from_text(text)
     report = check_rearrangement_bound(w)
-    mf = maximal_function(w)
-    fam = stopping_family(w)
+    mf = report.analysis.maximal
+    fam = report.analysis.family
     parts = fam.parts()
-    audit = _audit(w, report, set(fam.members), args.t) if args.t is not None else None
+    audit = _audit(report, args.t) if args.t is not None else None
 
     if args.json:
         payload = {

@@ -24,6 +24,9 @@ class NodeId(NamedTuple):
 
 
 ROOT = NodeId(0, 0)
+# Largest leaf count a shape may have: every table is linear in it, so larger
+# shapes are refused before anything is allocated.
+MAX_LEAVES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,9 @@ class TreeShape:
             raise ParameterError(f"homogeneity k must be an integer >= 2, got {self.k!r}")
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
             raise ParameterError(f"depth m must be an integer >= 1, got {self.m!r}")
+        # k >= 2, so bounding m first keeps k**m small enough to form
+        if self.m >= MAX_LEAVES.bit_length() or self.k**self.m > MAX_LEAVES:
+            raise ParameterError(f"shape k={self.k}, m={self.m} has more than {MAX_LEAVES} leaves")
 
     @property
     def leaf_count(self) -> int:

@@ -9,6 +9,7 @@ implementation bug (or a genuine counterexample, which would be news).
 from __future__ import annotations
 
 import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -17,9 +18,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ParameterError, ViolationError
 from .maximal import (
-    _level_averages,
-    _level_sums,
+    WeightAnalysis,
     a1_constant,
+    analyze,
     maximal_function,
     maximal_function_bruteforce,
     stopping_family,
@@ -54,6 +55,7 @@ class VerificationReport:
     witness: Fraction
     holds: bool
     profile: RearrangedProfile  # the decreasing rearrangement w*
+    analysis: WeightAnalysis  # the tables every check and audit reads
     stopping_consistent: bool | None = None
     growth_bound_ok: bool | None = None
     weak_type_ok: bool | None = None
@@ -107,13 +109,12 @@ class GrowthCheck:
     violation: tuple[NodeId, NodeId, Fraction, Fraction, Fraction] | None = None
 
 
-def average_thresholds(w: StepWeight) -> tuple[Fraction, ...]:
+def average_thresholds(w: StepWeight | WeightAnalysis) -> tuple[Fraction, ...]:
     """All distinct node averages, ascending; superlevel sets only change here."""
-    avgs = _level_averages(w)
-    return tuple(sorted({a for level in avgs for a in level}))
+    return tuple(sorted({avg for level in analyze(w).averages for avg in level}))
 
 
-def check_weak_type(w: StepWeight, level) -> bool:
+def check_weak_type(w: StepWeight | WeightAnalysis, level) -> bool:
     """Strict weak-type inequality mu(E) < (1/level) * integral of w over E.
 
     E is the superlevel set {maximal_function > level}; vacuously true when
@@ -122,49 +123,49 @@ def check_weak_type(w: StepWeight, level) -> bool:
     lam = as_fraction(level)
     if lam <= 0:
         raise ParameterError(f"weak-type level must be positive, got {lam}")
-    nodes = superlevel_set(w, lam)
+    a = analyze(w)
+    nodes = superlevel_set(a, lam)
     if not nodes:
         return True
-    sums = _level_sums(w)
-    n = w.shape.leaf_count
-    mu = sum(node_measure(w.shape, node) for node in nodes)
-    integral = sum(sums[node.level][node.index] for node in nodes) / n
+    shape = a.weight.shape
+    mu = sum(node_measure(shape, node) for node in nodes)
+    integral = sum(a.sums[node.level][node.index] for node in nodes) / shape.leaf_count
     return mu < integral / lam
 
 
-def check_stopping_consistency(w: StepWeight) -> bool:
+def check_stopping_consistency(w: StepWeight | WeightAnalysis) -> bool:
     """The criterion-based members coincide with the image of the assignment."""
     fam = stopping_family(w)
     return set(fam.assignment) == set(fam.members)
 
 
-def check_decomposition(w: StepWeight) -> bool:
+def check_decomposition(w: StepWeight | WeightAnalysis) -> bool:
     """Sum of member averages over the leaf partition reconstructs the maximal function."""
-    fam = stopping_family(w)
-    avgs = _level_averages(w)
-    mf = maximal_function(w)
+    a = analyze(w)
+    mf = maximal_function(a)
     return all(
-        avgs[node.level][node.index] == mf[leaf]
-        for leaf, node in enumerate(fam.assignment)
+        a.averages[node.level][node.index] == mf[leaf]
+        for leaf, node in enumerate(stopping_family(a).assignment)
     )
 
 
-def check_oracle_equality(w: StepWeight) -> bool:
+def check_oracle_equality(w: StepWeight | WeightAnalysis) -> bool:
     """Fast maximal function agrees with the definitional enumeration."""
-    return maximal_function(w) == maximal_function_bruteforce(w)
+    a = analyze(w)
+    return maximal_function(a) == maximal_function_bruteforce(a.weight)
 
 
-def check_growth_bound(w: StepWeight) -> GrowthCheck:
+def check_growth_bound(w: StepWeight | WeightAnalysis) -> GrowthCheck:
     """For every member J with star link I: Av(I) < Av(J) <= (k - (k-1)/c) * Av(I).
 
     ``c`` is the measured A1 constant; its reciprocal plays the contraction
     role (named reciprocal_c to keep it apart from the extremal family's
     measure parameter delta).
     """
-    c = a1_constant(w)
-    reciprocal_c = 1 / c
-    k = w.shape.k
-    fam = stopping_family(w)
+    a = analyze(w)
+    reciprocal_c = 1 / a1_constant(a)
+    k = a.weight.shape.k
+    fam = stopping_family(a)
     factor = k - (k - 1) * reciprocal_c
     for member in fam.members:
         if member == ROOT:
@@ -189,7 +190,7 @@ def audit_grid(w: StepWeight) -> tuple[Fraction, ...]:
 
 
 def check_rearrangement_bound(
-    w: StepWeight, properties: bool = False, with_audits: bool = False
+    w: StepWeight | WeightAnalysis, properties: bool = False, with_audits: bool = False
 ) -> VerificationReport:
     """Exact comparison of sup_ratio(w*) against k*c - k + 1 for the weight.
 
@@ -199,10 +200,11 @@ def check_rearrangement_bound(
     a superlevel audit for every t on the canonical grid.  Omitted pieces
     stay None.
     """
-    c = a1_constant(w)
-    k = w.shape.k
+    a = analyze(w)
+    c = a1_constant(a)
+    k = a.weight.shape.k
     bound = k * c - k + 1
-    profile = rearrange(w)
+    profile = rearrange(a.weight)
     ratio, witness = sup_ratio(profile)
     margin = bound - ratio
     report = VerificationReport(
@@ -213,24 +215,25 @@ def check_rearrangement_bound(
         witness=witness,
         holds=margin >= 0,
         profile=profile,
+        analysis=a,
     )
     if properties:
         report = replace(
             report,
-            **{_FLAG_FIELDS[name]: _failure(name, w, report) is None for name in _REPORT_CHECKS},
+            **{_FLAG_FIELDS[name]: _failure(name, report) is None for name in _REPORT_CHECKS},
         )
     if with_audits:
-        members = set(stopping_family(w).members)
-        report = replace(report, audits=tuple(_audit(w, report, members, t) for t in audit_grid(w)))
+        report = replace(report, audits=tuple(_audit(report, t) for t in audit_grid(a.weight)))
     return report
 
 
-def _failure(name: str, w: StepWeight, report: VerificationReport) -> str | None:
-    """Detail of how the named check fails on the weight, or None when it holds.
+def _failure(name: str, report: VerificationReport) -> str | None:
+    """Detail of how the named check fails on the report's analysis, or None when it holds.
 
     Checks are looked up by their module-level names at call time, so a
     replaced ``check_*`` function takes effect everywhere.
     """
+    a = report.analysis
     if name == "bound":
         if report.margin < 0:
             return f"sup_ratio={report.sup_ratio} exceeds bound={report.bound} (c={report.c})"
@@ -238,27 +241,27 @@ def _failure(name: str, w: StepWeight, report: VerificationReport) -> str | None
             return f"c={report.c} exceeds bound={report.bound}, impossible for c >= 1"
         return None
     if name == "stopping":
-        return None if check_stopping_consistency(w) else "criterion members differ from assignment image"
+        return None if check_stopping_consistency(a) else "criterion members differ from assignment image"
     if name == "growth":
-        growth = check_growth_bound(w)
+        growth = check_growth_bound(a)
         return None if growth.ok else f"member growth violated at {growth.violation}"
     if name == "weak_type":
-        for lam in average_thresholds(w):
-            if not check_weak_type(w, lam):
+        for lam in average_thresholds(a):
+            if not check_weak_type(a, lam):
                 return f"weak type fails at level {lam}"
         return None
     if name == "decomposition":
-        if check_decomposition(w):
+        if check_decomposition(a):
             return None
         return "member averages over the partition do not rebuild the maximal function"
     if name == "oracle":
-        return None if check_oracle_equality(w) else "fast maximal function disagrees with brute-force enumeration"
+        return None if check_oracle_equality(a) else "fast maximal function disagrees with brute-force enumeration"
     # the remaining check, "kadic", reuses the report's profile
-    value = kadic_constant(report.profile, w.shape.k, w.shape.m)
+    value = kadic_constant(report.profile, a.weight.shape.k, a.weight.shape.m)
     return None if value <= report.bound else f"k-adic constant {value} exceeds bound {report.bound}"
 
 
-def audit_superlevel(w: StepWeight, t) -> SuperlevelAudit:
+def audit_superlevel(w: StepWeight | WeightAnalysis, t) -> SuperlevelAudit:
     """Replicate the superlevel-set estimates behind the rearrangement bound at one t.
 
     With level = w*(t) and threshold = c * level: the maximal nodes of the
@@ -268,17 +271,19 @@ def audit_superlevel(w: StepWeight, t) -> SuperlevelAudit:
     mu({w > threshold}) and t.  When the set is empty, w <= threshold must
     hold at every leaf.
     """
-    return _audit(w, check_rearrangement_bound(w), set(stopping_family(w).members), t)
+    return _audit(check_rearrangement_bound(w), t)
 
 
-def _audit(w: StepWeight, report: VerificationReport, members: set[NodeId], t) -> SuperlevelAudit:
-    """Superlevel audit at one t, from the weight's report and stopping-family members."""
+def _audit(report: VerificationReport, t) -> SuperlevelAudit:
+    """Superlevel audit at one t, read from a report and its analysis."""
+    a = report.analysis
+    w = a.weight
     t = _check_t(t)
     lam = report.profile.value_at(t)
     threshold = report.c * lam
     n = w.shape.leaf_count
     above = Fraction(sum(1 for v in w.leaf_values if v > threshold), n)
-    nodes = superlevel_set(w, threshold)
+    nodes = superlevel_set(a, threshold)
 
     if not nodes:
         leafwise = all(v <= threshold for v in w.leaf_values)
@@ -298,9 +303,8 @@ def _audit(w: StepWeight, report: VerificationReport, members: set[NodeId], t) -
             measures_ordered=True,
         )
 
-    sums = _level_sums(w)
     mu = sum(node_measure(w.shape, node) for node in nodes)
-    integral = sum(sums[node.level][node.index] for node in nodes) / n
+    integral = sum(a.sums[node.level][node.index] for node in nodes) / n
     set_average = integral / mu
     return SuperlevelAudit(
         t=t,
@@ -311,7 +315,7 @@ def _audit(w: StepWeight, report: VerificationReport, members: set[NodeId], t) -
         superlevel_measure=mu,
         above_threshold_measure=above,
         set_average=set_average,
-        nodes_are_members=all(node in members for node in nodes),
+        nodes_are_members=all(node in a.family.node_averages for node in nodes),
         average_bounded=set_average <= report.bound * lam,
         dominates_prefix=set_average >= prefix_average(report.profile, t),
         inside_level_set=all(
@@ -358,21 +362,19 @@ class CampaignSummary:
     counts: Mapping[str, int]
 
 
-def _examine(index: int, w: StepWeight, checks: tuple[str, ...]) -> tuple[WeightRow, str]:
+def _examine(index: int, w: StepWeight, checks: tuple[str, ...]) -> WeightRow:
     """Run the bound check plus the requested structural checks on one weight.
 
-    Raises ViolationError on the first failure; otherwise returns the row and
-    the serialized weight (for worst-margin bookkeeping).
+    Raises ViolationError, carrying the serialized weight, on the first failure.
     """
-    text = weight_to_text(w)
     report = check_rearrangement_bound(w)
     for name in ("bound",) + checks:
-        detail = _failure(name, w, report)
+        detail = _failure(name, report)
         if detail is not None:
             raise ViolationError(
-                f"check '{name}' failed: {detail}", weight_text=text, check=name, detail=detail
+                f"check '{name}' failed: {detail}", weight_text=weight_to_text(w), check=name, detail=detail
             )
-    row = WeightRow(
+    return WeightRow(
         index=index,
         weight_hash=weight_hash(w),
         c=report.c,
@@ -382,12 +384,11 @@ def _examine(index: int, w: StepWeight, checks: tuple[str, ...]) -> tuple[Weight
         bound_holds=True,
         **{field: True if name in checks else None for name, field in _FLAG_FIELDS.items()},
     )
-    return row, text
 
 
 def _scan(
     pairs: Iterable[tuple[int, StepWeight]], checks: tuple[str, ...]
-) -> tuple[list[WeightRow], Fraction | None, str | None, tuple | None]:
+) -> tuple[list[WeightRow], Fraction | None, StepWeight | None, tuple | None]:
     """Examine (index, weight) pairs in order; returns rows and local extremes.
 
     A violation stops the scan and is returned (not raised) as
@@ -396,16 +397,16 @@ def _scan(
     """
     rows: list[WeightRow] = []
     worst: Fraction | None = None
-    worst_text: str | None = None
+    worst_weight: StepWeight | None = None
     for index, w in pairs:
         try:
-            row, text = _examine(index, w, checks)
+            row = _examine(index, w, checks)
         except ViolationError as exc:
-            return rows, worst, worst_text, (index, exc.check, exc.detail, exc.weight_text)
+            return rows, worst, worst_weight, (index, exc.check, exc.detail, exc.weight_text)
         rows.append(row)
         if worst is None or row.margin < worst:
-            worst, worst_text = row.margin, text
-    return rows, worst, worst_text, None
+            worst, worst_weight = row.margin, w
+    return rows, worst, worst_weight, None
 
 
 def _normalize_checks(checks: Iterable[str]) -> tuple[str, ...]:
@@ -468,23 +469,24 @@ def fuzz_campaign(
     # Exhaustive mode runs in this process whatever ``threads`` says: its
     # enumeration is consumed lazily, while a pool would hold every weight in
     # memory at once and add each worker's memory to the run's peak.
-    if exhaustive or threads == 1 or trials == 0:
+    workers = 1 if exhaustive else min(threads, os.cpu_count() or 1, trials)
+    if workers <= 1:
         batches = [_scan(enumerate(weights), selected)]
     else:
         pairs = list(enumerate(weights))
-        step = -(-len(pairs) // threads)
+        step = -(-len(pairs) // workers)
         chunks = [pairs[i : i + step] for i in range(0, len(pairs), step)]
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             batches = list(pool.map(_scan, chunks, itertools.repeat(selected)))
 
     rows: list[WeightRow] = []
     worst: Fraction | None = None
-    worst_text: str | None = None
+    worst_weight: StepWeight | None = None
     violation: tuple | None = None
-    for batch_rows, batch_worst, batch_text, batch_violation in batches:
+    for batch_rows, batch_worst, batch_weight, batch_violation in batches:
         rows.extend(batch_rows)
         if batch_worst is not None and (worst is None or batch_worst < worst):
-            worst, worst_text = batch_worst, batch_text
+            worst, worst_weight = batch_worst, batch_weight
         if batch_violation is not None and (violation is None or batch_violation[0] < violation[0]):
             violation = batch_violation
 
@@ -509,7 +511,7 @@ def fuzz_campaign(
         checks=("bound",) + selected,
         rows=tuple(rows),
         worst_margin=worst,
-        worst_weight_text=worst_text,
+        worst_weight_text=None if worst_weight is None else weight_to_text(worst_weight),
         counts=counts,
     )
 
@@ -563,6 +565,7 @@ def sharpness_sweep(k: int, c, depths: Sequence[int], deltas: Sequence | None = 
     for depth in depths:
         if not isinstance(depth, int) or depth < 2:
             raise ParameterError(f"family depth must be an integer >= 2, got {depth!r}")
+        make_shape(k, depth)  # refuses too many leaves before k**depth is formed
         delta_list = [as_fraction(d) for d in deltas] if deltas else [default_family_delta(k, depth)]
         for delta in delta_list:
             params = ExtremalParams.from_constant(k, c, delta, depth)

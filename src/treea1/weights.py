@@ -111,6 +111,7 @@ class ExtremalParams:
             raise ParameterError(f"homogeneity k must be an integer >= 2, got {self.k!r}")
         if not isinstance(self.depth, int) or self.depth < 2:
             raise ParameterError(f"depth must be an integer >= 2, got {self.depth!r}")
+        make_shape(self.k, self.depth)  # refuses too many leaves before k**depth is formed
         for name in ("c", "eps", "alpha", "delta"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.c < 1:

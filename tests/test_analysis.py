@@ -1,0 +1,110 @@
+"""One analysis per weight: built once, read by every check, and never a shortcut."""
+from fractions import Fraction
+
+from hypothesis import given
+
+from conftest import step_weights
+from treea1 import (
+    StoppingFamily,
+    WeightAnalysis,
+    a1_constant,
+    analyze,
+    audit_superlevel,
+    average_thresholds,
+    check_decomposition,
+    check_growth_bound,
+    check_oracle_equality,
+    check_rearrangement_bound,
+    check_stopping_consistency,
+    check_weak_type,
+    extremal_exact,
+    fuzz_campaign,
+    make_shape,
+    make_step_weight,
+    maximal_function,
+    stopping_family,
+    superlevel_set,
+)
+
+
+def _family_fields(fam):
+    return fam.members, dict(fam.star), fam.assignment, dict(fam.node_averages)
+
+
+def _report_fields(report):
+    audits = tuple(
+        (a.t, a.threshold, a.nodes, a.superlevel_measure, a.set_average, a.passed) for a in report.audits
+    )
+    return (report.c, report.bound, report.sup_ratio, report.margin, report.witness, report.holds,
+            report.profile, report.stopping_consistent, report.growth_bound_ok, report.weak_type_ok,
+            report.decomposition_ok, audits)
+
+
+def _audit_fields(audit):
+    return (audit.t, audit.level_value, audit.threshold, audit.degenerate, audit.nodes,
+            audit.superlevel_measure, audit.above_threshold_measure, audit.set_average, audit.passed)
+
+
+def test_analyze_returns_an_analysis_unchanged():
+    a = analyze(extremal_exact(2, 2))
+    assert analyze(a) is a
+    assert a.maximal == (3, 2, 3, 2) and a.c == 2
+    assert a.sums[0] == (8,) and a.averages[1] == (2, 2)
+
+
+def test_one_report_builds_the_tables_and_the_family_once(monkeypatch):
+    built = []
+    for cls, label in ((WeightAnalysis, "tables"), (StoppingFamily, "family")):
+        original = cls.__init__
+
+        def counted(self, *args, _original=original, _label=label, **kwargs):
+            built.append(_label)
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    w = make_step_weight(make_shape(2, 3), [5, 1, 2, 2, 7, 1, 3, 1])
+    report = check_rearrangement_bound(w, properties=True, with_audits=True)
+    assert report.decomposition_ok and all(a.passed for a in report.audits)
+    assert built == ["tables", "family"]
+
+
+def test_bound_and_kadic_checks_build_no_family(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bound and k-adic checks need no stopping family")
+
+    monkeypatch.setattr(StoppingFamily, "__init__", refuse)
+    assert check_rearrangement_bound(extremal_exact(3, 2)).holds
+    summary = fuzz_campaign(3, 2, 5, seed=1, grid=[1, 2, 3], checks=("kadic",))
+    assert all(row.kadic_ok for row in summary.rows)
+
+
+@given(step_weights(max_depth=2))
+def test_every_reader_answers_the_same_on_a_weight_and_its_analysis(w):
+    """The oracles (average, maximal_function_bruteforce) take weights only."""
+    a = analyze(w)
+    assert maximal_function(a) == maximal_function(w)
+    assert a1_constant(a) == a1_constant(w)
+    assert _family_fields(stopping_family(a)) == _family_fields(stopping_family(w))
+    thresholds = average_thresholds(w)
+    assert average_thresholds(a) == thresholds
+    for lam in thresholds + (thresholds[0] / 2,):
+        assert superlevel_set(a, lam) == superlevel_set(w, lam)
+        assert check_weak_type(a, lam) == check_weak_type(w, lam)
+    assert check_stopping_consistency(a) == check_stopping_consistency(w)
+    assert check_decomposition(a) == check_decomposition(w)
+    assert check_oracle_equality(a) == check_oracle_equality(w)
+    grown_a, grown_w = check_growth_bound(a), check_growth_bound(w)
+    assert (grown_a.ok, grown_a.violation) == (grown_w.ok, grown_w.violation)
+    full = dict(properties=True, with_audits=True)
+    assert _report_fields(check_rearrangement_bound(a, **full)) == _report_fields(
+        check_rearrangement_bound(w, **full)
+    )
+    t = Fraction(1, 2)
+    assert _audit_fields(audit_superlevel(a, t)) == _audit_fields(audit_superlevel(w, t))
+
+
+def test_decomposition_check_compares_two_independent_sweeps():
+    a = analyze(extremal_exact(2, 2))
+    assert check_decomposition(a)
+    object.__setattr__(a, "maximal", tuple(v + 1 for v in a.maximal))
+    assert not check_decomposition(a)

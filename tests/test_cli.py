@@ -61,6 +61,18 @@ def test_verify_usage_errors(tmp_path):
     assert run_cli(["verify"]) == 2  # missing required flags
 
 
+def test_every_command_refuses_a_shape_above_max_leaves(tmp_path, capsys):
+    weight_file = tmp_path / "huge.txt"
+    weight_file.write_text("10 1000000000 1\n")
+    assert run_cli(["verify", "--k", "10", "--depth", "9", "--out", str(tmp_path / "v")]) == 2
+    assert run_cli(["inspect", "--weight", str(weight_file)]) == 2
+    assert run_cli(["extremal", "--k", "2", "--c", "2", "--mode", "paper", "--depths", "1000000000",
+                    "--out", str(tmp_path / "e")]) == 2
+    assert run_cli(["search", "--k", "10", "--depth", "9", "--iters", "1", "--restarts", "1",
+                    "--out", str(tmp_path / "s")]) == 2
+    assert capsys.readouterr().err.count("leaves") == 4
+
+
 def test_verify_is_byte_deterministic(tmp_path):
     args = ["verify", "--k", "2", "--depth", "3", "--trials", "15", "--seed", "3",
             "--grid", "1,2,3"]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from treea1 import NodeId, ParameterError, ancestors, leaves_under, make_shape, node_measure
+from treea1 import MAX_LEAVES, NodeId, ParameterError, ancestors, leaves_under, make_shape, node_measure
 from treea1.tree import ROOT, children, parent
 
 
@@ -19,6 +19,13 @@ def test_shape_rejects_bad_parameters():
         make_shape(2, 0)
     with pytest.raises(ParameterError):
         make_shape("2", 2)
+
+
+def test_shape_refuses_more_than_max_leaves():
+    assert make_shape(2, 20).leaf_count == MAX_LEAVES
+    for k, m in ((2, 21), (10, 9), (MAX_LEAVES + 1, 1), (2, 10**9)):
+        with pytest.raises(ParameterError, match="leaves"):
+            make_shape(k, m)
 
 
 def test_node_measure_values():

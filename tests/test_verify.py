@@ -192,7 +192,11 @@ def test_fuzz_campaign_threads_match_serial():
     assert serial.worst_margin == parallel.worst_margin
 
 
-def test_fuzz_campaign_starts_no_more_workers_than_chunks(monkeypatch):
+def _inline_pool(monkeypatch, cpus):
+    """Replace the process pool with an in-process map and pin the CPU count.
+
+    Returns the list of worker counts the campaign asked for; no process is started.
+    """
     started = []
 
     class InlinePool:
@@ -209,10 +213,26 @@ def test_fuzz_campaign_starts_no_more_workers_than_chunks(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(treea1.verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(treea1.verify.os, "cpu_count", lambda: cpus)
+    return started
+
+
+def test_fuzz_campaign_starts_no_more_workers_than_chunks(monkeypatch):
+    started = _inline_pool(monkeypatch, 64)
     pooled = fuzz_campaign(2, 2, 3, seed=5, grid=[1, 2, 3], checks=("kadic",), threads=50)
     serial = fuzz_campaign(2, 2, 3, seed=5, grid=[1, 2, 3], checks=("kadic",))
     assert started == [3]
     assert [r.weight_hash for r in pooled.rows] == [r.weight_hash for r in serial.rows]
+
+
+def test_fuzz_campaign_starts_no_more_workers_than_cpus(monkeypatch):
+    started = _inline_pool(monkeypatch, 2)
+    pooled = fuzz_campaign(2, 2, 9, seed=5, grid=[1, 2, 3], checks=("kadic",), threads=10_000)
+    serial = fuzz_campaign(2, 2, 9, seed=5, grid=[1, 2, 3], checks=("kadic",))
+    assert started == [2]
+    assert [r.weight_hash for r in pooled.rows] == [r.weight_hash for r in serial.rows]
+    assert pooled.worst_margin == serial.worst_margin
+    assert pooled.worst_weight_text == serial.worst_weight_text
 
 
 def test_fuzz_campaign_exhaustive_covers_grid():
