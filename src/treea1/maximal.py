@@ -1,16 +1,18 @@
 """Tree averages, the maximal operator, A1 constants and stopping families.
 
-Everything here is exact rational arithmetic on step weights.  The fast path,
-:func:`analyze`, sums leaves bottom-up and sweeps the tree top-down once per
-weight; every other fast function reads its result.  The brute force variant
-re-derives every quantity straight from the definitions and exists purely as
-an oracle for the fast paths.
+Everything here is exact.  The fast path, :func:`analyze`, clears the leaf
+denominators once, sums leaves bottom-up and sweeps the tree top-down once per
+weight, all in Python ints; every other fast function reads its result, and
+only reported values become ``Fraction``s.  The brute force variant and
+:func:`average` re-derive every quantity in ``Fraction`` arithmetic straight
+from the definitions and exist purely as oracles for the fast path.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Mapping
 
 from .rationals import as_fraction
@@ -46,17 +48,45 @@ class StoppingFamily:
 class WeightAnalysis:
     """Node tables, maximal function and A1 constant of one weight, built by :func:`analyze`.
 
-    ``sums`` and ``averages`` are indexed [level][index].  ``family`` is built
-    on first use, so a caller that needs only c never pays for it.  Every
+    The tables are Python ints at one common scale: with L the lcm of the leaf
+    denominators and ``unit = L * k**m``, ``scaled_averages[level][index]`` is
+    the node's average times ``unit`` (its leaf sum, cleared by L, times
+    ``k**level``) and ``scaled_maximal[leaf]`` the maximal function times
+    ``unit``.  Every comparison between node averages is therefore a
+    comparison of ints.  ``sums``, ``averages`` and ``maximal`` are the same
+    tables as ``Fraction``s and ``family`` the stopping family; each is built
+    on first read, so a caller that needs only c never pays for them.  Every
     function here and in ``verify`` that reads these tables accepts a weight
     or its analysis; the oracles take weights only.
     """
 
     weight: StepWeight
-    sums: tuple[tuple[Fraction, ...], ...]
-    averages: tuple[tuple[Fraction, ...], ...]
-    maximal: tuple[Fraction, ...]
+    unit: int
+    scaled_averages: tuple[tuple[int, ...], ...]
+    scaled_maximal: tuple[int, ...]
     c: Fraction
+
+    @cached_property
+    def sums(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Leaf sum under each node, indexed [level][index]."""
+        k, m = self.weight.shape.k, self.weight.shape.m
+        # a sum is the average times the node's k**(m - level) leaves
+        scales = [self.unit // k ** (m - level) for level in range(m + 1)]
+        return tuple(
+            tuple(Fraction(x, scale) for x in row) for row, scale in zip(self.scaled_averages, scales)
+        )
+
+    @cached_property
+    def averages(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Average of the weight over each node, indexed [level][index]."""
+        unit = self.unit
+        return tuple(tuple(Fraction(x, unit) for x in row) for row in self.scaled_averages)
+
+    @cached_property
+    def maximal(self) -> tuple[Fraction, ...]:
+        """Maximal function at each leaf."""
+        unit = self.unit
+        return tuple(Fraction(x, unit) for x in self.scaled_maximal)
 
     @cached_property
     def family(self) -> StoppingFamily:
@@ -66,13 +96,13 @@ class WeightAnalysis:
         the star link of a new member below it.  The sweep never reads
         ``maximal``, so the decomposition check compares two computations.
         """
-        k, avgs = self.weight.shape.k, self.averages
+        k, table = self.weight.shape.k, self.scaled_averages
         members: list[NodeId] = [ROOT]
         star: dict[NodeId, NodeId] = {}
-        best = [(avgs[0][0], ROOT)]  # per node of a level: (running max, its deepest achiever)
-        for level in range(1, len(avgs)):
+        best = [(table[0][0], ROOT)]  # per node of a level: (running max, its deepest achiever)
+        for level in range(1, len(table)):
             below = []
-            for index, avg in enumerate(avgs[level]):
+            for index, avg in enumerate(table[level]):
                 top = best[index // k]
                 if avg > top[0]:
                     node = NodeId(level, index)
@@ -85,39 +115,46 @@ class WeightAnalysis:
             members=tuple(members),  # found level by level, so already sorted
             star=star,
             assignment=tuple(node for _, node in best),
-            node_averages={node: avgs[node.level][node.index] for node in members},
+            node_averages={node: Fraction(table[node.level][node.index], self.unit) for node in members},
         )
 
 
 def analyze(w: StepWeight | WeightAnalysis) -> WeightAnalysis:
-    """Aggregate leaf sums bottom-up, then sweep the running maximum top-down once.
+    """Clear the leaf denominators once, sum bottom-up, then sweep the running maximum top-down.
 
-    Every node is visited a constant number of times, so the cost is linear
-    in the number of nodes.  An analysis is returned unchanged.
+    All of it is int arithmetic, and every node is visited a constant number
+    of times, so the cost is linear in the number of nodes.  Only c becomes a
+    ``Fraction`` here.  An analysis is returned unchanged.
     """
     if isinstance(w, WeightAnalysis):
         return w
     k, m = w.shape.k, w.shape.m
-    sums = [w.leaf_values]
+    denominators = {v.denominator for v in w.leaf_values}
+    unit = lcm(*denominators) * k**m
+    multiplier = {d: unit // d for d in denominators}
+    row = [v.numerator * multiplier[v.denominator] for v in w.leaf_values]
+    table = [row]
     for _ in range(m):
-        below = sums[-1]
-        sums.append(tuple(sum(below[i : i + k]) for i in range(0, len(below), k)))
-    sums.reverse()
-    averages = tuple(
-        tuple(s / k ** (m - level) for s in sums[level]) for level in range(m + 1)
-    )
-    running = averages[0]
-    for level in range(1, m + 1):
-        running = [
-            a if a > running[i // k] else running[i // k]
-            for i, a in enumerate(averages[level])
-        ]
+        # a parent's average is the mean of its k children's; at this scale it is an exact int
+        row = [s // k for s in map(sum, zip(*[iter(row)] * k))]
+        table.append(row)
+    table.reverse()
+    running = table[0]
+    for row in table[1:]:
+        parents = [r for r in running for _ in range(k)]
+        running = [a if a > r else r for a, r in zip(row, parents)]
+    # c is the largest maximal / leaf ratio, compared by cross-multiplication;
+    # maximal >= leaf everywhere, so starting from 1/1 is safe
+    best_mf, best_leaf = 1, 1
+    for mf, x in zip(running, table[-1]):
+        if mf * best_leaf > best_mf * x:
+            best_mf, best_leaf = mf, x
     return WeightAnalysis(
         weight=w,
-        sums=tuple(sums),
-        averages=averages,
-        maximal=tuple(running),
-        c=max(mf / v for mf, v in zip(running, w.leaf_values)),
+        unit=unit,
+        scaled_averages=tuple(tuple(row) for row in table),
+        scaled_maximal=tuple(running),
+        c=Fraction(best_mf, best_leaf),
     )
 
 
@@ -176,11 +213,13 @@ def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, .
     threshold = as_fraction(threshold)
     a = analyze(w)
     k, m = a.weight.shape.k, a.weight.shape.m
+    # average > p/q  <=>  scaled average * q > p * unit
+    bar, q = threshold.numerator * a.unit, threshold.denominator
     out: list[NodeId] = []
     stack = [ROOT]
     while stack:
         node = stack.pop()
-        if a.averages[node.level][node.index] > threshold:
+        if a.scaled_averages[node.level][node.index] * q > bar:
             out.append(node)
         elif node.level < m:
             base = node.index * k

@@ -1,6 +1,7 @@
 """Exact rational coercion and formatting.
 
-Every quantity in this package is an exact ``fractions.Fraction``; floats are
+Every quantity this package takes or reports is an exact ``fractions.Fraction``
+(the kernel in ``maximal`` works on ints at one common scale); floats are
 rejected at the boundary so no rounding can sneak into a comparison.
 """
 from __future__ import annotations

@@ -5,11 +5,16 @@ left-continuous convention: the value of piece i holds on the half-open
 interval (boundary_{i-1}, boundary_i].  Prefix averages and the sup of
 (prefix average)/(value) are evaluated analytically at piece boundaries, so
 the supremum is exact even when it is a one-sided limit that no single t
-attains.
+attains.  :func:`rearrange` counts and sorts the leaves as the ints of the
+weight's analysis (see :class:`~treea1.maximal.WeightAnalysis`); only the
+pieces, and everything computed from them, are ``Fraction``s.
+:func:`rearrange_oracle` stays in ``Fraction`` arithmetic and shares no code
+with it.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -19,7 +24,7 @@ from .errors import ParameterError
 from .rationals import as_fraction
 from .tree import make_shape
 from .weights import StepWeight
-from .maximal import a1_constant
+from .maximal import WeightAnalysis, a1_constant, analyze
 
 
 class Piece(NamedTuple):
@@ -86,21 +91,21 @@ def _check_t(t) -> Fraction:
     return t
 
 
-def rearrange(w: StepWeight) -> RearrangedProfile:
+def rearrange(w: StepWeight | WeightAnalysis) -> RearrangedProfile:
     """Sort leaf values in non-increasing order and coalesce equal runs.
 
     Each leaf carries measure k**(-m); the resulting profile is equimeasurable
-    with the weight and has the same total integral.
+    with the weight and has the same total integral.  The leaves are read as
+    the ints of ``analyze(w)``, so equal values are counted and sorted as ints
+    and only the pieces become ``Fraction``s.
     """
-    unit = Fraction(1, w.shape.leaf_count)
-    ordered = sorted(w.leaf_values, reverse=True)
-    pieces: list[Piece] = []
-    for v in ordered:
-        if pieces and pieces[-1].value == v:
-            pieces[-1] = Piece(pieces[-1].measure + unit, v)
-        else:
-            pieces.append(Piece(unit, v))
-    return RearrangedProfile(tuple(pieces))
+    a = analyze(w)
+    leaves = a.scaled_averages[-1]
+    counts = Counter(leaves)
+    n = len(leaves)
+    return RearrangedProfile(
+        tuple(Piece(Fraction(counts[x], n), Fraction(x, a.unit)) for x in sorted(counts, reverse=True))
+    )
 
 
 def rearrange_oracle(w: StepWeight, t) -> Fraction:

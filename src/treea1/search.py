@@ -20,6 +20,9 @@ from .weights import StepWeight, weight_to_text
 # Perturbation factors are drawn from the rational grid 1 + q/_FACTOR_DENOM.
 _FACTOR_DENOM = 1 << 20
 _FLOAT_SLACK = 2.0**-40
+# Most moves (iterations * restarts) one search may make: the trace keeps one
+# entry per move, so longer searches are refused before anything is allocated.
+MAX_MOVES = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,10 @@ class SearchConfig:
             raise ParameterError(f"iterations must be a positive integer, got {self.iterations!r}")
         if not isinstance(self.restarts, int) or self.restarts < 1:
             raise ParameterError(f"restarts must be a positive integer, got {self.restarts!r}")
+        if self.iterations * self.restarts > MAX_MOVES:
+            raise ParameterError(
+                f"iterations * restarts must be at most {MAX_MOVES}, got {self.iterations} * {self.restarts}"
+            )
         if not (0 < self.step_scale < 1):
             raise ParameterError(f"step_scale must lie in (0, 1), got {self.step_scale!r}")
         if self.value_floor <= 0:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -42,6 +41,10 @@ _FLAG_FIELDS = {
     "kadic": "kadic_ok",
 }
 _REPORT_CHECKS = ("stopping", "growth", "weak_type", "decomposition")
+# Most weights one campaign may examine, random or exhaustive: a campaign holds
+# a seed for every trial and a row for every weight, so larger campaigns are
+# refused before anything is allocated.
+MAX_WEIGHTS = 500_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +207,7 @@ def check_rearrangement_bound(
     c = a1_constant(a)
     k = a.weight.shape.k
     bound = k * c - k + 1
-    profile = rearrange(a.weight)
+    profile = rearrange(a)
     ratio, witness = sup_ratio(profile)
     margin = bound - ratio
     report = VerificationReport(
@@ -446,15 +449,21 @@ def fuzz_campaign(
     selected = _normalize_checks(checks)
     if not isinstance(trials, int) or trials < 0:
         raise ParameterError(f"trials must be a non-negative integer, got {trials!r}")
+    if trials > MAX_WEIGHTS:
+        raise ParameterError(f"trials must be at most {MAX_WEIGHTS}, got {trials}")
     if not isinstance(threads, int) or threads < 1:
         raise ParameterError(f"threads must be a positive integer, got {threads!r}")
 
     if exhaustive:
-        count = len(grid_values) ** shape.leaf_count
-        if count > 500_000:
+        g, n = len(grid_values), shape.leaf_count
+        # with g >= 2, g**n is above the limit once n reaches its bit length,
+        # so a huge count is refused without being formed or printed
+        if g > 1 and (n >= MAX_WEIGHTS.bit_length() or g**n > MAX_WEIGHTS):
             raise ParameterError(
-                f"exhaustive enumeration of {count} weights is too large; shrink the grid or depth"
+                f"exhaustive enumeration of {g}**{n} weights is more than {MAX_WEIGHTS}; "
+                "shrink the grid or depth"
             )
+        count = g**n
         weights = (
             StepWeight(shape, values)
             for values in itertools.product(grid_values, repeat=shape.leaf_count)
@@ -476,6 +485,9 @@ def fuzz_campaign(
         pairs = list(enumerate(weights))
         step = -(-len(pairs) // workers)
         chunks = [pairs[i : i + step] for i in range(0, len(pairs), step)]
+        # imported only when a pool is started: multiprocessing adds its memory to every process importing it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             batches = list(pool.map(_scan, chunks, itertools.repeat(selected)))
 

@@ -27,14 +27,15 @@ class StepWeight:
     leaf_values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        values = tuple(as_fraction(v) for v in self.leaf_values)
+        # a Fraction is kept as it is; only other types go through the slower as_fraction
+        values = tuple([v if type(v) is Fraction else as_fraction(v) for v in self.leaf_values])
         if len(values) != self.shape.leaf_count:
             raise ParameterError(
                 f"expected {self.shape.leaf_count} leaf values for shape "
                 f"(k={self.shape.k}, m={self.shape.m}), got {len(values)}"
             )
         for pos, v in enumerate(values):
-            if v <= 0:
+            if v.numerator <= 0:
                 raise ParameterError(f"leaf value at position {pos} must be positive, got {v}")
         object.__setattr__(self, "leaf_values", values)
 

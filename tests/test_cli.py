@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import treea1.search
 import treea1.verify
-from treea1 import extremal_exact, weight_from_text, weight_to_text
+from treea1 import MAX_MOVES, MAX_WEIGHTS, extremal_exact, weight_from_text, weight_to_text
 from treea1.cli import main
 
 
@@ -71,6 +71,24 @@ def test_every_command_refuses_a_shape_above_max_leaves(tmp_path, capsys):
     assert run_cli(["search", "--k", "10", "--depth", "9", "--iters", "1", "--restarts", "1",
                     "--out", str(tmp_path / "s")]) == 2
     assert capsys.readouterr().err.count("leaves") == 4
+
+
+def test_campaign_and_search_refuse_runs_above_their_limits(tmp_path, capsys):
+    # refused before any seed or trace list is built, so this allocates nothing
+    assert run_cli(["verify", "--k", "2", "--depth", "2", "--trials", str(MAX_WEIGHTS + 1),
+                    "--out", str(tmp_path / "v")]) == 2
+    assert run_cli(["verify", "--k", "2", "--depth", "2", "--trials", "1000000000",
+                    "--out", str(tmp_path / "v")]) == 2
+    assert run_cli(["search", "--k", "2", "--depth", "2", "--iters", "1000000000000", "--restarts", "1",
+                    "--out", str(tmp_path / "s")]) == 2
+    assert run_cli(["search", "--k", "2", "--depth", "2", "--iters", str(MAX_MOVES // 2), "--restarts", "3",
+                    "--out", str(tmp_path / "s")]) == 2
+    # an exhaustive grid of 2**16384 weights: its count has too many digits to print
+    assert run_cli(["verify", "--k", "2", "--depth", "14", "--grid", "1,2", "--exhaustive",
+                    "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"at most {MAX_WEIGHTS}") == 2 and err.count(f"at most {MAX_MOVES}") == 2
+    assert f"2**16384 weights is more than {MAX_WEIGHTS}" in err
 
 
 def test_verify_is_byte_deterministic(tmp_path):

@@ -1,0 +1,125 @@
+"""The integer kernel behind analyze against Fraction recomputations and the oracles."""
+import ast
+import dataclasses
+import inspect
+import textwrap
+from fractions import Fraction
+from functools import cached_property
+
+from hypothesis import given, settings, strategies as st
+
+import treea1.maximal
+from treea1 import (
+    NodeId,
+    WeightAnalysis,
+    analyze,
+    audit_grid,
+    average,
+    check_rearrangement_bound,
+    make_shape,
+    make_step_weight,
+    maximal_function,
+    maximal_function_bruteforce,
+    rearrange,
+    rearrange_oracle,
+    scale,
+    stopping_family,
+)
+
+# unrelated denominators (two Mersenne primes, 3, 11) and magnitudes far apart
+WIDE_VALUES = (
+    Fraction(1, 2**61 - 1),
+    Fraction(7, 3),
+    Fraction(10**18),
+    Fraction(5, 11),
+    Fraction(2**31 - 1, 2**61 - 1),
+    Fraction(13, 2**31 - 1),
+    Fraction(1),
+)
+# every shape with at most 256 leaves
+SHAPES = [(k, m) for k in (2, 3, 4) for m in range(1, 9) if k**m <= 256]
+
+
+@st.composite
+def wide_weights(draw):
+    k, m = draw(st.sampled_from(SHAPES))
+    shape = make_shape(k, m)
+    values = st.one_of(
+        st.sampled_from(WIDE_VALUES),
+        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+    )
+    return make_step_weight(shape, draw(st.lists(values, min_size=shape.leaf_count, max_size=shape.leaf_count)))
+
+
+@settings(max_examples=25)
+@given(wide_weights())
+def test_kernel_matches_the_fraction_oracles(w):
+    a = analyze(w)
+    k, m = w.shape.k, w.shape.m
+    brute = maximal_function_bruteforce(w)
+    assert maximal_function(w) == brute
+    assert a.c == max(mf / v for mf, v in zip(brute, w.leaf_values))
+    for level, row in enumerate(a.averages):
+        expected = tuple(average(w, NodeId(level, i)) for i in range(k**level))
+        assert row == expected
+        assert a.sums[level] == tuple(avg * k ** (m - level) for avg in expected)
+    profile = rearrange(w)
+    assert all(profile.value_at(t) == rearrange_oracle(w, t) for t in audit_grid(w))
+
+
+def _fraction_c_and_sup_ratio(w):
+    """c and the rearrangement sup-ratio recomputed with Fractions from the definitions."""
+    k, m = w.shape.k, w.shape.m
+    row = list(w.leaf_values)
+    rows = [row]
+    for _ in range(m):
+        row = [sum(row[i : i + k], Fraction(0)) / k for i in range(0, len(row), k)]
+        rows.append(row)
+    rows.reverse()
+    running = rows[0]
+    for row in rows[1:]:
+        running = [max(avg, running[i // k]) for i, avg in enumerate(row)]
+    c = max(mf / v for mf, v in zip(running, w.leaf_values))
+    # the sup over t of (prefix average at t) / w*(t) is approached just after a leaf boundary
+    ordered = sorted(w.leaf_values, reverse=True)
+    best, prefix = Fraction(1), Fraction(0)
+    for j in range(1, len(ordered)):
+        prefix += ordered[j - 1]
+        best = max(best, prefix / j / ordered[j])
+    return c, best
+
+
+def test_kernel_on_4096_leaves_matches_a_fraction_recomputation():
+    shape = make_shape(4, 6)
+    values = [
+        WIDE_VALUES[i % len(WIDE_VALUES)] if i % 97 == 0 else Fraction((i * 7919) % 1000 + 1, i % 7 + 1)
+        for i in range(shape.leaf_count)
+    ]
+    w = make_step_weight(shape, values)
+    c, ratio = _fraction_c_and_sup_ratio(w)
+    report = check_rearrangement_bound(w)
+    assert (report.c, report.sup_ratio) == (c, ratio)
+    assert report.holds and c > 1 and ratio > 1
+
+    scaled = check_rearrangement_bound(scale(w, Fraction(2**61 - 1, 3)))
+    assert (scaled.c, scaled.sup_ratio) == (c, ratio)
+    assert stopping_family(scaled.analysis).members == stopping_family(report.analysis).members
+
+
+def test_oracles_share_no_code_with_the_kernel():
+    """Only the oracles may duplicate mathematics, so they must not lean on the fast path."""
+    kernel = {"analyze", "WeightAnalysis", "rearrange"}
+    kernel |= {
+        name
+        for name, obj in vars(treea1.maximal).items()
+        if name.startswith("_") and inspect.isfunction(obj) and obj.__module__ == treea1.maximal.__name__
+    }
+    # the int tables and their Fraction views
+    kernel |= {field.name for field in dataclasses.fields(WeightAnalysis)} - {"weight", "c"}
+    kernel |= {name for name, obj in vars(WeightAnalysis).items() if isinstance(obj, cached_property)}
+    for oracle in (maximal_function_bruteforce, rearrange_oracle, average):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(oracle)))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "leaf_values" in names  # the walk sees the body
+        assert not names & kernel, f"{oracle.__name__} uses {sorted(names & kernel)}"

@@ -1,5 +1,8 @@
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -192,6 +195,15 @@ def test_fuzz_campaign_threads_match_serial():
     assert serial.worst_margin == parallel.worst_margin
 
 
+def test_importing_the_package_loads_no_process_pool():
+    """multiprocessing is imported only by a campaign that starts a pool."""
+    src = Path(treea1.verify.__file__).parents[1]
+    code = "import sys, treea1.cli; print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={"PYTHONPATH": str(src)}, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
 def _inline_pool(monkeypatch, cpus):
     """Replace the process pool with an in-process map and pin the CPU count.
 
@@ -212,7 +224,7 @@ def _inline_pool(monkeypatch, cpus):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(treea1.verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(treea1.verify.os, "cpu_count", lambda: cpus)
     return started
 
