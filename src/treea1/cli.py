@@ -21,7 +21,7 @@ from .rationals import as_fraction, decimal_string
 from .rearrangement import profile_to_text
 from .search import SearchConfig, hill_climb
 from .tree import make_shape
-from .verify import ALL_CHECKS, _audit, check_rearrangement_bound, fuzz_campaign, sharpness_sweep
+from .verify import ALL_CHECKS, audit_superlevel, check_rearrangement_bound, fuzz_campaign, sharpness_sweep
 from .weights import weight_from_text, weight_to_text
 
 MANIFEST_NAME = "manifest.json"
@@ -243,7 +243,7 @@ def _cmd_inspect(args) -> int:
     mf = report.analysis.maximal
     fam = report.analysis.family
     parts = fam.parts()
-    audit = _audit(report, args.t) if args.t is not None else None
+    audit = audit_superlevel(report, args.t) if args.t is not None else None
 
     if args.json:
         payload = {

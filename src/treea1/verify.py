@@ -27,7 +27,7 @@ from .maximal import (
 )
 from .rationals import as_fraction
 from .rearrangement import RearrangedProfile, _check_t, kadic_constant, prefix_average, rearrange, sup_ratio
-from .tree import ROOT, NodeId, leaves_under, make_shape, node_measure
+from .tree import ROOT, NodeId, make_shape, node_measure
 from .weights import StepWeight, random_weight, weight_hash, weight_to_text
 
 ALL_CHECKS = ("stopping", "growth", "weak_type", "decomposition", "oracle", "kadic")
@@ -70,9 +70,11 @@ class VerificationReport:
 class SuperlevelAudit:
     """Quantities of the superlevel set {maximal_function > c * w*(t)} at one t.
 
-    When the set is empty the record is degenerate and ``average_bounded``
-    reports the leafwise fallback w <= c * w*(t); the remaining flags are
-    vacuously true.
+    Every field but ``t``, ``dominates_prefix`` and ``measures_ordered``
+    depends on t only through the level w*(t), so it is computed once per
+    rearrangement piece and shared by every t on that piece.  When the set
+    is empty the record is degenerate and ``average_bounded`` reports the
+    leafwise fallback w <= c * w*(t); the remaining flags are vacuously true.
     """
 
     t: Fraction
@@ -121,7 +123,9 @@ def check_weak_type(w: StepWeight | WeightAnalysis, level) -> bool:
     """Strict weak-type inequality mu(E) < (1/level) * integral of w over E.
 
     E is the superlevel set {maximal_function > level}; vacuously true when
-    E is empty.
+    E is empty.  This is the check at one level, by a superlevel DFS; the
+    ``weak_type`` check of reports and campaigns covers every node average
+    in one sorted sweep instead, and this function is its test oracle.
     """
     lam = as_fraction(level)
     if lam <= 0:
@@ -200,8 +204,10 @@ def check_rearrangement_bound(
     With ``properties=True`` the report also runs the structural checks
     (stopping consistency, member growth, weak type at every node-average
     threshold, decomposition identity); with ``with_audits=True`` it carries
-    a superlevel audit for every t on the canonical grid.  Omitted pieces
-    stay None.
+    a superlevel audit for every t on the canonical grid.  The audits build
+    the superlevel set once per distinct level w*(t), that is once per
+    rearrangement piece, and only the two comparisons with t itself once per
+    grid point.  Omitted pieces stay None.
     """
     a = analyze(w)
     c = a1_constant(a)
@@ -226,7 +232,14 @@ def check_rearrangement_bound(
             **{_FLAG_FIELDS[name]: _failure(name, report) is None for name in _REPORT_CHECKS},
         )
     if with_audits:
-        report = replace(report, audits=tuple(_audit(report, t) for t in audit_grid(a.weight)))
+        audits, piece, level = [], 0, None
+        for t in audit_grid(a.weight):  # ascending, so the piece holding t only moves right
+            while profile.boundaries[piece] < t:
+                piece, level = piece + 1, None
+            if level is None:
+                level = _level_audit(report, profile.pieces[piece].value)
+            audits.append(_audit_at(report, level, t))
+        report = replace(report, audits=tuple(audits))
     return report
 
 
@@ -234,7 +247,10 @@ def _failure(name: str, report: VerificationReport) -> str | None:
     """Detail of how the named check fails on the report's analysis, or None when it holds.
 
     Checks are looked up by their module-level names at call time, so a
-    replaced ``check_*`` function takes effect everywhere.
+    replaced ``check_*`` function takes effect everywhere.  The exception is
+    weak type: it does not go through :func:`check_weak_type` once per
+    threshold but through one sorted sweep, :func:`_weak_type_failure`, which
+    names the smallest failing level.
     """
     a = report.analysis
     if name == "bound":
@@ -249,10 +265,8 @@ def _failure(name: str, report: VerificationReport) -> str | None:
         growth = check_growth_bound(a)
         return None if growth.ok else f"member growth violated at {growth.violation}"
     if name == "weak_type":
-        for lam in average_thresholds(a):
-            if not check_weak_type(a, lam):
-                return f"weak type fails at level {lam}"
-        return None
+        lam = _weak_type_failure(a)
+        return None if lam is None else f"weak type fails at level {lam}"
     if name == "decomposition":
         if check_decomposition(a):
             return None
@@ -264,7 +278,7 @@ def _failure(name: str, report: VerificationReport) -> str | None:
     return None if value <= report.bound else f"k-adic constant {value} exceeds bound {report.bound}"
 
 
-def audit_superlevel(w: StepWeight | WeightAnalysis, t) -> SuperlevelAudit:
+def audit_superlevel(w: StepWeight | WeightAnalysis | VerificationReport, t) -> SuperlevelAudit:
     """Replicate the superlevel-set estimates behind the rearrangement bound at one t.
 
     With level = w*(t) and threshold = c * level: the maximal nodes of the
@@ -273,59 +287,96 @@ def audit_superlevel(w: StepWeight | WeightAnalysis, t) -> SuperlevelAudit:
     the set sits inside {w > level}, and its measure sits between
     mu({w > threshold}) and t.  When the set is empty, w <= threshold must
     hold at every leaf.
+
+    A report is read as it is; a weight or an analysis gets a new report for
+    this one t, so a caller auditing many t should pass a report or ask
+    :func:`check_rearrangement_bound` for ``with_audits=True``.
     """
-    return _audit(check_rearrangement_bound(w), t)
-
-
-def _audit(report: VerificationReport, t) -> SuperlevelAudit:
-    """Superlevel audit at one t, read from a report and its analysis."""
-    a = report.analysis
-    w = a.weight
+    report = w if isinstance(w, VerificationReport) else check_rearrangement_bound(w)
     t = _check_t(t)
-    lam = report.profile.value_at(t)
+    return _audit_at(report, _level_audit(report, report.profile.value_at(t)), t)
+
+
+def _level_audit(report: VerificationReport, lam: Fraction) -> dict:
+    """The SuperlevelAudit fields that depend on t only through the level w*(t) = lam.
+
+    Leaves are compared as the analysis's ints: lam and the threshold are
+    leaf-level values times rationals, so ``x > threshold`` is ``x * q > p * unit``.
+    """
+    a = report.analysis
+    k, m = a.weight.shape.k, a.weight.shape.m
+    unit, leaves = a.unit, a.scaled_averages[-1]
+    n = len(leaves)
     threshold = report.c * lam
-    n = w.shape.leaf_count
-    above = Fraction(sum(1 for v in w.leaf_values if v > threshold), n)
+    bar, q = threshold.numerator * unit, threshold.denominator
+    above = sum(1 for x in leaves if x * q > bar)
     nodes = superlevel_set(a, threshold)
-
-    if not nodes:
-        leafwise = all(v <= threshold for v in w.leaf_values)
-        return SuperlevelAudit(
-            t=t,
-            level_value=lam,
-            threshold=threshold,
-            degenerate=True,
-            nodes=(),
-            superlevel_measure=Fraction(0),
-            above_threshold_measure=above,
-            set_average=None,
-            nodes_are_members=True,
-            average_bounded=leafwise,
-            dominates_prefix=True,
-            inside_level_set=True,
-            measures_ordered=True,
-        )
-
-    mu = sum(node_measure(w.shape, node) for node in nodes)
-    integral = sum(a.sums[node.level][node.index] for node in nodes) / n
-    set_average = integral / mu
-    return SuperlevelAudit(
-        t=t,
+    fields = dict(
         level_value=lam,
         threshold=threshold,
-        degenerate=False,
+        degenerate=not nodes,
         nodes=nodes,
-        superlevel_measure=mu,
-        above_threshold_measure=above,
+        above_threshold_measure=Fraction(above, n),
+    )
+    if not nodes:
+        # w <= threshold at every leaf is the fallback; the other flags are vacuous
+        return dict(fields, superlevel_measure=Fraction(0), set_average=None, nodes_are_members=True,
+                    average_bounded=above == 0, inside_level_set=True)
+
+    widths = [k ** (m - node.level) for node in nodes]  # leaves under each node
+    count = sum(widths)
+    # the integral over the set is sum(width * average) / n; the measure is count / n
+    set_average = Fraction(
+        sum(a.scaled_averages[node.level][node.index] * width for node, width in zip(nodes, widths)),
+        unit * count,
+    )
+    return dict(
+        fields,
+        superlevel_measure=Fraction(count, n),
         set_average=set_average,
         nodes_are_members=all(node in a.family.node_averages for node in nodes),
         average_bounded=set_average <= report.bound * lam,
-        dominates_prefix=set_average >= prefix_average(report.profile, t),
         inside_level_set=all(
-            w.leaf_values[leaf] > lam for node in nodes for leaf in leaves_under(w.shape, node)
+            min(leaves[node.index * width : (node.index + 1) * width]) * lam.denominator > lam.numerator * unit
+            for node, width in zip(nodes, widths)
         ),
-        measures_ordered=above <= mu <= t,
     )
+
+
+def _audit_at(report: VerificationReport, level: dict, t: Fraction) -> SuperlevelAudit:
+    """Complete a level's audit at t with the two comparisons that read t itself."""
+    if level["degenerate"]:
+        return SuperlevelAudit(t=t, dominates_prefix=True, measures_ordered=True, **level)
+    return SuperlevelAudit(
+        t=t,
+        dominates_prefix=level["set_average"] >= prefix_average(report.profile, t),
+        measures_ordered=level["above_threshold_measure"] <= level["superlevel_measure"] <= t,
+        **level,
+    )
+
+
+def _weak_type_failure(a: WeightAnalysis) -> Fraction | None:
+    """Smallest node average lam with mu(E) >= (1/lam) * integral of w over E, or None.
+
+    E = {maximal_function > lam}.  One sorted sweep replaces a superlevel
+    DFS per threshold: walking the scaled node averages x = lam * unit
+    downwards, the leaves with scaled maximal function above x join E in
+    order, and E keeps its leaf count and scaled leaf sum.  Then
+    lam * mu(E) = x * count / (unit * n) and the integral of w over E is
+    total / (unit * n), so the strict inequality is x * count < total.  An
+    empty E holds vacuously.
+    """
+    by_maximal = sorted(zip(a.scaled_maximal, a.scaled_averages[-1]), reverse=True)
+    levels = sorted({avg for row in a.scaled_averages for avg in row}, reverse=True)
+    count = total = 0
+    failing = None
+    for x in levels:
+        while count < len(by_maximal) and by_maximal[count][0] > x:
+            total += by_maximal[count][1]
+            count += 1
+        if count and not x * count < total:
+            failing = x  # the levels descend, so the last failure is the smallest
+    return None if failing is None else Fraction(failing, a.unit)
 
 
 # ---------------------------------------------------------------------------

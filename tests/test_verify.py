@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import subprocess
 import sys
@@ -9,9 +10,13 @@ from hypothesis import given, strategies as st
 
 from conftest import step_weights
 from treea1 import (
+    ExtremalParams,
     NodeId,
     ParameterError,
+    SuperlevelAudit,
     ViolationError,
+    WeightAnalysis,
+    audit_grid,
     audit_superlevel,
     average_thresholds,
     check_decomposition,
@@ -22,12 +27,17 @@ from treea1 import (
     check_weak_type,
     default_family_delta,
     extremal_exact,
+    extremal_family,
     fuzz_campaign,
+    leaves_under,
     make_shape,
     make_step_weight,
+    node_measure,
+    prefix_average,
     refine,
     scale,
     sharpness_sweep,
+    superlevel_set,
 )
 import treea1.verify
 
@@ -129,6 +139,135 @@ def test_report_with_audits_covers_canonical_grid():
     assert [a.t for a in report.audits] == [Fraction(j, 8) for j in range(1, 9)]
     assert all(a.passed for a in report.audits)
     assert check_rearrangement_bound(w).audits is None
+
+
+def _audit_oracle(report, t):
+    """The superlevel audit at one t from scratch: a DFS and Fraction sums over its nodes.
+
+    This is the per-t audit the library replaced by one superlevel set per
+    rearrangement piece; it shares with it only the report it reads.
+    """
+    a = report.analysis
+    w = a.weight
+    lam = report.profile.value_at(t)
+    threshold = report.c * lam
+    n = w.shape.leaf_count
+    above = Fraction(sum(1 for v in w.leaf_values if v > threshold), n)
+    nodes = superlevel_set(a, threshold)
+    if not nodes:
+        return SuperlevelAudit(
+            t=t, level_value=lam, threshold=threshold, degenerate=True, nodes=(),
+            superlevel_measure=Fraction(0), above_threshold_measure=above, set_average=None,
+            nodes_are_members=True, average_bounded=all(v <= threshold for v in w.leaf_values),
+            dominates_prefix=True, inside_level_set=True, measures_ordered=True,
+        )
+    mu = sum(node_measure(w.shape, node) for node in nodes)
+    integral = sum(a.sums[node.level][node.index] for node in nodes) / n
+    set_average = integral / mu
+    return SuperlevelAudit(
+        t=t, level_value=lam, threshold=threshold, degenerate=False, nodes=nodes,
+        superlevel_measure=mu, above_threshold_measure=above, set_average=set_average,
+        nodes_are_members=all(node in a.family.node_averages for node in nodes),
+        average_bounded=set_average <= report.bound * lam,
+        dominates_prefix=set_average >= prefix_average(report.profile, t),
+        inside_level_set=all(
+            w.leaf_values[leaf] > lam for node in nodes for leaf in leaves_under(w.shape, node)
+        ),
+        measures_ordered=above <= mu <= t,
+    )
+
+
+def _all_fields(audit):
+    return tuple(getattr(audit, f.name) for f in dataclasses.fields(SuperlevelAudit))
+
+
+def _assert_audits_match_oracle(w, reuse_report):
+    """with_audits=True and audit_superlevel, given the weight or its report, against the oracle."""
+    report = check_rearrangement_bound(w, with_audits=True)
+    source = report if reuse_report else w
+    grid = audit_grid(w)
+    assert [a.t for a in report.audits] == list(grid)
+    for t, audit in zip(grid, report.audits):
+        expected = _all_fields(_audit_oracle(report, t))
+        assert _all_fields(audit) == expected
+        assert _all_fields(audit_superlevel(source, t)) == expected
+
+
+# up to 64 leaves: k=2 to depth 6, k=3 and k=4 to depth 3
+audit_weights = st.one_of(step_weights(ks=(2,), max_depth=6), step_weights(ks=(3, 4), max_depth=3))
+
+
+@given(audit_weights)
+def test_audits_match_the_per_t_oracle(w):
+    # through the report: a plain weight would build a report per t, and the
+    # extremal cases below cover that path
+    _assert_audits_match_oracle(w, reuse_report=True)
+
+
+@pytest.mark.parametrize("k, c", [(2, 2), (2, Fraction(5, 2)), (3, 2)])
+@pytest.mark.parametrize("depth", [2, 3, 4])
+def test_audits_match_the_per_t_oracle_on_extremal_weights(k, c, depth):
+    w = extremal_exact(k, c)
+    _assert_audits_match_oracle(w if depth == 2 else refine(w, depth - 2), reuse_report=False)
+    if depth > 2:  # the family with delta below 1/k^2 is not a refinement
+        delta = default_family_delta(k, depth)
+        w = extremal_family(ExtremalParams.from_constant(k, c, delta, depth))
+        _assert_audits_match_oracle(w, reuse_report=False)
+
+
+def test_audit_through_a_report_reuses_its_analysis(monkeypatch):
+    w = make_step_weight(make_shape(2, 3), [5, 1, 2, 2, 7, 1, 3, 1])
+    report = check_rearrangement_bound(w)
+    built = []
+    original = WeightAnalysis.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightAnalysis, "__init__", counted)
+    through_report = [_all_fields(audit_superlevel(report, t)) for t in audit_grid(w)]
+    assert built == []
+    assert through_report == [_all_fields(audit_superlevel(w, t)) for t in audit_grid(w)]
+    assert len(built) == len(through_report)  # a plain weight gets a new analysis per t
+
+
+def _weak_type_detail(report):
+    return treea1.verify._failure("weak_type", report)
+
+
+@given(audit_weights)
+def test_weak_type_sweep_agrees_with_the_per_level_check(w):
+    per_level = all(check_weak_type(w, lam) for lam in average_thresholds(w))
+    assert (_weak_type_detail(check_rearrangement_bound(w)) is None) == per_level
+
+
+def test_weak_type_sweep_reads_the_maximal_function():
+    report = check_rearrangement_bound(make_step_weight(make_shape(2, 1), [1, 3]))
+    a = report.analysis
+    assert _weak_type_detail(report) is None
+    # the leaf maximum everywhere: E = {M > 2} is the whole tree, and 2 * 1 < 2 fails
+    object.__setattr__(a, "scaled_maximal", (max(a.scaled_averages[-1]),) * 2)
+    assert _weak_type_detail(report) == "weak type fails at level 2"
+
+
+def test_superlevel_sets_are_built_once_per_level(monkeypatch):
+    calls = []
+    original = treea1.verify.superlevel_set
+
+    def counted(w, threshold):
+        calls.append(threshold)
+        return original(w, threshold)
+
+    monkeypatch.setattr(treea1.verify, "superlevel_set", counted)
+    w = make_step_weight(make_shape(2, 4), [5, 1, 2, 2, 7, 1, 3, 1, 1, 1, 4, 2, 6, 2, 2, 3])
+    report = check_rearrangement_bound(w, properties=True, with_audits=True)
+    assert report.weak_type_ok and all(a.passed for a in report.audits)
+    levels = {report.profile.value_at(t) for t in audit_grid(w)}
+    assert 0 < len(calls) <= len(levels)
+    calls.clear()
+    assert _weak_type_detail(report) is None
+    assert calls == []
 
 
 def test_growth_bound_examples():
