@@ -10,8 +10,8 @@ this bound is attained by an explicit extremal family.
 __version__ = "0.1.0"
 
 from .errors import ParameterError, ViolationError
-from .rationals import as_fraction, decimal_string
-from .tree import MAX_LEAVES, ROOT, NodeId, TreeShape, ancestors, leaves_under, make_shape, node_measure
+from .rationals import MAX_DECIMAL_EXPONENT, as_fraction, decimal_string
+from .tree import MAX_LEAVES, ROOT, NodeId, TreeShape, leaves_under, make_shape, node_measure
 from .weights import (
     ExtremalParams,
     StepWeight,

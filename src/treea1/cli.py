@@ -95,7 +95,10 @@ def _write_counterexample(
 
 def _outdir(args) -> Path:
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot use output directory {args.out!r}: {exc}") from exc
     return outdir
 
 
@@ -236,7 +239,7 @@ def _audit_json(audit) -> dict:
 def _cmd_inspect(args) -> int:
     try:
         text = Path(args.weight).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParameterError(f"cannot read weight file {args.weight!r}: {exc}") from exc
     w = weight_from_text(text)
     report = check_rearrangement_bound(w)

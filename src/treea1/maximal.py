@@ -3,9 +3,10 @@
 Everything here is exact.  The fast path, :func:`analyze`, clears the leaf
 denominators once, sums leaves bottom-up and sweeps the tree top-down once per
 weight, all in Python ints; every other fast function reads its result, and
-only reported values become ``Fraction``s.  The brute force variant and
-:func:`average` re-derive every quantity in ``Fraction`` arithmetic straight
-from the definitions and exist purely as oracles for the fast path.
+only reported values become ``Fraction``s; the same sweep gives the k-adic
+constant of a rearrangement.  The brute force variant and :func:`average`
+re-derive every quantity in ``Fraction`` arithmetic straight from the
+definitions and exist purely as oracles for the fast path.
 """
 from __future__ import annotations
 
@@ -120,11 +121,10 @@ class WeightAnalysis:
 
 
 def analyze(w: StepWeight | WeightAnalysis) -> WeightAnalysis:
-    """Clear the leaf denominators once, sum bottom-up, then sweep the running maximum top-down.
+    """Clear the leaf denominators once, then sum bottom-up and sweep top-down in :func:`_sweep`.
 
-    All of it is int arithmetic, and every node is visited a constant number
-    of times, so the cost is linear in the number of nodes.  Only c becomes a
-    ``Fraction`` here.  An analysis is returned unchanged.
+    Every node is visited a constant number of times, so the cost is linear
+    in the number of nodes.  An analysis is returned unchanged.
     """
     if isinstance(w, WeightAnalysis):
         return w
@@ -133,6 +133,16 @@ def analyze(w: StepWeight | WeightAnalysis) -> WeightAnalysis:
     unit = lcm(*denominators) * k**m
     multiplier = {d: unit // d for d in denominators}
     row = [v.numerator * multiplier[v.denominator] for v in w.leaf_values]
+    return WeightAnalysis(w, unit, *_sweep(row, k, m))
+
+
+def _sweep(row: list[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], Fraction]:
+    """Scaled node averages (root level first), scaled maximal function and c of an int leaf row.
+
+    The row is the k**m leaf values times one unit that clears their
+    denominators and is a multiple of k**m, so every node average is an
+    exact int; c is the one ``Fraction``, and the unit cancels in it.
+    """
     table = [row]
     for _ in range(m):
         # a parent's average is the mean of its k children's; at this scale it is an exact int
@@ -149,13 +159,7 @@ def analyze(w: StepWeight | WeightAnalysis) -> WeightAnalysis:
     for mf, x in zip(running, table[-1]):
         if mf * best_leaf > best_mf * x:
             best_mf, best_leaf = mf, x
-    return WeightAnalysis(
-        weight=w,
-        unit=unit,
-        scaled_averages=tuple(tuple(row) for row in table),
-        scaled_maximal=tuple(running),
-        c=Fraction(best_mf, best_leaf),
-    )
+    return tuple(map(tuple, table)), tuple(running), Fraction(best_mf, best_leaf)
 
 
 def average(w: StepWeight, node: NodeId) -> Fraction:

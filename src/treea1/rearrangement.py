@@ -9,7 +9,8 @@ attains.  :func:`rearrange` counts and sorts the leaves as the ints of the
 weight's analysis (see :class:`~treea1.maximal.WeightAnalysis`); only the
 pieces, and everything computed from them, are ``Fraction``s.
 :func:`rearrange_oracle` stays in ``Fraction`` arithmetic and shares no code
-with it.
+with it.  :func:`kadic_constant` runs the int sweep of ``analyze`` on the
+piece values, so it builds no second weight or analysis.
 """
 from __future__ import annotations
 
@@ -18,13 +19,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
 from .errors import ParameterError
 from .rationals import as_fraction
 from .tree import make_shape
 from .weights import StepWeight
-from .maximal import WeightAnalysis, a1_constant, analyze
+from .maximal import WeightAnalysis, _sweep, analyze
 
 
 class Piece(NamedTuple):
@@ -39,7 +41,8 @@ class RearrangedProfile:
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
-        pieces = tuple(Piece(as_fraction(m), as_fraction(v)) for m, v in self.pieces)
+        # a Fraction is kept as it is; only other types go through the slower as_fraction
+        pieces = tuple(Piece(*(x if type(x) is Fraction else as_fraction(x) for x in p)) for p in self.pieces)
         if not pieces:
             raise ParameterError("profile needs at least one piece")
         for measure, value in pieces:
@@ -131,7 +134,11 @@ def rearrange_oracle(w: StepWeight, t) -> Fraction:
 def prefix_average(profile: RearrangedProfile, t) -> Fraction:
     """Exact (1/t) * integral of the profile over (0, t]."""
     t = _check_t(t)
-    i = profile._piece_index(t)
+    return _prefix_average(profile, profile._piece_index(t), t)
+
+
+def _prefix_average(profile: RearrangedProfile, i: int, t: Fraction) -> Fraction:
+    """:func:`prefix_average` at a t already checked and known to lie on piece i."""
     before_measure = profile.boundaries[i - 1] if i else Fraction(0)
     before_integral = profile.cumulative_integrals[i - 1] if i else Fraction(0)
     return (before_integral + (t - before_measure) * profile.pieces[i].value) / t
@@ -185,7 +192,9 @@ def kadic_constant(profile: RearrangedProfile, k: int, depth: int) -> Fraction:
     depth-``depth`` k-adic tree over (0, 1] takes the profile's value on
     (j*k**(-depth), (j+1)*k**(-depth)].  Nodes deeper than the profile's
     resolution are constant and contribute ratio 1, so this depth captures
-    the constant of the full k-adic tree.
+    the constant of the full k-adic tree.  The piece values' denominators are
+    cleared once and each int value is repeated over its piece's leaves for
+    the int sweep of :func:`~treea1.maximal.analyze`; no weight is built.
     """
     shape = make_shape(k, depth)
     n = shape.leaf_count
@@ -194,7 +203,8 @@ def kadic_constant(profile: RearrangedProfile, k: int, depth: int) -> Fraction:
             raise ParameterError(
                 f"piece boundary {b} is not aligned to the k-adic grid 1/{n}"
             )
-    values: list[Fraction] = []
+    unit = lcm(*(value.denominator for _, value in profile.pieces)) * n
+    row: list[int] = []
     for measure, value in profile.pieces:
-        values.extend([value] * int(measure * n))
-    return a1_constant(StepWeight(shape, tuple(values)))
+        row.extend([value.numerator * (unit // value.denominator)] * (measure * n).numerator)
+    return _sweep(row, k, depth)[2]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import ParameterError
 
@@ -74,42 +74,8 @@ def node_measure(shape: TreeShape, node: NodeId) -> Fraction:
     return Fraction(1, shape.k**node.level)
 
 
-def parent(shape: TreeShape, node: NodeId) -> NodeId:
-    node = check_node(shape, node)
-    if node.level == 0:
-        raise ParameterError("root has no parent")
-    return NodeId(node.level - 1, node.index // shape.k)
-
-
-def children(shape: TreeShape, node: NodeId) -> tuple[NodeId, ...]:
-    node = check_node(shape, node)
-    if node.level == shape.m:
-        return ()
-    base = node.index * shape.k
-    return tuple(NodeId(node.level + 1, base + j) for j in range(shape.k))
-
-
-def ancestors(shape: TreeShape, node: NodeId) -> tuple[NodeId, ...]:
-    """Chain from the node itself up to the root, innermost first."""
-    check_node(shape, node)
-    chain = [NodeId(*node)]
-    level, index = node
-    while level > 0:
-        level -= 1
-        index //= shape.k
-        chain.append(NodeId(level, index))
-    return tuple(chain)
-
-
 def leaves_under(shape: TreeShape, node: NodeId) -> range:
     """Contiguous range of leaf indices descending from the node."""
     node = check_node(shape, node)
     width = shape.k ** (shape.m - node.level)
     return range(node.index * width, (node.index + 1) * width)
-
-
-def all_nodes(shape: TreeShape) -> Iterator[NodeId]:
-    """Every node in level order (root first)."""
-    for level in range(shape.m + 1):
-        for index in range(shape.level_size(level)):
-            yield NodeId(level, index)

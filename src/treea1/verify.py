@@ -26,7 +26,9 @@ from .maximal import (
     superlevel_set,
 )
 from .rationals import as_fraction
-from .rearrangement import RearrangedProfile, _check_t, kadic_constant, prefix_average, rearrange, sup_ratio
+from .rearrangement import (
+    RearrangedProfile, _check_t, _prefix_average, kadic_constant, prefix_average, rearrange, sup_ratio
+)
 from .tree import ROOT, NodeId, make_shape, node_measure
 from .weights import StepWeight, random_weight, weight_hash, weight_to_text
 
@@ -238,7 +240,7 @@ def check_rearrangement_bound(
                 piece, level = piece + 1, None
             if level is None:
                 level = _level_audit(report, profile.pieces[piece].value)
-            audits.append(_audit_at(report, level, t))
+            audits.append(_audit_at(report, level, t, piece))
         report = replace(report, audits=tuple(audits))
     return report
 
@@ -294,7 +296,8 @@ def audit_superlevel(w: StepWeight | WeightAnalysis | VerificationReport, t) -> 
     """
     report = w if isinstance(w, VerificationReport) else check_rearrangement_bound(w)
     t = _check_t(t)
-    return _audit_at(report, _level_audit(report, report.profile.value_at(t)), t)
+    piece = report.profile._piece_index(t)
+    return _audit_at(report, _level_audit(report, report.profile.pieces[piece].value), t, piece)
 
 
 def _level_audit(report: VerificationReport, lam: Fraction) -> dict:
@@ -343,13 +346,13 @@ def _level_audit(report: VerificationReport, lam: Fraction) -> dict:
     )
 
 
-def _audit_at(report: VerificationReport, level: dict, t: Fraction) -> SuperlevelAudit:
-    """Complete a level's audit at t with the two comparisons that read t itself."""
+def _audit_at(report: VerificationReport, level: dict, t: Fraction, piece: int) -> SuperlevelAudit:
+    """Complete a level's audit at t, checked and found on ``piece``, by the two comparisons with t."""
     if level["degenerate"]:
         return SuperlevelAudit(t=t, dominates_prefix=True, measures_ordered=True, **level)
     return SuperlevelAudit(
         t=t,
-        dominates_prefix=level["set_average"] >= prefix_average(report.profile, t),
+        dominates_prefix=level["set_average"] >= _prefix_average(report.profile, piece, t),
         measures_ordered=level["above_threshold_measure"] <= level["superlevel_measure"] <= t,
         **level,
     )

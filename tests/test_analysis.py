@@ -1,10 +1,12 @@
 """One analysis per weight: built once, read by every check, and never a shortcut."""
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given
 
 from conftest import step_weights
 from treea1 import (
+    StepWeight,
     StoppingFamily,
     WeightAnalysis,
     a1_constant,
@@ -76,6 +78,21 @@ def test_bound_and_kadic_checks_build_no_family(monkeypatch):
     assert check_rearrangement_bound(extremal_exact(3, 2)).holds
     summary = fuzz_campaign(3, 2, 5, seed=1, grid=[1, 2, 3], checks=("kadic",))
     assert all(row.kadic_ok for row in summary.rows)
+
+
+def test_a_kadic_campaign_builds_one_weight_and_one_analysis_per_weight(monkeypatch):
+    built = Counter()
+    for cls in (StepWeight, WeightAnalysis):
+        original = cls.__init__
+
+        def counted(self, *args, _original=original, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    summary = fuzz_campaign(2, 3, 6, seed=3, grid=[1, Fraction(5, 3), 4], checks=("kadic",))
+    assert len(summary.rows) == 6 and all(row.kadic_ok for row in summary.rows)
+    assert built == {"StepWeight": 6, "WeightAnalysis": 6}
 
 
 @given(step_weights(max_depth=2))

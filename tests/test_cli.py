@@ -1,9 +1,10 @@
 import json
 from fractions import Fraction
 
+import treea1.rationals
 import treea1.search
 import treea1.verify
-from treea1 import MAX_MOVES, MAX_WEIGHTS, extremal_exact, weight_from_text, weight_to_text
+from treea1 import MAX_DECIMAL_EXPONENT, MAX_MOVES, MAX_WEIGHTS, extremal_exact, weight_from_text, weight_to_text
 from treea1.cli import main
 
 
@@ -245,3 +246,41 @@ def test_inspect_unreadable_file(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a weight\n")
     assert run_cli(["inspect", "--weight", str(bad)]) == 2
+
+
+def test_unusable_output_or_weight_file_exits_2(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory\n")
+    undecodable = tmp_path / "latin1.txt"
+    undecodable.write_bytes(b"2 1 1 \xff\n")
+    for out in (taken, taken / "sub"):
+        assert run_cli(["verify", "--k", "2", "--depth", "2", "--trials", "1", "--out", str(out)]) == 2
+        assert run_cli(["extremal", "--k", "2", "--c", "2", "--out", str(out)]) == 2
+        assert run_cli(["search", "--k", "2", "--depth", "2", "--iters", "1", "--restarts", "1",
+                        "--out", str(out)]) == 2
+    assert run_cli(["inspect", "--weight", str(undecodable)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 7 and all(line.startswith("error: ") for line in err)
+    assert taken.read_text() == "a file, not a directory\n"
+
+
+def test_huge_decimal_exponents_exit_2_before_fraction_sees_them(tmp_path, monkeypatch, capsys):
+    def guarded(value=0, *args):
+        # without the guard in as_fraction this would form 10**999999999 and never return
+        assert not (isinstance(value, str) and "999999999" in value), f"Fraction({value!r}) reached"
+        return Fraction(value, *args)
+
+    monkeypatch.setattr(treea1.rationals, "Fraction", guarded)
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text("2 1 1 1e999999999\n")
+    plain = tmp_path / "plain.txt"
+    plain.write_text("2 1 1 2\n")
+    assert run_cli(["verify", "--k", "2", "--depth", "2", "--grid", "1,1e999999999",
+                    "--out", str(tmp_path / "v")]) == 2
+    assert run_cli(["extremal", "--k", "2", "--c", "1E+999999999", "--out", str(tmp_path / "e")]) == 2
+    assert run_cli(["extremal", "--k", "2", "--c", "2", "--mode", "paper", "--depths", "4",
+                    "--delta-steps", "1e-999999999", "--out", str(tmp_path / "d")]) == 2
+    assert run_cli(["inspect", "--weight", str(plain), "--t", "1e-999999999"]) == 2
+    assert run_cli(["inspect", "--weight", str(weight_file)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 5 and all("decimal exponent" in line and str(MAX_DECIMAL_EXPONENT) in line for line in err)

@@ -12,14 +12,17 @@ import treea1.maximal
 from treea1 import (
     NodeId,
     WeightAnalysis,
+    a1_constant,
     analyze,
     audit_grid,
     average,
     check_rearrangement_bound,
+    kadic_constant,
     make_shape,
     make_step_weight,
     maximal_function,
     maximal_function_bruteforce,
+    profile_from_text,
     rearrange,
     rearrange_oracle,
     scale,
@@ -38,17 +41,35 @@ WIDE_VALUES = (
 )
 # every shape with at most 256 leaves
 SHAPES = [(k, m) for k in (2, 3, 4) for m in range(1, 9) if k**m <= 256]
+wide_values = st.one_of(
+    st.sampled_from(WIDE_VALUES),
+    st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
+)
 
 
 @st.composite
 def wide_weights(draw):
     k, m = draw(st.sampled_from(SHAPES))
     shape = make_shape(k, m)
-    values = st.one_of(
-        st.sampled_from(WIDE_VALUES),
-        st.fractions(min_value=Fraction(1, 1000), max_value=1000, max_denominator=1000),
-    )
-    return make_step_weight(shape, draw(st.lists(values, min_size=shape.leaf_count, max_size=shape.leaf_count)))
+    return make_step_weight(shape, draw(st.lists(wide_values, min_size=shape.leaf_count, max_size=shape.leaf_count)))
+
+
+@st.composite
+def aligned_profiles(draw):
+    """A profile read from text, aligned to k**-depth, with value denominators unrelated to k."""
+    k, depth = draw(st.sampled_from(SHAPES))
+    n = k**depth
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1), max_size=min(n - 1, 6))))
+    counts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    values = sorted(draw(st.sets(wide_values, min_size=len(counts), max_size=len(counts))), reverse=True)
+    return profile_from_text("".join(f"{Fraction(c, n)} {v}\n" for c, v in zip(counts, values))), k, depth
+
+
+def kadic_oracle(profile, k, depth):
+    """The k-adic constant by its definition: expand the profile into a k**depth-leaf weight and analyse it."""
+    n = k**depth
+    values = [value for measure, value in profile.pieces for _ in range(int(measure * n))]
+    return a1_constant(make_step_weight(make_shape(k, depth), values))
 
 
 @settings(max_examples=25)
@@ -65,6 +86,22 @@ def test_kernel_matches_the_fraction_oracles(w):
         assert a.sums[level] == tuple(avg * k ** (m - level) for avg in expected)
     profile = rearrange(w)
     assert all(profile.value_at(t) == rearrange_oracle(w, t) for t in audit_grid(w))
+
+
+@settings(max_examples=25)
+@given(wide_weights())
+def test_kadic_constant_is_the_constant_of_the_sorted_weight(w):
+    shape = w.shape
+    kadic = kadic_constant(rearrange(w), shape.k, shape.m)
+    assert kadic == a1_constant(make_step_weight(shape, sorted(w.leaf_values, reverse=True)))
+    assert kadic == kadic_constant(rearrange(w), shape.k, shape.m + 1)  # finer leaves are constant
+
+
+@settings(max_examples=25)
+@given(aligned_profiles())
+def test_kadic_constant_matches_the_expanded_weight_on_parsed_profiles(case):
+    profile, k, depth = case
+    assert kadic_constant(profile, k, depth) == kadic_oracle(profile, k, depth)
 
 
 def _fraction_c_and_sup_ratio(w):

@@ -17,7 +17,16 @@ from treea1 import (
     stopping_family,
     superlevel_set,
 )
-from treea1.tree import ROOT, all_nodes, leaves_under, parent
+from treea1.tree import ROOT, leaves_under
+
+
+def all_nodes(shape):
+    """Every node in level order (root first)."""
+    return [NodeId(level, index) for level in range(shape.m + 1) for index in range(shape.k**level)]
+
+
+def parent(shape, node):
+    return NodeId(node.level - 1, node.index // shape.k)
 
 
 def a1_oracle(w):

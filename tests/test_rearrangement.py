@@ -174,8 +174,10 @@ def test_kadic_constant_examples():
     assert kadic_constant(rearrange(extremal_exact(2, 2)), 2, 1) == 2
     const = rearrange(make_step_weight(make_shape(2, 2), [9] * 4))
     assert kadic_constant(const, 2, 1) == 1
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="not aligned"):
         kadic_constant(rearrange(make_step_weight(make_shape(3, 1), [3, 2, 1])), 2, 2)
+    with pytest.raises(ParameterError, match="leaves"):
+        kadic_constant(const, 2, 21)
 
 
 @given(step_weights())

@@ -1,10 +1,9 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
-from treea1 import MAX_LEAVES, NodeId, ParameterError, ancestors, leaves_under, make_shape, node_measure
-from treea1.tree import ROOT, children, parent
+from treea1 import MAX_LEAVES, NodeId, ParameterError, leaves_under, make_shape, node_measure
+from treea1.tree import ROOT
 
 
 def test_leaf_counts():
@@ -41,17 +40,6 @@ def test_node_measure_rejects_invalid_nodes():
             node_measure(shape, bad)
 
 
-def test_ancestor_chains():
-    assert ancestors(make_shape(2, 2), ROOT) == (ROOT,)
-    assert ancestors(make_shape(2, 3), NodeId(3, 5)) == (
-        NodeId(3, 5),
-        NodeId(2, 2),
-        NodeId(1, 1),
-        ROOT,
-    )
-    assert ancestors(make_shape(3, 2), NodeId(2, 7)) == (NodeId(2, 7), NodeId(1, 2), ROOT)
-
-
 def test_leaves_under_ranges():
     shape = make_shape(2, 2)
     assert list(leaves_under(shape, ROOT)) == [0, 1, 2, 3]
@@ -66,39 +54,3 @@ def test_level_nodes_partition_leaves():
         for index in range(shape.level_size(level)):
             seen.extend(leaves_under(shape, NodeId(level, index)))
         assert seen == list(range(shape.leaf_count))
-
-
-@st.composite
-def shape_and_node(draw):
-    k = draw(st.integers(min_value=2, max_value=4))
-    m = draw(st.integers(min_value=1, max_value=4))
-    shape = make_shape(k, m)
-    level = draw(st.integers(min_value=0, max_value=m))
-    index = draw(st.integers(min_value=0, max_value=shape.level_size(level) - 1))
-    return shape, NodeId(level, index)
-
-
-@given(shape_and_node())
-def test_child_measures_sum_to_parent(case):
-    shape, node = case
-    kids = children(shape, node)
-    if kids:
-        assert sum(node_measure(shape, kid) for kid in kids) == node_measure(shape, node)
-        assert len(kids) == shape.k
-
-
-@given(shape_and_node())
-def test_ancestor_chain_length_and_measures(case):
-    shape, node = case
-    chain = ancestors(shape, node)
-    assert len(chain) == node.level + 1
-    assert chain[-1] == ROOT
-    measures = [node_measure(shape, a) for a in chain]
-    assert all(outer == inner * shape.k for inner, outer in zip(measures, measures[1:]))
-
-
-@given(shape_and_node())
-def test_parent_inverts_children(case):
-    shape, node = case
-    for kid in children(shape, node):
-        assert parent(shape, kid) == node

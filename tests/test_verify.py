@@ -39,6 +39,7 @@ from treea1 import (
     sharpness_sweep,
     superlevel_set,
 )
+import treea1.rearrangement
 import treea1.verify
 
 
@@ -268,6 +269,30 @@ def test_superlevel_sets_are_built_once_per_level(monkeypatch):
     calls.clear()
     assert _weak_type_detail(report) is None
     assert calls == []
+
+
+def test_audits_neither_check_t_nor_bisect_per_grid_point(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the grid walk already holds t's piece")
+
+    for module, name in ((treea1.verify, "_check_t"), (treea1.verify, "prefix_average"),
+                         (treea1.rearrangement, "_check_t"), (treea1.rearrangement, "bisect_left")):
+        monkeypatch.setattr(module, name, refuse)
+    seen = []
+    original = treea1.verify._prefix_average
+
+    def recorded(profile, piece, t):
+        seen.append((piece, t))
+        return original(profile, piece, t)
+
+    monkeypatch.setattr(treea1.verify, "_prefix_average", recorded)
+    w = make_step_weight(make_shape(2, 3), [4, 2, 2, 2, 1, 1, 1, 1])  # two pieces with a superlevel set
+    report = check_rearrangement_bound(w, with_audits=True)
+    monkeypatch.undo()
+    assert len(report.audits) == 16 and all(a.passed for a in report.audits)
+    # a flag cannot show a prefix average from the wrong piece, so check the pieces themselves
+    assert {piece for piece, _ in seen} == {1, 2}
+    assert all(piece == report.profile._piece_index(t) for piece, t in seen)
 
 
 def test_growth_bound_examples():

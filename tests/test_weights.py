@@ -5,9 +5,11 @@ from hypothesis import given, strategies as st
 
 from conftest import positive_rationals, step_weights
 from treea1 import (
+    MAX_DECIMAL_EXPONENT,
     ExtremalParams,
     ParameterError,
     a1_constant,
+    as_fraction,
     extremal_exact,
     extremal_family,
     family_constant_formula,
@@ -40,6 +42,19 @@ def test_make_step_weight_rejects_bad_input():
         make_step_weight(shape, [-1, 1])
     with pytest.raises(ParameterError):
         make_step_weight(shape, [0.5, 1])  # floats are refused
+
+
+def test_decimal_exponents_are_bounded_before_fraction_is_formed():
+    limit = MAX_DECIMAL_EXPONENT
+    assert as_fraction("15e-1") == Fraction(3, 2)
+    assert as_fraction(f"1e{limit}") == 10**limit
+    assert as_fraction(f" 2E-{limit} ") == Fraction(2, 10**limit)
+    assert as_fraction(f"1e000{limit}") == 10**limit  # leading zeros do not count
+    for text in (f"1e{limit + 1}", f"1E-{limit + 1}", "1e999_999_999", "3.5e+" + "9" * 5000):
+        with pytest.raises(ParameterError, match="decimal exponent"):
+            as_fraction(text)
+    with pytest.raises(ParameterError, match="not a rational value"):
+        as_fraction("1/2e3")
 
 
 def test_random_weight_is_deterministic():
