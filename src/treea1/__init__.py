@@ -70,6 +70,6 @@ from .verify import (
     fuzz_campaign,
     sharpness_sweep,
 )
-from .search import MAX_MOVES, SearchConfig, SearchResult, hill_climb, objective, objective_exact
+from .search import MAX_MOVES, SearchConfig, SearchResult, hill_climb, objective_exact
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -138,7 +138,7 @@ def _cmd_verify(args) -> int:
     ]
     report = outdir / "report.csv"
     _write_csv(report, header, rows)
-    _write_manifest(outdir, "verify", parameters, summary.seed, [report.name], started)
+    _write_manifest(outdir, "verify", parameters, None if args.exhaustive else args.seed, [report.name], started)
     worst = str(summary.worst_margin) if summary.worst_margin is not None else "n/a"
     print(f"{len(summary.rows)} weights checked, zero violations, worst margin {worst}")
     print(f"{sum(1 for row in summary.rows if row.margin == 0)} weights attain the bound exactly")
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true", help="enumerate every grid weight instead of sampling")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes for a random campaign; --exhaustive always runs in one "
-                        "process, since it enumerates weights lazily and a pool would hold them all")
+                        "process, since each worker adds its own memory to the run's peak")
     p.add_argument("--out", required=True, help="output directory (report.csv + manifest.json)")
     p.set_defaults(func=_cmd_verify)
 

@@ -17,8 +17,11 @@ from .tree import TreeShape
 from .verify import check_rearrangement_bound
 from .weights import StepWeight, weight_to_text
 
-# Perturbation factors are drawn from the rational grid 1 + q/_FACTOR_DENOM.
+# Perturbation factors are drawn from the rational grid 1 + q/_FACTOR_DENOM,
+# |q| <= _STEP_SPAN; a move never takes a leaf below _VALUE_FLOOR.
 _FACTOR_DENOM = 1 << 20
+_STEP_SPAN = int(0.3 * _FACTOR_DENOM)
+_VALUE_FLOOR = Fraction(1e-9)
 _FLOAT_SLACK = 2.0**-40
 # Most moves (iterations * restarts) one search may make: the trace keeps one
 # entry per move, so longer searches are refused before anything is allocated.
@@ -31,8 +34,6 @@ class SearchConfig:
     iterations: int
     restarts: int
     seed: int
-    step_scale: float = 0.3
-    value_floor: float = 1e-9
 
     def __post_init__(self):
         if not isinstance(self.iterations, int) or self.iterations < 1:
@@ -43,10 +44,6 @@ class SearchConfig:
             raise ParameterError(
                 f"iterations * restarts must be at most {MAX_MOVES}, got {self.iterations} * {self.restarts}"
             )
-        if not (0 < self.step_scale < 1):
-            raise ParameterError(f"step_scale must lie in (0, 1), got {self.step_scale!r}")
-        if self.value_floor <= 0:
-            raise ParameterError(f"value_floor must be positive, got {self.value_floor!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +61,17 @@ def objective_exact(w: StepWeight) -> Fraction:
     return report.sup_ratio / report.bound
 
 
-def objective(w: StepWeight) -> float:
-    """Float view of the exact objective (evaluated from exact rationals)."""
-    return float(objective_exact(w))
+def _exact_at_most_one(w: StepWeight) -> Fraction:
+    """The exact objective of w, which must stay <= 1 or the bound itself is broken."""
+    exact = objective_exact(w)
+    if exact > 1:
+        raise ViolationError(
+            f"search objective {exact} exceeds 1, contradicting the bound",
+            weight_text=weight_to_text(w),
+            check="objective",
+            detail=f"exact objective {exact}",
+        )
+    return exact
 
 
 def _objective_float(k: int, m: int, values: list[float]) -> float:
@@ -107,24 +112,12 @@ def hill_climb(config: SearchConfig) -> SearchResult:
     """
     k, m = config.shape.k, config.shape.m
     n = config.shape.leaf_count
-    floor = Fraction(config.value_floor)
-    span = max(1, int(config.step_scale * _FACTOR_DENOM))
 
     def evaluate(floats: list[float], values: list[Fraction]) -> float:
         score = _objective_float(k, m, floats)
         if score > 1 + _FLOAT_SLACK:
-            # float drift past the slack: fall back to the exact truth, which
-            # must stay <= 1 or the bound itself is broken
-            w = StepWeight(config.shape, tuple(values))
-            exact = objective_exact(w)
-            if exact > 1:
-                raise ViolationError(
-                    f"search objective {exact} exceeds 1, contradicting the bound",
-                    weight_text=weight_to_text(w),
-                    check="objective",
-                    detail=f"exact objective {exact}",
-                )
-            score = float(exact)
+            # float drift past the slack: fall back to the exact truth
+            score = float(_exact_at_most_one(StepWeight(config.shape, tuple(values))))
         return score
 
     master = random.Random(config.seed)
@@ -145,10 +138,10 @@ def hill_climb(config: SearchConfig) -> SearchResult:
 
         for _ in range(config.iterations):
             pos = rng.randrange(n)
-            factor = Fraction(_FACTOR_DENOM + rng.randint(-span, span), _FACTOR_DENOM)
+            factor = Fraction(_FACTOR_DENOM + rng.randint(-_STEP_SPAN, _STEP_SPAN), _FACTOR_DENOM)
             candidate = values[pos] * factor
-            if candidate < floor:
-                candidate = floor
+            if candidate < _VALUE_FLOOR:
+                candidate = _VALUE_FLOOR
             old_value, old_float = values[pos], floats[pos]
             values[pos], floats[pos] = candidate, float(candidate)
             score = evaluate(floats, values)
@@ -162,14 +155,7 @@ def hill_climb(config: SearchConfig) -> SearchResult:
 
     assert best_values is not None
     best_weight = StepWeight(config.shape, best_values)
-    exact = objective_exact(best_weight)
-    if exact > 1:
-        raise ViolationError(
-            f"search objective {exact} exceeds 1, contradicting the bound",
-            weight_text=weight_to_text(best_weight),
-            check="objective",
-            detail=f"exact objective {exact}",
-        )
+    exact = _exact_at_most_one(best_weight)
     return SearchResult(
         best_weight=best_weight,
         best_objective=global_best,

@@ -13,7 +13,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ParameterError, ViolationError
 from .maximal import (
@@ -29,8 +29,10 @@ from .rationals import as_fraction
 from .rearrangement import (
     RearrangedProfile, _check_t, _prefix_average, kadic_constant, prefix_average, rearrange, sup_ratio
 )
-from .tree import ROOT, NodeId, make_shape, node_measure
-from .weights import StepWeight, random_weight, weight_hash, weight_to_text
+from .tree import ROOT, NodeId, TreeShape, make_shape, node_measure
+from .weights import (
+    ExtremalParams, StepWeight, extremal_family, family_constant_formula, random_weight, weight_hash, weight_to_text
+)
 
 ALL_CHECKS = ("stopping", "growth", "weak_type", "decomposition", "oracle", "kadic")
 # check name -> the flag field it fills in VerificationReport / WeightRow
@@ -406,17 +408,9 @@ class WeightRow:
 
 @dataclass(frozen=True, eq=False)
 class CampaignSummary:
-    k: int
-    m: int
-    trials: int
-    seed: int | None
-    grid: tuple[Fraction, ...]
-    exhaustive: bool
-    checks: tuple[str, ...]
     rows: tuple[WeightRow, ...]
     worst_margin: Fraction | None
     worst_weight_text: str | None
-    counts: Mapping[str, int]
 
 
 def _examine(index: int, w: StepWeight, checks: tuple[str, ...]) -> WeightRow:
@@ -443,27 +437,49 @@ def _examine(index: int, w: StepWeight, checks: tuple[str, ...]) -> WeightRow:
     )
 
 
-def _scan(
-    pairs: Iterable[tuple[int, StepWeight]], checks: tuple[str, ...]
-) -> tuple[list[WeightRow], Fraction | None, StepWeight | None, tuple | None]:
-    """Examine (index, weight) pairs in order; returns rows and local extremes.
+def _campaign_weight(
+    shape: TreeShape, grid: Sequence[Fraction], seeds: Sequence[int] | None, index: int
+) -> StepWeight:
+    """Weight number ``index`` of a campaign.
 
-    A violation stops the scan and is returned (not raised) as
-    (index, check, detail, weight_text), so the merge step can pick the
-    lowest index deterministically across worker processes.
+    With seeds it is the trial's draw ``random_weight(shape, seeds[index], grid)``.
+    Without, it is the index-th grid weight in :func:`itertools.product` order:
+    ``index`` read in base ``len(grid)``, the first leaf the most significant digit.
+    """
+    if seeds is not None:
+        return random_weight(shape, seeds[index], grid)
+    values = []
+    for _ in range(shape.leaf_count):
+        index, digit = divmod(index, len(grid))
+        values.append(grid[digit])
+    return StepWeight(shape, tuple(reversed(values)))
+
+
+def _scan(
+    shape: TreeShape, grid: Sequence[Fraction], seeds: Sequence[int] | None, indices: range,
+    checks: tuple[str, ...],
+) -> tuple[list[WeightRow], tuple[Fraction, StepWeight] | None, tuple | None]:
+    """Examine the campaign weights numbered by ``indices``, in order.
+
+    ``seeds`` holds the seeds of ``indices`` alone (None for a grid
+    enumeration), so a worker is sent its index range and seed slice, never a
+    weight.  Returns the rows, the first (margin, weight) of smallest margin,
+    and a violation, which stops the scan and is returned (not raised) as
+    (index, check, detail, weight_text) so the merge step can pick the lowest
+    index deterministically across worker processes.
     """
     rows: list[WeightRow] = []
-    worst: Fraction | None = None
-    worst_weight: StepWeight | None = None
-    for index, w in pairs:
+    worst: tuple[Fraction, StepWeight] | None = None
+    for index in indices:
+        w = _campaign_weight(shape, grid, seeds, index if seeds is None else index - indices.start)
         try:
             row = _examine(index, w, checks)
         except ViolationError as exc:
-            return rows, worst, worst_weight, (index, exc.check, exc.detail, exc.weight_text)
+            return rows, worst, (index, exc.check, exc.detail, exc.weight_text)
         rows.append(row)
-        if worst is None or row.margin < worst:
-            worst, worst_weight = row.margin, w
-    return rows, worst, worst_weight, None
+        if worst is None or row.margin < worst[0]:
+            worst = (row.margin, w)
+    return rows, worst, None
 
 
 def _normalize_checks(checks: Iterable[str]) -> tuple[str, ...]:
@@ -517,68 +533,46 @@ def fuzz_campaign(
                 f"exhaustive enumeration of {g}**{n} weights is more than {MAX_WEIGHTS}; "
                 "shrink the grid or depth"
             )
-        count = g**n
-        weights = (
-            StepWeight(shape, values)
-            for values in itertools.product(grid_values, repeat=shape.leaf_count)
-        )
-        total, used_seed = count, None
+        total, seeds = g**n, None
     else:
         master = random.Random(seed)
-        seeds = [master.randrange(2**63) for _ in range(trials)]
-        weights = (random_weight(shape, trial_seed, grid_values) for trial_seed in seeds)
-        total, used_seed = trials, seed
+        total, seeds = trials, [master.randrange(2**63) for _ in range(trials)]
 
-    # Exhaustive mode runs in this process whatever ``threads`` says: its
-    # enumeration is consumed lazily, while a pool would hold every weight in
-    # memory at once and add each worker's memory to the run's peak.
+    # Exhaustive mode runs in this process whatever ``threads`` says: each
+    # worker adds its own memory to the run's peak.
     workers = 1 if exhaustive else min(threads, os.cpu_count() or 1, trials)
     if workers <= 1:
-        batches = [_scan(enumerate(weights), selected)]
+        batches = [_scan(shape, grid_values, seeds, range(total), selected)]
     else:
-        pairs = list(enumerate(weights))
-        step = -(-len(pairs) // workers)
-        chunks = [pairs[i : i + step] for i in range(0, len(pairs), step)]
+        step = -(-total // workers)
+        starts = range(0, total, step)
         # imported only when a pool is started: multiprocessing adds its memory to every process importing it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            batches = list(pool.map(_scan, chunks, itertools.repeat(selected)))
+        with ProcessPoolExecutor(max_workers=len(starts)) as pool:
+            batches = list(pool.map(
+                _scan,
+                itertools.repeat(shape),
+                itertools.repeat(grid_values),
+                [seeds[i : i + step] for i in starts],
+                [range(i, min(i + step, total)) for i in starts],
+                itertools.repeat(selected),
+            ))
 
-    rows: list[WeightRow] = []
-    worst: Fraction | None = None
-    worst_weight: StepWeight | None = None
-    violation: tuple | None = None
-    for batch_rows, batch_worst, batch_weight, batch_violation in batches:
-        rows.extend(batch_rows)
-        if batch_worst is not None and (worst is None or batch_worst < worst):
-            worst, worst_weight = batch_worst, batch_weight
-        if batch_violation is not None and (violation is None or batch_violation[0] < violation[0]):
-            violation = batch_violation
-
-    if violation is not None:
-        index, check, detail, text = violation
+    violations = [violation for _, _, violation in batches if violation is not None]
+    if violations:
+        index, check, detail, text = min(violations)
         raise ViolationError(
             f"trial {index}: check '{check}' failed: {detail}",
             weight_text=text,
             check=check,
             detail=f"trial {index}: {detail}",
         )
-
-    counts = {"bound": len(rows)}
-    counts.update({name: len(rows) for name in selected})
+    worst = min((pair for _, pair, _ in batches if pair is not None), key=lambda pair: pair[0], default=None)
     return CampaignSummary(
-        k=k,
-        m=m,
-        trials=total,
-        seed=used_seed,
-        grid=tuple(grid_values),
-        exhaustive=exhaustive,
-        checks=("bound",) + selected,
-        rows=tuple(rows),
-        worst_margin=worst,
-        worst_weight_text=None if worst_weight is None else weight_to_text(worst_weight),
-        counts=counts,
+        rows=tuple(row for rows, _, _ in batches for row in rows),
+        worst_margin=None if worst is None else worst[0],
+        worst_weight_text=None if worst is None else weight_to_text(worst[1]),
     )
 
 
@@ -622,8 +616,6 @@ def sharpness_sweep(k: int, c, depths: Sequence[int], deltas: Sequence | None = 
     With ``deltas=None`` each depth gets its default delta; otherwise every
     (depth, delta) combination is evaluated and must be leaf-aligned.
     """
-    from .weights import ExtremalParams, extremal_family, family_constant_formula
-
     c = as_fraction(c)
     if not depths:
         raise ParameterError("at least one depth is required")
