@@ -4,12 +4,15 @@ Everything here is exact.  The fast path, :func:`analyze`, clears the leaf
 denominators once, sums leaves bottom-up and sweeps the tree top-down once per
 weight, all in Python ints; every other fast function reads its result, and
 only reported values become ``Fraction``s; the same sweep gives the k-adic
-constant of a rearrangement.  The brute force variant and :func:`average`
-re-derive every quantity in ``Fraction`` arithmetic straight from the
-definitions and exist purely as oracles for the fast path.
+constant of a rearrangement.  Two oracles for the fast path stay in
+``Fraction`` arithmetic and share nothing with it: :func:`average` sums a
+node's leaves straight from the definition, and
+:func:`maximal_function_bruteforce` reads every ancestor average off one
+pass of cumulative leaf sums, O(n*m) for n leaves and depth m.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -175,26 +178,25 @@ def maximal_function(w: StepWeight | WeightAnalysis) -> tuple[Fraction, ...]:
 
 
 def maximal_function_bruteforce(w: StepWeight) -> tuple[Fraction, ...]:
-    """Definitional oracle: enumerate every (leaf, ancestor) pair explicitly.
+    """Prefix-sum oracle: every block average from cumulative leaf sums, in ``Fraction``s.
 
-    Node averages are recomputed by direct summation over each node's own
-    leaf range; nothing is shared with the fast path.
+    The leaf values are summed left to right once.  A node at ``level`` is a
+    block of ``width = k**(m - level)`` consecutive leaves starting at
+    ``start``, so its average is ``(prefix[start + width] - prefix[start]) /
+    width``; each strict ancestor block's average is computed once and raises
+    the running best of every leaf under it.  The cost is O(n*m) for n leaves
+    and depth m.  Nothing is shared with the fast path, which sums levels
+    bottom-up in ints.
     """
     k, m = w.shape.k, w.shape.m
-    out = []
-    for leaf in range(w.shape.leaf_count):
-        best = w.leaf_values[leaf]
-        level, index = m, leaf
-        while level > 0:
-            level -= 1
-            index //= k
-            width = k ** (m - level)
-            block = range(index * width, (index + 1) * width)
-            avg = Fraction(sum(w.leaf_values[i] for i in block), width)
-            if avg > best:
-                best = avg
-        out.append(best)
-    return tuple(out)
+    prefix = [Fraction(0), *itertools.accumulate(w.leaf_values)]
+    best = list(w.leaf_values)
+    for level in range(m):
+        width = k ** (m - level)
+        for start in range(0, len(best), width):
+            avg = (prefix[start + width] - prefix[start]) / width
+            best[start : start + width] = [avg if avg > b else b for b in best[start : start + width]]
+    return tuple(best)
 
 
 def a1_constant(w: StepWeight | WeightAnalysis) -> Fraction:

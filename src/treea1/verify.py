@@ -153,7 +153,7 @@ def check_stopping_consistency(w: StepWeight | WeightAnalysis) -> bool:
 def check_decomposition(w: StepWeight | WeightAnalysis) -> bool:
     """Sum of member averages over the leaf partition reconstructs the maximal function."""
     a = analyze(w)
-    mf = maximal_function(a)
+    mf = a.maximal
     return all(
         a.averages[node.level][node.index] == mf[leaf]
         for leaf, node in enumerate(stopping_family(a).assignment)
@@ -161,7 +161,11 @@ def check_decomposition(w: StepWeight | WeightAnalysis) -> bool:
 
 
 def check_oracle_equality(w: StepWeight | WeightAnalysis) -> bool:
-    """Fast maximal function agrees with the definitional enumeration."""
+    """Fast maximal function agrees with :func:`~treea1.maximal.maximal_function_bruteforce`.
+
+    The oracle recomputes every ancestor average from prefix sums of the leaf
+    values in ``Fraction``s, sharing nothing with the kernel's int sweep.
+    """
     a = analyze(w)
     return maximal_function(a) == maximal_function_bruteforce(a.weight)
 
@@ -276,7 +280,7 @@ def _failure(name: str, report: VerificationReport) -> str | None:
             return None
         return "member averages over the partition do not rebuild the maximal function"
     if name == "oracle":
-        return None if check_oracle_equality(a) else "fast maximal function disagrees with brute-force enumeration"
+        return None if check_oracle_equality(a) else "fast maximal function disagrees with the prefix-sum oracle"
     # the remaining check, "kadic", reuses the report's profile
     value = kadic_constant(report.profile, a.weight.shape.k, a.weight.shape.m)
     return None if value <= report.bound else f"k-adic constant {value} exceeds bound {report.bound}"

@@ -84,9 +84,18 @@ def random_weight(shape: TreeShape, seed: int, grid: Iterable) -> StepWeight:
     for g in values:
         if g <= 0:
             raise ParameterError(f"grid values must be positive, got {g}")
-    rng = random.Random(seed)
-    picks = tuple(values[rng.randrange(len(values))] for _ in range(shape.leaf_count))
-    return StepWeight(shape, picks)
+    # rng.randrange(n), unrolled: draw n.bit_length() bits until the draw is
+    # below n, so the weights are those of a randrange draw, bit for bit
+    getrandbits = random.Random(seed).getrandbits
+    n = len(values)
+    bits = n.bit_length()
+    picks = []
+    for _ in range(shape.leaf_count):
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        picks.append(values[r])
+    return StepWeight(shape, tuple(picks))
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,8 @@ def test_kernel_on_4096_leaves_matches_a_fraction_recomputation():
 def test_oracles_share_no_code_with_the_kernel():
     """Only the oracles may duplicate mathematics, so they must not lean on the fast path."""
     kernel = {"analyze", "WeightAnalysis", "rearrange"}
+    # the public readers of an analysis
+    kernel |= {"maximal_function", "a1_constant", "stopping_family", "superlevel_set"}
     kernel |= {
         name
         for name, obj in vars(treea1.maximal).items()

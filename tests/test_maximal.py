@@ -1,9 +1,10 @@
 import itertools
 from fractions import Fraction
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import positive_rationals, step_weights
+from test_kernel import wide_values
 from treea1 import (
     NodeId,
     a1_constant,
@@ -13,6 +14,7 @@ from treea1 import (
     make_step_weight,
     maximal_function,
     maximal_function_bruteforce,
+    refine,
     scale,
     stopping_family,
     superlevel_set,
@@ -67,6 +69,53 @@ def test_fast_equals_bruteforce_exhaustively_on_small_grid():
 @given(step_weights())
 def test_fast_equals_bruteforce(w):
     assert maximal_function(w) == maximal_function_bruteforce(w)
+
+
+def _enumeration_oracle(w):
+    """Definitional oracle: enumerate every (leaf, ancestor) pair explicitly.
+
+    Node averages are recomputed by direct summation over each node's own
+    leaf range, O(n**2) for n leaves; it checks the prefix-sum oracle.
+    """
+    k, m = w.shape.k, w.shape.m
+    out = []
+    for leaf in range(w.shape.leaf_count):
+        best = w.leaf_values[leaf]
+        level, index = m, leaf
+        while level > 0:
+            level -= 1
+            index //= k
+            width = k ** (m - level)
+            block = range(index * width, (index + 1) * width)
+            avg = Fraction(sum(w.leaf_values[i] for i in block), width)
+            if avg > best:
+                best = avg
+        out.append(best)
+    return tuple(out)
+
+
+# every shape with at most 64 leaves
+SMALL_SHAPES = [(k, m) for k in (2, 3, 4) for m in range(1, 7) if k**m <= 64]
+
+
+@st.composite
+def wide_weights_up_to_64_leaves(draw):
+    shape = make_shape(*draw(st.sampled_from(SMALL_SHAPES)))
+    return make_step_weight(shape, draw(st.lists(wide_values, min_size=shape.leaf_count, max_size=shape.leaf_count)))
+
+
+@settings(max_examples=100)
+@given(wide_weights_up_to_64_leaves())
+def test_prefix_sum_oracle_equals_the_enumeration(w):
+    assert maximal_function_bruteforce(w) == _enumeration_oracle(w)
+
+
+def test_prefix_sum_oracle_equals_the_enumeration_on_extremal_weights():
+    for k in (2, 3, 4):
+        for c in (1, Fraction(3, 2), 2, 7):
+            w = extremal_exact(k, c)
+            assert maximal_function_bruteforce(w) == _enumeration_oracle(w)
+            assert maximal_function_bruteforce(refine(w)) == _enumeration_oracle(refine(w))
 
 
 @given(step_weights())

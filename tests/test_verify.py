@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 
 from conftest import step_weights
 from treea1 import (
+    ALL_CHECKS,
     ExtremalParams,
     NodeId,
     ParameterError,
@@ -45,6 +46,7 @@ from treea1 import (
 )
 import treea1.rearrangement
 import treea1.verify
+from treea1.cli import main
 
 
 def test_report_constant_weight():
@@ -331,6 +333,38 @@ def test_structure_checks_pass_exhaustively_on_small_grid():
         assert check_stopping_consistency(w)
         assert check_decomposition(w)
         assert check_oracle_equality(w)
+
+
+def test_oracle_check_fails_on_a_tampered_maximal_function(tmp_path, monkeypatch):
+    real = treea1.verify.maximal_function
+
+    def tampered(w):  # wrong at the last leaf
+        *head, last = real(w)
+        return (*head, last + 1)
+
+    w = extremal_exact(2, 2)
+    assert check_oracle_equality(w)
+    monkeypatch.setattr(treea1.verify, "maximal_function", tampered)
+    assert not check_oracle_equality(w)
+
+    with pytest.raises(ViolationError) as err:
+        fuzz_campaign(2, 3, 4, seed=1, grid=[1, 2, 3], checks=("oracle",))
+    assert err.value.check == "oracle"
+    assert err.value.detail.startswith("trial 0:")
+
+    out = tmp_path / "run"
+    assert main(["verify", "--k", "2", "--depth", "2", "--trials", "3", "--out", str(out)]) == 1
+    counterexample = (out / "counterexample.txt").read_text()
+    assert counterexample.startswith("2 2 ")
+    assert "check: oracle" in counterexample
+    assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("k, m", [(2, 10), (3, 6)])
+def test_every_check_runs_at_the_largest_benchmark_shapes(k, m):
+    summary = fuzz_campaign(k, m, 2, seed=3, grid=[1, 2, 3, 5, 10, 100], checks=ALL_CHECKS)
+    assert len(summary.rows) == 2
+    assert all(row.bound_holds and row.oracle_match and row.kadic_ok for row in summary.rows)
 
 
 def test_fuzz_campaign_empty():

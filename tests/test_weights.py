@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -74,6 +75,17 @@ def test_random_weight_draws_from_grid():
 def test_random_weight_single_value_grid_is_constant():
     w = random_weight(make_shape(2, 2), 0, [1])
     assert w.leaf_values == (Fraction(1),) * 4
+
+
+def test_random_weight_draws_the_values_of_randrange():
+    """The unrolled draw must give every seeded weight, report and digest of a randrange draw."""
+    shape = make_shape(2, 10)
+    for size in (*range(1, 9), 100):
+        grid = list(range(1, size + 1))
+        for seed in (0, 1, 7, 2**63 - 1):
+            rng = random.Random(seed)
+            expected = tuple(Fraction(grid[rng.randrange(size)]) for _ in range(shape.leaf_count))
+            assert random_weight(shape, seed, grid).leaf_values == expected
 
 
 def test_random_weight_rejects_bad_grid():
