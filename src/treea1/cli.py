@@ -157,11 +157,6 @@ def _cmd_extremal(args) -> int:
     else:
         depths = _parse_int_list(args.depths)
         deltas = _parse_rational_list(args.delta_steps) if args.delta_steps else None
-    rows = sharpness_sweep(args.k, c, depths, deltas)
-    header = ["depth"] + _rational_header(_SWEEP_RATIONALS)
-    table = [[str(row.depth)] + _rational_cells(row, _SWEEP_RATIONALS) for row in rows]
-    sweep = outdir / "sweep.csv"
-    _write_csv(sweep, header, table)
     parameters = {
         "k": args.k,
         "c": str(c),
@@ -169,6 +164,14 @@ def _cmd_extremal(args) -> int:
         "depths": depths,
         "delta_steps": [str(d) for d in deltas] if deltas else None,
     }
+    try:
+        rows = sharpness_sweep(args.k, c, depths, deltas)
+    except ViolationError as exc:
+        return _write_counterexample(outdir, "extremal", parameters, None, exc, started)
+    header = ["depth"] + _rational_header(_SWEEP_RATIONALS)
+    table = [[str(row.depth)] + _rational_cells(row, _SWEEP_RATIONALS) for row in rows]
+    sweep = outdir / "sweep.csv"
+    _write_csv(sweep, header, table)
     _write_manifest(outdir, "extremal", parameters, None, [sweep.name], started)
     print(f"{len(rows)} sweep rows written to {sweep}")
     return 0

@@ -5,12 +5,11 @@ left-continuous convention: the value of piece i holds on the half-open
 interval (boundary_{i-1}, boundary_i].  Prefix averages and the sup of
 (prefix average)/(value) are evaluated analytically at piece boundaries, so
 the supremum is exact even when it is a one-sided limit that no single t
-attains.  :func:`rearrange` counts and sorts the leaves as the ints of the
-weight's analysis (see :class:`~treea1.maximal.WeightAnalysis`); only the
-pieces, and everything computed from them, are ``Fraction``s.
+attains.  A :class:`RearrangedProfile` keeps its pieces as ints at one scale
+too, like a :class:`~treea1.maximal.WeightAnalysis`, and every computation on
+it reads those ints; only the pieces and reported results are ``Fraction``s.
 :func:`rearrange_oracle` stays in ``Fraction`` arithmetic and shares no code
-with it.  :func:`kadic_constant` runs the int sweep of ``analyze`` on the
-piece values, so it builds no second weight or analysis.
+with :func:`rearrange`.
 """
 from __future__ import annotations
 
@@ -19,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import lcm
 from typing import NamedTuple
 
@@ -36,7 +36,16 @@ class Piece(NamedTuple):
 
 @dataclass(frozen=True)
 class RearrangedProfile:
-    """Ordered pieces of a non-increasing step function of total measure 1."""
+    """Ordered pieces of a non-increasing step function of total measure 1.
+
+    The constructor also keeps the pieces as int attributes at one scale:
+    with ``n`` the lcm of the measure denominators and ``unit`` that of the
+    value denominators, piece i covers ``cells[i]`` cells of width 1/n, the
+    first ``cumulative_cells[i]`` cells end at its right boundary, its value
+    is ``scaled_values[i] / unit`` and the integral up to that boundary is
+    ``scaled_integrals[i] / (n * unit)``.  They are not dataclass fields, so
+    equality, hashing and the repr read the pieces alone.
+    """
 
     pieces: tuple[Piece, ...]
 
@@ -45,41 +54,37 @@ class RearrangedProfile:
         pieces = tuple(Piece(*(x if type(x) is Fraction else as_fraction(x) for x in p)) for p in self.pieces)
         if not pieces:
             raise ParameterError("profile needs at least one piece")
-        for measure, value in pieces:
-            if measure <= 0:
+        n = lcm(*(measure.denominator for measure, _ in pieces))
+        unit = lcm(*(value.denominator for _, value in pieces))
+        cells = tuple(measure.numerator * (n // measure.denominator) for measure, _ in pieces)
+        values = tuple(value.numerator * (unit // value.denominator) for _, value in pieces)
+        for (measure, value), cell, scaled in zip(pieces, cells, values):
+            if cell <= 0:
                 raise ParameterError(f"piece measures must be positive, got {measure}")
-            if value <= 0:
+            if scaled <= 0:
                 raise ParameterError(f"piece values must be positive, got {value}")
-        for (_, hi), (_, lo) in zip(pieces, pieces[1:]):
-            if lo >= hi:
-                raise ParameterError("piece values must be strictly decreasing")
-        if sum(m for m, _ in pieces) != 1:
+        if any(lo >= hi for hi, lo in zip(values, values[1:])):
+            raise ParameterError("piece values must be strictly decreasing")
+        cumulative = tuple(accumulate(cells))
+        if cumulative[-1] != n:
             raise ParameterError("piece measures must sum exactly to 1")
-        object.__setattr__(self, "pieces", pieces)
+        scaled_integrals = tuple(accumulate(cell * value for cell, value in zip(cells, values)))
+        for name, attr in dict(pieces=pieces, n=n, unit=unit, cells=cells, cumulative_cells=cumulative,
+                               scaled_values=values, scaled_integrals=scaled_integrals).items():
+            object.__setattr__(self, name, attr)
 
     @cached_property
     def boundaries(self) -> tuple[Fraction, ...]:
         """Cumulative measures; boundaries[i] is the right endpoint of piece i."""
-        out, acc = [], Fraction(0)
-        for measure, _ in self.pieces:
-            acc += measure
-            out.append(acc)
-        return tuple(out)
-
-    @cached_property
-    def cumulative_integrals(self) -> tuple[Fraction, ...]:
-        out, acc = [], Fraction(0)
-        for measure, value in self.pieces:
-            acc += measure * value
-            out.append(acc)
-        return tuple(out)
+        return tuple(Fraction(c, self.n) for c in self.cumulative_cells)
 
     @property
     def total_integral(self) -> Fraction:
-        return self.cumulative_integrals[-1]
+        return Fraction(self.scaled_integrals[-1], self.n * self.unit)
 
     def _piece_index(self, t: Fraction) -> int:
-        return bisect_left(self.boundaries, t)
+        # boundary_i >= t  <=>  cumulative_cells[i] >= t * n
+        return bisect_left(self.cumulative_cells, t * self.n)
 
     def value_at(self, t) -> Fraction:
         """Value at t under the left-continuous convention."""
@@ -100,7 +105,7 @@ def rearrange(w: StepWeight | WeightAnalysis) -> RearrangedProfile:
     Each leaf carries measure k**(-m); the resulting profile is equimeasurable
     with the weight and has the same total integral.  The leaves are read as
     the ints of ``analyze(w)``, so equal values are counted and sorted as ints
-    and only the pieces become ``Fraction``s.
+    before the pieces are built.
     """
     a = analyze(w)
     leaves = a.scaled_averages[-1]
@@ -138,10 +143,17 @@ def prefix_average(profile: RearrangedProfile, t) -> Fraction:
 
 
 def _prefix_average(profile: RearrangedProfile, i: int, t: Fraction) -> Fraction:
-    """:func:`prefix_average` at a t already checked and known to lie on piece i."""
-    before_measure = profile.boundaries[i - 1] if i else Fraction(0)
-    before_integral = profile.cumulative_integrals[i - 1] if i else Fraction(0)
-    return (before_integral + (t - before_measure) * profile.pieces[i].value) / t
+    """:func:`prefix_average` at a t already checked and known to lie on piece i.
+
+    With t = p/q, the integral over (0, t] is one int over ``n * unit * q``.
+    """
+    before_cells = profile.cumulative_cells[i - 1] if i else 0
+    before_integral = profile.scaled_integrals[i - 1] if i else 0
+    p, q = t.numerator, t.denominator
+    return Fraction(
+        before_integral * q + (p * profile.n - before_cells * q) * profile.scaled_values[i],
+        profile.n * profile.unit * p,
+    )
 
 
 def sup_ratio(profile: RearrangedProfile) -> tuple[Fraction, Fraction]:
@@ -151,17 +163,16 @@ def sup_ratio(profile: RearrangedProfile) -> tuple[Fraction, Fraction]:
     constant on each half-open piece, so the supremum is the maximum over
     pieces i >= 2 of prefix_average(a_i) / value_i at the piece's left
     boundary a_i (a right-sided limit, generally not attained), or 1 for a
-    constant profile.  Returns (supremum, boundary t achieving it).
+    constant profile.  Returns (supremum, boundary t achieving it).  Each
+    ratio is an int over an int, compared by cross-multiplication.
     """
-    best = Fraction(1)
-    witness = profile.boundaries[0]
-    for i in range(1, len(profile.pieces)):
-        a = profile.boundaries[i - 1]
-        ratio = profile.cumulative_integrals[i - 1] / (a * profile.pieces[i].value)
-        if ratio > best:
-            best = ratio
-            witness = a
-    return best, witness
+    cumulative, integrals, values = profile.cumulative_cells, profile.scaled_integrals, profile.scaled_values
+    best_num, best_den, witness = 1, 1, cumulative[0]
+    for i in range(1, len(values)):
+        num, den = integrals[i - 1], cumulative[i - 1] * values[i]
+        if num * best_den > best_num * den:
+            best_num, best_den, witness = num, den, cumulative[i - 1]
+    return Fraction(best_num, best_den), Fraction(witness, profile.n)
 
 
 def profile_to_text(profile: RearrangedProfile) -> str:
@@ -192,19 +203,17 @@ def kadic_constant(profile: RearrangedProfile, k: int, depth: int) -> Fraction:
     depth-``depth`` k-adic tree over (0, 1] takes the profile's value on
     (j*k**(-depth), (j+1)*k**(-depth)].  Nodes deeper than the profile's
     resolution are constant and contribute ratio 1, so this depth captures
-    the constant of the full k-adic tree.  The piece values' denominators are
-    cleared once and each int value is repeated over its piece's leaves for
-    the int sweep of :func:`~treea1.maximal.analyze`; no weight is built.
+    the constant of the full k-adic tree.  The boundaries are aligned exactly
+    when the profile's n divides k**depth; each piece value, scaled by
+    ``unit * k**depth`` so every node average is an int, is then repeated over
+    its leaves for the int sweep of :func:`~treea1.maximal.analyze`.
     """
-    shape = make_shape(k, depth)
-    n = shape.leaf_count
-    for b in profile.boundaries:
-        if (b * n).denominator != 1:
-            raise ParameterError(
-                f"piece boundary {b} is not aligned to the k-adic grid 1/{n}"
-            )
-    unit = lcm(*(value.denominator for _, value in profile.pieces)) * n
+    leaves = make_shape(k, depth).leaf_count
+    if leaves % profile.n:
+        raise ParameterError(
+            f"piece boundaries on the grid 1/{profile.n} are not aligned to the k-adic grid 1/{leaves}"
+        )
     row: list[int] = []
-    for measure, value in profile.pieces:
-        row.extend([value.numerator * (unit // value.denominator)] * (measure * n).numerator)
+    for cell, value in zip(profile.cells, profile.scaled_values):
+        row.extend([value * leaves] * (cell * (leaves // profile.n)))
     return _sweep(row, k, depth)[2]

@@ -423,12 +423,7 @@ def _examine(index: int, w: StepWeight, checks: tuple[str, ...]) -> WeightRow:
     Raises ViolationError, carrying the serialized weight, on the first failure.
     """
     report = check_rearrangement_bound(w)
-    for name in ("bound",) + checks:
-        detail = _failure(name, report)
-        if detail is not None:
-            raise ViolationError(
-                f"check '{name}' failed: {detail}", weight_text=weight_to_text(w), check=name, detail=detail
-            )
+    _require(("bound",) + checks, report)
     return WeightRow(
         index=index,
         weight_hash=weight_hash(w),
@@ -439,6 +434,15 @@ def _examine(index: int, w: StepWeight, checks: tuple[str, ...]) -> WeightRow:
         bound_holds=True,
         **{field: True if name in checks else None for name, field in _FLAG_FIELDS.items()},
     )
+
+
+def _require(names: Iterable[str], report: VerificationReport) -> None:
+    """Raise ViolationError, carrying the serialized weight, on the first named check that fails."""
+    for name in names:
+        detail = _failure(name, report)
+        if detail is not None:
+            text = weight_to_text(report.analysis.weight)
+            raise ViolationError(f"check '{name}' failed: {detail}", weight_text=text, check=name, detail=detail)
 
 
 def _campaign_weight(
@@ -618,7 +622,8 @@ def sharpness_sweep(k: int, c, depths: Sequence[int], deltas: Sequence | None = 
     """Evaluate the extremal family across depths and delta values.
 
     With ``deltas=None`` each depth gets its default delta; otherwise every
-    (depth, delta) combination is evaluated and must be leaf-aligned.
+    (depth, delta) combination is evaluated and must be leaf-aligned.  A
+    family weight failing the bound check raises ViolationError, as in a campaign.
     """
     c = as_fraction(c)
     if not depths:
@@ -634,6 +639,7 @@ def sharpness_sweep(k: int, c, depths: Sequence[int], deltas: Sequence | None = 
             w = extremal_family(params)
             nominal = family_constant_formula(k, params.alpha, params.eps, delta)
             report = check_rearrangement_bound(w)
+            _require(("bound",), report)
             branch_t = Fraction(1, k)
             branch_ratio = prefix_average(report.profile, branch_t) / report.profile.value_at(branch_t)
             rows.append(

@@ -146,6 +146,20 @@ def test_extremal_family_mode(tmp_path):
     assert first["measured_c"] == "5/2"
 
 
+def test_extremal_violation_exits_1_with_counterexample(tmp_path, monkeypatch):
+    original = treea1.verify.sup_ratio
+    monkeypatch.setattr(treea1.verify, "sup_ratio", lambda profile: (original(profile)[0] + 2, original(profile)[1]))
+    out = tmp_path / "run"
+    code = run_cli(["extremal", "--k", "2", "--c", "2", "--mode", "paper", "--depths", "4", "--out", str(out)])
+    assert code == 1
+    counterexample = (out / "counterexample.txt").read_text()
+    assert counterexample.startswith("2 4 ")
+    assert "check: bound" in counterexample
+    assert not (out / "sweep.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["counterexample.txt"]
+
+
 def test_extremal_usage_errors(tmp_path):
     assert run_cli(["extremal", "--k", "2", "--c", "0.5", "--out", str(tmp_path / "x")]) == 2
     assert run_cli(

@@ -5,6 +5,7 @@ import inspect
 import textwrap
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 
 from hypothesis import given, settings, strategies as st
 
@@ -22,11 +23,13 @@ from treea1 import (
     make_step_weight,
     maximal_function,
     maximal_function_bruteforce,
+    prefix_average,
     profile_from_text,
     rearrange,
     rearrange_oracle,
     scale,
     stopping_family,
+    sup_ratio,
 )
 
 # unrelated denominators (two Mersenne primes, 3, 11) and magnitudes far apart
@@ -162,3 +165,60 @@ def test_oracles_share_no_code_with_the_kernel():
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "leaf_values" in names  # the walk sees the body
         assert not names & kernel, f"{oracle.__name__} uses {sorted(names & kernel)}"
+
+
+def prefix_average_oracle(profile, t):
+    """(1/t) * integral of the profile over (0, t], from running Fraction sums over the pieces."""
+    before_measure = before_integral = Fraction(0)
+    for measure, value in profile.pieces:
+        if before_measure + measure >= t:  # t lies on this left-open piece
+            return (before_integral + (t - before_measure) * value) / t
+        before_measure += measure
+        before_integral += measure * value
+    raise AssertionError("t must lie in (0, 1]")
+
+
+def sup_ratio_oracle(profile):
+    """The sup-ratio and its witness: (integral up to a boundary) / (boundary * next value), in Fractions."""
+    best, witness = Fraction(1), profile.pieces[0].measure
+    boundary = integral = Fraction(0)
+    for (measure, value), (_, next_value) in zip(profile.pieces, profile.pieces[1:]):
+        boundary += measure
+        integral += measure * value
+        ratio = integral / (boundary * next_value)
+        if ratio > best:
+            best, witness = ratio, boundary
+    return best, witness
+
+
+def _assert_profile_matches_the_fraction_oracles(profile, cells):
+    """The int scale against the oracles at every boundary and at the midpoint of each of ``cells`` cells."""
+    assert profile.boundaries == tuple(accumulate(measure for measure, _ in profile.pieces))
+    assert profile.total_integral == sum(measure * value for measure, value in profile.pieces)
+    assert sup_ratio(profile) == sup_ratio_oracle(profile)
+    for t in set(profile.boundaries) | {Fraction(2 * j - 1, 2 * cells) for j in range(1, cells + 1)}:
+        assert prefix_average(profile, t) == prefix_average_oracle(profile, t)
+
+
+@settings(max_examples=25)
+@given(wide_weights())
+def test_profile_ints_match_the_fraction_oracles_on_rearranged_weights(w):
+    _assert_profile_matches_the_fraction_oracles(rearrange(w), w.shape.leaf_count)
+
+
+@settings(max_examples=25)
+@given(aligned_profiles())
+def test_profile_ints_match_the_fraction_oracles_on_parsed_profiles(case):
+    profile, k, depth = case
+    _assert_profile_matches_the_fraction_oracles(profile, k**depth)
+
+
+def test_profile_oracles_read_only_the_pieces():
+    """The profile oracles must not lean on the int scale they check."""
+    int_scale = {"n", "unit", "cells", "cumulative_cells", "scaled_values", "scaled_integrals"}
+    int_scale |= {"boundaries", "total_integral", "_piece_index", "_prefix_average"}
+    for oracle in (prefix_average_oracle, sup_ratio_oracle):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(oracle)))
+        attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "pieces" in attrs  # the walk sees the body
+        assert not attrs & int_scale, f"{oracle.__name__} uses {sorted(attrs & int_scale)}"

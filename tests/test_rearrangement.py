@@ -46,6 +46,21 @@ def test_profile_validation():
         RearrangedProfile(((Fraction(1, 2), 2), (Fraction(1, 2), 2)))  # not coalesced
     with pytest.raises(ParameterError):
         RearrangedProfile(((1, 0),))
+    with pytest.raises(ParameterError, match="measures must be positive"):
+        RearrangedProfile(((Fraction(3, 2), 2), (Fraction(-1, 2), 1)))  # sums to 1
+    with pytest.raises(ParameterError, match="values must be positive"):
+        RearrangedProfile(((Fraction(1, 2), 2), (Fraction(1, 2), 0)))  # decreasing down to 0
+
+
+def test_profile_coerces_ints_and_strings_through_as_fraction():
+    profile = RearrangedProfile((("1/2", 3), (Fraction(1, 2), "1")))
+    assert profile == rearrange(extremal_exact(2, 2))
+    assert all(type(x) is Fraction for piece in profile.pieces for x in piece)
+    assert (profile.n, profile.unit, profile.scaled_values) == (2, 1, (3, 1))
+    assert RearrangedProfile(((1, "7/3"),)).scaled_values == (7,)
+    for bad in ((("1/2", 3), ("1/2", "one")), ((0.5, 3), (0.5, 1)), (("1/0", 1),)):
+        with pytest.raises(ParameterError):
+            RearrangedProfile(bad)
 
 
 @given(step_weights())
@@ -114,6 +129,9 @@ def test_sup_ratio_examples():
         Fraction(5, 2),
         Fraction(1, 3),
     )
+    # both inner boundaries give ratio 2; a tie keeps the first
+    tie = RearrangedProfile(((Fraction(1, 3), 4), (Fraction(1, 3), 2), (Fraction(1, 3), Fraction(3, 2))))
+    assert sup_ratio(tie) == (2, Fraction(1, 3))
 
 
 @given(step_weights())

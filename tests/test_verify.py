@@ -558,6 +558,21 @@ def test_sharpness_sweep_default_deltas_approach_bound():
     assert ratios[-1] > Fraction(29, 10)  # closing in on k*c - k + 1 = 3
 
 
+def test_sharpness_sweep_raises_with_the_family_weight_when_the_bound_fails(monkeypatch):
+    original = treea1.verify.sup_ratio
+
+    def tampered(profile):
+        ratio, witness = original(profile)
+        return ratio + 2, witness
+
+    monkeypatch.setattr(treea1.verify, "sup_ratio", tampered)
+    with pytest.raises(ViolationError) as info:
+        sharpness_sweep(2, 2, [4])
+    assert info.value.check == "bound"
+    family = extremal_family(ExtremalParams.from_constant(2, 2, default_family_delta(2, 4), 4))
+    assert info.value.weight_text == weight_to_text(family)
+
+
 def test_sharpness_sweep_rejects_misaligned_delta():
     with pytest.raises(ParameterError):
         sharpness_sweep(2, 2, [4], [Fraction(1, 3)])
