@@ -21,7 +21,9 @@ from .rationals import as_fraction, decimal_string
 from .rearrangement import profile_to_text
 from .search import SearchConfig, hill_climb
 from .tree import make_shape
-from .verify import ALL_CHECKS, audit_superlevel, check_rearrangement_bound, fuzz_campaign, sharpness_sweep
+from .verify import (
+    ALL_CHECKS, MIN_LEAVES_PER_WORKER, audit_superlevel, check_rearrangement_bound, fuzz_campaign, sharpness_sweep
+)
 from .weights import weight_from_text, weight_to_text
 
 MANIFEST_NAME = "manifest.json"
@@ -68,7 +70,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_manifest(outdir: Path, command: str, parameters: dict, seed, outputs: list[str], started: float) -> None:
+def _write_manifest(
+    outdir: Path, command: str, parameters: dict, seed, outputs: list[str], started: float,
+    workers: int | None = None,
+) -> None:
+    """Write manifest.json; ``workers``, the processes a campaign used, is recorded when given."""
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -78,6 +84,8 @@ def _write_manifest(outdir: Path, command: str, parameters: dict, seed, outputs:
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time())),
         "outputs": sorted(outputs),
     }
+    if workers is not None:
+        manifest["workers"] = workers
     (outdir / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
@@ -138,7 +146,8 @@ def _cmd_verify(args) -> int:
     ]
     report = outdir / "report.csv"
     _write_csv(report, header, rows)
-    _write_manifest(outdir, "verify", parameters, None if args.exhaustive else args.seed, [report.name], started)
+    _write_manifest(outdir, "verify", parameters, None if args.exhaustive else args.seed, [report.name], started,
+                    workers=summary.workers)
     worst = str(summary.worst_margin) if summary.worst_margin is not None else "n/a"
     print(f"{len(summary.rows)} weights checked, zero violations, worst margin {worst}")
     print(f"{sum(1 for row in summary.rows if row.margin == 0)} weights attain the bound exactly")
@@ -321,8 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="1,2,3", help="comma-separated positive rationals to draw from")
     p.add_argument("--exhaustive", action="store_true", help="enumerate every grid weight instead of sampling")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for a random campaign; --exhaustive always runs in one "
-                        "process, since each worker adds its own memory to the run's peak")
+                   help="most worker processes for a random campaign: never more than the CPUs or "
+                        f"--trials, and none for less than {MIN_LEAVES_PER_WORKER:,} leaves (trials * k**depth) "
+                        "of work each; "
+                        "--exhaustive always runs in one process, since each worker adds its own memory "
+                        "to the run's peak. manifest.json records the workers used")
     p.add_argument("--out", required=True, help="output directory (report.csv + manifest.json)")
     p.set_defaults(func=_cmd_verify)
 

@@ -49,6 +49,11 @@ _REPORT_CHECKS = ("stopping", "growth", "weak_type", "decomposition")
 # a seed for every trial and a row for every weight, so larger campaigns are
 # refused before anything is allocated.
 MAX_WEIGHTS = 500_000
+# Least work, in leaves (trials * k**m), a pooled campaign gives each worker.
+# All checks cost about 30 us per leaf (Python 3.11, one core), so this is
+# about 120 ms per worker, well above the 10-50 ms it takes to start and join
+# a process pool; a campaign with less work runs in this process.
+MIN_LEAVES_PER_WORKER = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,11 +156,16 @@ def check_stopping_consistency(w: StepWeight | WeightAnalysis) -> bool:
 
 
 def check_decomposition(w: StepWeight | WeightAnalysis) -> bool:
-    """Sum of member averages over the leaf partition reconstructs the maximal function."""
+    """Sum of member averages over the leaf partition reconstructs the maximal function.
+
+    Compared as the analysis's scaled ints: the average of the member the
+    stopping family's sweep assigns each leaf, against the maximal function
+    from the kernel's sweep.
+    """
     a = analyze(w)
-    mf = a.maximal
+    table, mf = a.scaled_averages, a.scaled_maximal
     return all(
-        a.averages[node.level][node.index] == mf[leaf]
+        table[node.level][node.index] == mf[leaf]
         for leaf, node in enumerate(stopping_family(a).assignment)
     )
 
@@ -173,24 +183,27 @@ def check_oracle_equality(w: StepWeight | WeightAnalysis) -> bool:
 def check_growth_bound(w: StepWeight | WeightAnalysis) -> GrowthCheck:
     """For every member J with star link I: Av(I) < Av(J) <= (k - (k-1)/c) * Av(I).
 
-    ``c`` is the measured A1 constant; its reciprocal plays the contraction
-    role (named reciprocal_c to keep it apart from the extremal family's
-    measure parameter delta).
+    ``c`` is the measured A1 constant.  The comparison runs on the
+    analysis's scaled averages: with c = P/Q the limit is
+    (k*P - (k-1)*Q) / P times Av(I), so the upper inequality is
+    ``y_member * P <= (k*P - (k-1)*Q) * y_star`` in ints.  The violation's
+    ``Fraction`` tuple is built only on failure.
     """
     a = analyze(w)
-    reciprocal_c = 1 / a1_constant(a)
-    k = a.weight.shape.k
+    c = a1_constant(a)
+    k, table = a.weight.shape.k, a.scaled_averages
     fam = stopping_family(a)
-    factor = k - (k - 1) * reciprocal_c
+    p, q = c.numerator, c.denominator
+    factor = k * p - (k - 1) * q  # the limit's factor times P
     for member in fam.members:
         if member == ROOT:
             continue
         star = fam.star[member]
-        y_star = fam.node_averages[star]
-        y_member = fam.node_averages[member]
-        limit = factor * y_star
-        if not (y_star < y_member <= limit):
-            return GrowthCheck(False, (member, star, y_member, y_star, limit))
+        y_star = table[star.level][star.index]
+        y_member = table[member.level][member.index]
+        if not (y_star < y_member and y_member * p <= factor * y_star):
+            limit = Fraction(factor * y_star, p * a.unit)
+            return GrowthCheck(False, (member, star, Fraction(y_member, a.unit), Fraction(y_star, a.unit), limit))
     return GrowthCheck(True)
 
 
@@ -415,6 +428,7 @@ class CampaignSummary:
     rows: tuple[WeightRow, ...]
     worst_margin: Fraction | None
     worst_weight_text: str | None
+    workers: int  # processes that examined weights; 1 for a run in this process
 
 
 def _examine(index: int, w: StepWeight, checks: tuple[str, ...]) -> WeightRow:
@@ -516,6 +530,12 @@ def fuzz_campaign(
     on ``threads``; the rearrangement bound itself is always checked.  The
     first failing trial (lowest index) aborts the campaign by raising
     ViolationError with the serialized weight.
+
+    A random campaign starts at most ``threads`` worker processes, and no
+    more than the CPUs or the trials, but none for less than
+    ``MIN_LEAVES_PER_WORKER`` (4,096) leaves of work each, counted as
+    ``trials * k**m``; below that, and for an exhaustive campaign, it runs in
+    this process.  ``CampaignSummary.workers`` says how many it used.
     """
     shape = make_shape(k, m)
     grid_values = sorted({as_fraction(g) for g in grid})
@@ -547,17 +567,21 @@ def fuzz_campaign(
         total, seeds = trials, [master.randrange(2**63) for _ in range(trials)]
 
     # Exhaustive mode runs in this process whatever ``threads`` says: each
-    # worker adds its own memory to the run's peak.
-    workers = 1 if exhaustive else min(threads, os.cpu_count() or 1, trials)
-    if workers <= 1:
+    # worker adds its own memory to the run's peak.  A pool is started only
+    # when every worker gets enough leaves to pay for the start-up.
+    workers = 1 if exhaustive else max(1, min(
+        threads, os.cpu_count() or 1, trials, trials * shape.leaf_count // MIN_LEAVES_PER_WORKER
+    ))
+    if workers == 1:
         batches = [_scan(shape, grid_values, seeds, range(total), selected)]
     else:
         step = -(-total // workers)
         starts = range(0, total, step)
+        workers = len(starts)
         # imported only when a pool is started: multiprocessing adds its memory to every process importing it
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(starts)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(
                 _scan,
                 itertools.repeat(shape),
@@ -581,6 +605,7 @@ def fuzz_campaign(
         rows=tuple(row for rows, _, _ in batches for row in rows),
         worst_margin=None if worst is None else worst[0],
         worst_weight_text=None if worst is None else weight_to_text(worst[1]),
+        workers=workers,
     )
 
 

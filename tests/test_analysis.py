@@ -123,5 +123,5 @@ def test_every_reader_answers_the_same_on_a_weight_and_its_analysis(w):
 def test_decomposition_check_compares_two_independent_sweeps():
     a = analyze(extremal_exact(2, 2))
     assert check_decomposition(a)
-    object.__setattr__(a, "maximal", tuple(v + 1 for v in a.maximal))
+    object.__setattr__(a, "scaled_maximal", tuple(v + 1 for v in a.scaled_maximal))
     assert not check_decomposition(a)

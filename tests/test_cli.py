@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import treea1.rationals
@@ -211,12 +212,28 @@ def test_search_usage_error(tmp_path):
     ) == 2
 
 
+def _workers(outdir):
+    return json.loads((outdir / "manifest.json").read_text())["workers"]
+
+
 def test_verify_threads_flag_matches_serial(tmp_path):
+    # 40 trials of 256 leaves is enough work for a real 2-worker pool
+    args = ["verify", "--k", "2", "--depth", "8", "--trials", "40", "--seed", "4", "--grid", "1,2"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(args + ["--out", str(a)]) == 0
+    assert run_cli(args + ["--threads", "2", "--out", str(b)]) == 0
+    assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+    assert _workers(a) == 1
+    assert _workers(b) == min(2, os.cpu_count() or 1)
+
+
+def test_verify_below_the_pool_threshold_runs_in_one_process(tmp_path):
     args = ["verify", "--k", "2", "--depth", "2", "--trials", "10", "--seed", "4", "--grid", "1,2"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--threads", "2", "--out", str(b)]) == 0
     assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
+    assert _workers(a) == _workers(b) == 1
 
 
 def test_search_is_byte_deterministic(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import os
 import random
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from treea1 import (
     SuperlevelAudit,
     ViolationError,
     WeightAnalysis,
+    analyze,
     audit_grid,
     audit_superlevel,
     average_thresholds,
@@ -41,6 +43,7 @@ from treea1 import (
     refine,
     scale,
     sharpness_sweep,
+    stopping_family,
     superlevel_set,
     weight_to_text,
 )
@@ -307,6 +310,42 @@ def test_growth_bound_examples():
     assert result.ok and result.violation is None
 
 
+def _raise_past_the_growth_limit(a):
+    """Raise the last non-root member's scaled average just past its growth limit; returns it and its star."""
+    fam = stopping_family(a)  # built before the table changes, so the members stay put
+    member = fam.members[-1]
+    star = fam.star[member]
+    c, k = a.c, a.weight.shape.k
+    table = [list(row) for row in a.scaled_averages]
+    factor = k * c.numerator - (k - 1) * c.denominator
+    table[member.level][member.index] = factor * table[star.level][star.index] // c.numerator + 1
+    object.__setattr__(a, "scaled_averages", tuple(map(tuple, table)))
+    return member, star
+
+
+def test_growth_check_compares_the_scaled_averages(monkeypatch):
+    a = analyze(extremal_exact(2, 2))
+    assert check_growth_bound(a).ok
+    member, star = _raise_past_the_growth_limit(a)
+    av_member = Fraction(a.scaled_averages[member.level][member.index], a.unit)
+    av_star = stopping_family(a).node_averages[star]
+    limit = (2 - 1 / a.c) * av_star
+    assert av_member > limit
+    assert check_growth_bound(a).violation == (member, star, av_member, av_star, limit)
+
+    original = treea1.verify.check_growth_bound
+
+    def tampered(a):
+        if len(stopping_family(a).members) > 1:
+            _raise_past_the_growth_limit(a)
+        return original(a)
+
+    monkeypatch.setattr(treea1.verify, "check_growth_bound", tampered)
+    with pytest.raises(ViolationError) as err:
+        fuzz_campaign(2, 3, 5, seed=1, grid=[1, 2, 3], checks=("growth",))
+    assert err.value.check == "growth"
+
+
 @given(step_weights())
 def test_growth_bound_holds_for_random_weights(w):
     assert check_growth_bound(w).ok
@@ -390,10 +429,30 @@ def test_fuzz_campaign_is_deterministic():
 
 
 def test_fuzz_campaign_threads_match_serial():
-    serial = fuzz_campaign(2, 2, 30, seed=5, grid=[1, 2, 3], checks=("kadic",))
-    parallel = fuzz_campaign(2, 2, 30, seed=5, grid=[1, 2, 3], checks=("kadic",), threads=2)
-    assert [r.weight_hash for r in serial.rows] == [r.weight_hash for r in parallel.rows]
+    # 40 trials of 256 leaves is 2.5 workers' worth of leaves, so this starts a real pool
+    assert 40 * 2**8 >= 2 * treea1.verify.MIN_LEAVES_PER_WORKER
+    serial = fuzz_campaign(2, 8, 40, seed=5, grid=[1, 2, 3], checks=("kadic",))
+    parallel = fuzz_campaign(2, 8, 40, seed=5, grid=[1, 2, 3], checks=("kadic",), threads=2)
+    assert serial.workers == 1
+    assert parallel.workers == min(2, os.cpu_count() or 1)
+    assert [dataclasses.astuple(r) for r in serial.rows] == [dataclasses.astuple(r) for r in parallel.rows]
     assert serial.worst_margin == parallel.worst_margin
+    assert serial.worst_weight_text == parallel.worst_weight_text
+
+
+def test_campaign_below_the_threshold_starts_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a campaign below the threshold must not start a pool")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(treea1.verify.os, "cpu_count", lambda: 2)
+    # 7 trials of 8 leaves: far less than one worker's share
+    assert 7 * 2**3 < treea1.verify.MIN_LEAVES_PER_WORKER
+    below = fuzz_campaign(2, 3, 7, seed=5, grid=[1, 2, 3], threads=2)
+    serial = fuzz_campaign(2, 3, 7, seed=5, grid=[1, 2, 3])
+    assert below.workers == serial.workers == 1
+    assert [dataclasses.astuple(r) for r in below.rows] == [dataclasses.astuple(r) for r in serial.rows]
+    assert below.worst_weight_text == serial.worst_weight_text
 
 
 def test_importing_the_package_loads_no_process_pool():
@@ -408,6 +467,7 @@ def test_importing_the_package_loads_no_process_pool():
 def _inline_pool(monkeypatch, cpus):
     """Replace the process pool with an in-process map and pin the CPU count.
 
+    The least work per worker is set to one leaf, so small campaigns pool.
     Returns the list of worker counts the campaign asked for and the list of
     argument tuples each worker would be sent; no process is started.
     """
@@ -430,6 +490,7 @@ def _inline_pool(monkeypatch, cpus):
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(treea1.verify.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(treea1.verify, "MIN_LEAVES_PER_WORKER", 1)
     return started, calls
 
 
