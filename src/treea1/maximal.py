@@ -7,8 +7,9 @@ only reported values become ``Fraction``s; the same sweep gives the k-adic
 constant of a rearrangement.  Two oracles for the fast path stay in
 ``Fraction`` arithmetic and share nothing with it: :func:`average` sums a
 node's leaves straight from the definition, and
-:func:`maximal_function_bruteforce` reads every ancestor average off one
-pass of cumulative leaf sums, O(n*m) for n leaves and depth m.
+:func:`maximal_function_bruteforce` reads every node average off one pass
+of cumulative leaf sums and carries the running maximum down the tree, one
+``Fraction`` comparison per node and per leaf.
 """
 from __future__ import annotations
 
@@ -90,7 +91,9 @@ class WeightAnalysis:
     def maximal(self) -> tuple[Fraction, ...]:
         """Maximal function at each leaf."""
         unit = self.unit
-        return tuple(Fraction(x, unit) for x in self.scaled_maximal)
+        # one Fraction per distinct value: a maximal function repeats its node averages
+        view = {x: Fraction(x, unit) for x in set(self.scaled_maximal)}
+        return tuple(map(view.__getitem__, self.scaled_maximal))
 
     @cached_property
     def family(self) -> StoppingFamily:
@@ -183,20 +186,22 @@ def maximal_function_bruteforce(w: StepWeight) -> tuple[Fraction, ...]:
     The leaf values are summed left to right once.  A node at ``level`` is a
     block of ``width = k**(m - level)`` consecutive leaves starting at
     ``start``, so its average is ``(prefix[start + width] - prefix[start]) /
-    width``; each strict ancestor block's average is computed once and raises
-    the running best of every leaf under it.  The cost is O(n*m) for n leaves
-    and depth m.  Nothing is shared with the fast path, which sums levels
-    bottom-up in ints.
+    width``.  Going down from the root, a node's best is its own average or
+    its parent's best, whichever is larger, and a leaf's best is its value or
+    its parent's best: one ``Fraction`` comparison per node and per leaf.
+    Nothing is shared with the fast path, which sums levels bottom-up in ints.
     """
     k, m = w.shape.k, w.shape.m
+    n = len(w.leaf_values)
     prefix = [Fraction(0), *itertools.accumulate(w.leaf_values)]
-    best = list(w.leaf_values)
-    for level in range(m):
+    best = [prefix[n] / n]  # the root block
+    for level in range(1, m):
         width = k ** (m - level)
-        for start in range(0, len(best), width):
-            avg = (prefix[start + width] - prefix[start]) / width
-            best[start : start + width] = [avg if avg > b else b for b in best[start : start + width]]
-    return tuple(best)
+        blocks = ((prefix[start + width] - prefix[start]) / width for start in range(0, n, width))
+        parents = (top for top in best for _ in range(k))
+        best = [avg if avg > top else top for avg, top in zip(blocks, parents)]
+    parents = (top for top in best for _ in range(k))
+    return tuple(v if v > top else top for v, top in zip(w.leaf_values, parents))
 
 
 def a1_constant(w: StepWeight | WeightAnalysis) -> Fraction:

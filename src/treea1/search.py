@@ -36,9 +36,9 @@ class SearchConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.iterations, int) or self.iterations < 1:
+        if not isinstance(self.iterations, int) or isinstance(self.iterations, bool) or self.iterations < 1:
             raise ParameterError(f"iterations must be a positive integer, got {self.iterations!r}")
-        if not isinstance(self.restarts, int) or self.restarts < 1:
+        if not isinstance(self.restarts, int) or isinstance(self.restarts, bool) or self.restarts < 1:
             raise ParameterError(f"restarts must be a positive integer, got {self.restarts!r}")
         if self.iterations * self.restarts > MAX_MOVES:
             raise ParameterError(

@@ -50,9 +50,10 @@ _REPORT_CHECKS = ("stopping", "growth", "weak_type", "decomposition")
 # refused before anything is allocated.
 MAX_WEIGHTS = 500_000
 # Least work, in leaves (trials * k**m), a pooled campaign gives each worker.
-# All checks cost about 30 us per leaf (Python 3.11, one core), so this is
-# about 120 ms per worker, well above the 10-50 ms it takes to start and join
-# a process pool; a campaign with less work runs in this process.
+# All checks cost about 13-19 us per leaf at 64 to 1,024 leaves (Python 3.11,
+# one core), so this is about 55-80 ms per worker, above the 10-50 ms it takes
+# to start and join a process pool; a campaign with less work runs in this
+# process.
 MIN_LEAVES_PER_WORKER = 4096
 
 
@@ -173,8 +174,9 @@ def check_decomposition(w: StepWeight | WeightAnalysis) -> bool:
 def check_oracle_equality(w: StepWeight | WeightAnalysis) -> bool:
     """Fast maximal function agrees with :func:`~treea1.maximal.maximal_function_bruteforce`.
 
-    The oracle recomputes every ancestor average from prefix sums of the leaf
-    values in ``Fraction``s, sharing nothing with the kernel's int sweep.
+    The oracle recomputes every node average from prefix sums of the leaf
+    values in ``Fraction``s, one comparison per node and per leaf, sharing
+    nothing with the kernel's int sweep.
     """
     a = analyze(w)
     return maximal_function(a) == maximal_function_bruteforce(a.weight)
@@ -545,11 +547,11 @@ def fuzz_campaign(
         if g <= 0:
             raise ParameterError(f"grid values must be positive, got {g}")
     selected = _normalize_checks(checks)
-    if not isinstance(trials, int) or trials < 0:
+    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise ParameterError(f"trials must be a non-negative integer, got {trials!r}")
     if trials > MAX_WEIGHTS:
         raise ParameterError(f"trials must be at most {MAX_WEIGHTS}, got {trials}")
-    if not isinstance(threads, int) or threads < 1:
+    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise ParameterError(f"threads must be a positive integer, got {threads!r}")
 
     if exhaustive:

@@ -1,10 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import positive_rationals, step_weights
-from test_kernel import wide_values
+from test_kernel import WIDE_VALUES, wide_values
 from treea1 import (
     NodeId,
     a1_constant,
@@ -116,6 +117,32 @@ def test_prefix_sum_oracle_equals_the_enumeration_on_extremal_weights():
             w = extremal_exact(k, c)
             assert maximal_function_bruteforce(w) == _enumeration_oracle(w)
             assert maximal_function_bruteforce(refine(w)) == _enumeration_oracle(refine(w))
+
+
+def test_running_maximum_carries_across_levels():
+    # leaf 0's maximum is the root's average 4, three levels up; on its chain
+    # the level-1 block averages 2 and the level-2 block 3, so each level must
+    # compare with its parent's best, not with its parent's own average
+    w = make_step_weight(make_shape(2, 3), [1, 5, 1, 1, 6, 6, 6, 6])
+    assert average(w, ROOT) == 4
+    assert average(w, NodeId(1, 0)) == 2 and average(w, NodeId(2, 0)) == 3
+    expected = (4, 5, 4, 4, 6, 6, 6, 6)
+    assert maximal_function(w) == expected
+    assert maximal_function_bruteforce(w) == expected
+    assert _enumeration_oracle(w) == expected
+
+
+def test_prefix_sum_oracle_equals_the_enumeration_at_256_leaves():
+    # beyond the 64-leaf hypothesis range, with the unrelated denominators of test_kernel
+    rng = random.Random(8)
+    values = [
+        rng.choice(WIDE_VALUES) if rng.random() < 0.5 else Fraction(rng.randint(1, 10**6), rng.randint(1, 1000))
+        for _ in range(2**8)
+    ]
+    w = make_step_weight(make_shape(2, 8), values)
+    assert len({v.denominator for v in values}) > 100
+    assert maximal_function_bruteforce(w) == _enumeration_oracle(w)
+    assert maximal_function(w) == _enumeration_oracle(w)
 
 
 @given(step_weights())

@@ -48,6 +48,14 @@ def test_config_validation():
         SearchConfig(shape=shape, iterations=1, restarts=0, seed=0)
 
 
+def test_config_refuses_bools_as_counts():
+    shape = make_shape(2, 2)
+    with pytest.raises(ParameterError, match="iterations"):
+        SearchConfig(shape=shape, iterations=True, restarts=1, seed=0)
+    with pytest.raises(ParameterError, match="restarts"):
+        SearchConfig(shape=shape, iterations=1, restarts=True, seed=0)
+
+
 def test_hill_climb_minimal_budget():
     result = hill_climb(SearchConfig(shape=make_shape(2, 2), iterations=1, restarts=1, seed=0))
     assert len(result.trace) == 1

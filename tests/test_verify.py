@@ -587,6 +587,14 @@ def test_fuzz_campaign_validates_parameters():
         fuzz_campaign(2, 2, -1, seed=0, grid=[1])
 
 
+def test_fuzz_campaign_refuses_bools_as_counts():
+    # bool is a subclass of int, so True would otherwise run one trial on one worker
+    with pytest.raises(ParameterError, match="trials"):
+        fuzz_campaign(2, 2, True, seed=0, grid=[1, 2])
+    with pytest.raises(ParameterError, match="threads"):
+        fuzz_campaign(2, 2, 2, seed=0, grid=[1, 2], threads=True)
+
+
 def test_fuzz_campaign_aborts_on_violation(monkeypatch):
     monkeypatch.setattr(treea1.verify, "check_decomposition", lambda w: False)
     with pytest.raises(ViolationError) as err:
