@@ -64,17 +64,24 @@ def _rational_cells(record, names) -> list[str]:
     return [cell for value in values for cell in (str(value), decimal_string(value))]
 
 
+def _write_file(path: Path, text: str) -> None:
+    """Write one output file; a path that cannot be written is a usage error (exit 2), not a failed check."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
     lines = [f"# manifest: {MANIFEST_NAME}", ",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+    _write_file(path, "\n".join(lines) + "\n")
 
 
 def _write_manifest(
-    outdir: Path, command: str, parameters: dict, seed, outputs: list[str], started: float,
-    workers: int | None = None,
+    outdir: Path, command: str, parameters: dict, seed, outputs: list[str], started: float, **extra
 ) -> None:
-    """Write manifest.json; ``workers``, the processes a campaign used, is recorded when given."""
+    """Write manifest.json; ``extra`` keys (a campaign's ``workers``, a search's counts) are recorded as given."""
     manifest = {
         "command": command,
         "parameters": parameters,
@@ -84,9 +91,8 @@ def _write_manifest(
         "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time())),
         "outputs": sorted(outputs),
     }
-    if workers is not None:
-        manifest["workers"] = workers
-    (outdir / MANIFEST_NAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    manifest.update(extra)
+    _write_file(outdir / MANIFEST_NAME, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
 
 
 def _write_counterexample(
@@ -94,7 +100,7 @@ def _write_counterexample(
 ) -> int:
     """Write counterexample.txt and its manifest for a failed check; returns exit code 1."""
     counter = outdir / "counterexample.txt"
-    counter.write_text(exc.weight_text + f"check: {exc.check}\ndetail: {exc.detail}\n")
+    _write_file(counter, exc.weight_text + f"check: {exc.check}\ndetail: {exc.detail}\n")
     _write_manifest(outdir, command, parameters, seed, [counter.name], started)
     print(f"violation: {exc}", file=sys.stderr)
     print(f"counterexample written to {counter}", file=sys.stderr)
@@ -204,9 +210,10 @@ def _cmd_search(args) -> int:
     trace = outdir / "trace.csv"
     _write_csv(trace, ["iteration", "objective"], [[str(i), repr(v)] for i, v in enumerate(result.trace)])
     best = outdir / "best_weight.txt"
-    best.write_text(weight_to_text(result.best_weight))
+    _write_file(best, weight_to_text(result.best_weight))
     summary = outdir / "summary.json"
-    summary.write_text(
+    _write_file(
+        summary,
         json.dumps(
             {
                 "manifest": MANIFEST_NAME,
@@ -221,7 +228,8 @@ def _cmd_search(args) -> int:
         )
         + "\n"
     )
-    _write_manifest(outdir, "search", parameters, args.seed, [trace.name, best.name, summary.name], started)
+    _write_manifest(outdir, "search", parameters, args.seed, [trace.name, best.name, summary.name], started,
+                    search={"restarts": [counts._asdict() for counts in result.restart_counts]})
     print(f"best objective {result.best_objective:.6f} (exact {result.exact_objective})")
     return 0
 

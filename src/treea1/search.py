@@ -1,16 +1,23 @@
 """Randomized local search for weights that saturate the rearrangement bound.
 
 The objective is sup_ratio(w*) / (k*c - k + 1), which the bound caps at 1.
-The climb itself runs on a throwaway float evaluator for speed, but every
-candidate is an exact rational weight built from exact perturbation factors,
-so the reported best re-verifies exactly with no float in the loop's way.
+The climb scores its moves in floats for speed, on an incremental state: a
+single-leaf move recomputes only that leaf's ancestor chain and keeps the
+leaves sorted, and every score, so every trace, is bit-identical to a full
+float re-evaluation of the leaves.  Every candidate is still an exact
+rational weight built from exact perturbation factors, so the reported best
+re-verifies exactly with no float in the loop's way.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import truediv
+from typing import NamedTuple
 
 from .errors import ParameterError, ViolationError
 from .tree import TreeShape
@@ -46,6 +53,14 @@ class SearchConfig:
             )
 
 
+class MoveCounts(NamedTuple):
+    """What one restart's moves did: kept, undone, and float scores replaced by the exact objective."""
+
+    accepted: int
+    rejected: int
+    fallbacks: int
+
+
 @dataclass(frozen=True, eq=False)
 class SearchResult:
     best_weight: StepWeight
@@ -53,6 +68,8 @@ class SearchResult:
     exact_objective: Fraction
     best_restart: int
     trace: tuple[float, ...]
+    # one per restart, in restart order
+    restart_counts: tuple[MoveCounts, ...]
 
 
 def objective_exact(w: StepWeight) -> Fraction:
@@ -74,49 +91,86 @@ def _exact_at_most_one(w: StepWeight) -> Fraction:
     return exact
 
 
-def _objective_float(k: int, m: int, values: list[float]) -> float:
-    """Fast float evaluation used inside the climb loop only."""
-    # maximal function via level sums and a top-down running max
-    sums = values
-    averages = [values]
-    for _ in range(m):
-        sums = [sum(sums[k * i + j] for j in range(k)) for i in range(len(sums) // k)]
-        width = len(values) // len(sums)
-        averages.append([s / width for s in sums])
-    averages.reverse()
-    running = averages[0]
-    for level in range(1, m + 1):
-        running = [max(running[i // k], a) for i, a in enumerate(averages[level])]
-    c = max(mf / v for mf, v in zip(running, values))
-    bound = k * c - k + 1
+class _FloatClimb:
+    """The climb's float objective, kept up to date one leaf at a time.
 
-    # sup of prefix-average ratios over sorted leaf boundaries; boundaries
-    # interior to a constant run can only tie or lose, so no coalescing needed
-    ordered = sorted(values, reverse=True)
-    best = 1.0
-    prefix = 0.0
-    for j in range(1, len(ordered)):
-        prefix += ordered[j - 1]
-        best = max(best, (prefix / j) / ordered[j])
-    return best / bound
+    Per level above the leaves the state holds the node sums, the smallest
+    leaf under each node and the node ratio (sum / k**level) / that leaf; the
+    leaf floats are also kept in ascending order.  ``set`` rewrites one leaf
+    and recomputes only its m ancestors, each from its k children.  ``score``
+    takes c as the largest node ratio (a leaf's own ratio is 1.0): the
+    rounded quotient avg / v only falls as v grows, so this is the largest
+    quotient of an ancestor's average over a leaf, as a full re-evaluation
+    finds it.  Node sums go through builtin ``sum`` over the k children and
+    prefix sums through plain ``+``, so every score is bit-identical to one
+    computed from scratch on the same leaves.
+    """
+
+    def __init__(self, k: int, m: int, values: list[float]):
+        self._k = k
+        self._widths = [k**level for level in range(m + 1)]
+        self._sums = [list(values)]
+        self._mins = [self._sums[0]]
+        self._ratios: list[list[float]] = []
+        for width in self._widths[1:]:
+            below_sums, below_mins = self._sums[-1], self._mins[-1]
+            sums = [sum(below_sums[i : i + k]) for i in range(0, len(below_sums), k)]
+            mins = [min(below_mins[i : i + k]) for i in range(0, len(below_mins), k)]
+            self._sums.append(sums)
+            self._mins.append(mins)
+            self._ratios.append([(s / width) / v for s, v in zip(sums, mins)])
+        self._ascending = sorted(values)
+
+    def set(self, pos: int, x: float) -> float:
+        """Make leaf ``pos`` equal to ``x``; returns the leaf's old float, which undoes the move."""
+        leaves = self._sums[0]
+        old = leaves[pos]
+        leaves[pos] = x
+        del self._ascending[bisect_left(self._ascending, old)]
+        insort(self._ascending, x)
+        k = self._k
+        for level in range(1, len(self._sums)):
+            first = pos - pos % k
+            pos //= k
+            s = self._sums[level][pos] = sum(self._sums[level - 1][first : first + k])
+            v = self._mins[level][pos] = min(self._mins[level - 1][first : first + k])
+            self._ratios[level - 1][pos] = (s / self._widths[level]) / v
+        return old
+
+    def score(self) -> float:
+        """sup_ratio(w*) / (k*c - k + 1) of the current leaves, in floats."""
+        c = max(1.0, *map(max, self._ratios))
+        # sup of prefix-average ratios over sorted leaf boundaries; boundaries
+        # interior to a constant run can only tie or lose, so no coalescing needed
+        descending = self._ascending[::-1]
+        averages = map(truediv, accumulate(descending), range(1, len(descending)))
+        best = max(1.0, max(map(truediv, averages, descending[1:])))
+        return best / (self._k * c - self._k + 1)
 
 
 def hill_climb(config: SearchConfig) -> SearchResult:
     """Seeded multi-restart climb with multiplicative single-leaf moves.
 
-    Moves that do not decrease the float objective are accepted (the
-    landscape is full of plateaus).  The trace records the global
-    best-so-far after every iteration; ties between restarts keep the lowest
-    restart index.  The returned best weight is re-verified exactly and must
-    satisfy objective <= 1.
+    Each restart keeps one incremental float state of its leaves: a move, and
+    the undo of a rejected move, recomputes only the moved leaf's ancestor
+    chain, and every score is bit-identical to a full float re-evaluation, so
+    the trace is too.  A score above 1 + ``_FLOAT_SLACK`` is float drift and
+    is replaced by the exact objective.  Moves that do not decrease the
+    objective are accepted (the landscape is full of plateaus).  The trace
+    records the global best-so-far after every iteration; ties between
+    restarts keep the lowest restart index.  The returned best weight is
+    re-verified exactly and must satisfy objective <= 1.
     """
     k, m = config.shape.k, config.shape.m
     n = config.shape.leaf_count
+    fallbacks = 0
 
-    def evaluate(floats: list[float], values: list[Fraction]) -> float:
-        score = _objective_float(k, m, floats)
+    def evaluate(climb: _FloatClimb, values: list[Fraction]) -> float:
+        nonlocal fallbacks
+        score = climb.score()
         if score > 1 + _FLOAT_SLACK:
             # float drift past the slack: fall back to the exact truth
+            fallbacks += 1
             score = float(_exact_at_most_one(StepWeight(config.shape, tuple(values))))
         return score
 
@@ -124,6 +178,7 @@ def hill_climb(config: SearchConfig) -> SearchResult:
     restart_seeds = [master.randrange(2**63) for _ in range(config.restarts)]
 
     trace: list[float] = []
+    counts: list[MoveCounts] = []
     global_best = -math.inf
     best_values: tuple[Fraction, ...] | None = None
     best_restart = 0
@@ -131,8 +186,9 @@ def hill_climb(config: SearchConfig) -> SearchResult:
     for restart, restart_seed in enumerate(restart_seeds):
         rng = random.Random(restart_seed)
         values = [Fraction(rng.randint(1, 16)) for _ in range(n)]
-        floats = [float(v) for v in values]
-        current = evaluate(floats, values)
+        climb = _FloatClimb(k, m, [float(v) for v in values])
+        accepted = fallbacks = 0
+        current = evaluate(climb, values)
         if current > global_best:
             global_best, best_values, best_restart = current, tuple(values), restart
 
@@ -142,16 +198,20 @@ def hill_climb(config: SearchConfig) -> SearchResult:
             candidate = values[pos] * factor
             if candidate < _VALUE_FLOOR:
                 candidate = _VALUE_FLOOR
-            old_value, old_float = values[pos], floats[pos]
-            values[pos], floats[pos] = candidate, float(candidate)
-            score = evaluate(floats, values)
+            old_value = values[pos]
+            values[pos] = candidate
+            old_float = climb.set(pos, float(candidate))
+            score = evaluate(climb, values)
             if score >= current:
                 current = score
+                accepted += 1
             else:
-                values[pos], floats[pos] = old_value, old_float
+                values[pos] = old_value
+                climb.set(pos, old_float)
             if current > global_best:
                 global_best, best_values, best_restart = current, tuple(values), restart
             trace.append(global_best)
+        counts.append(MoveCounts(accepted, config.iterations - accepted, fallbacks))
 
     assert best_values is not None
     best_weight = StepWeight(config.shape, best_values)
@@ -162,4 +222,5 @@ def hill_climb(config: SearchConfig) -> SearchResult:
         exact_objective=exact,
         best_restart=best_restart,
         trace=tuple(trace),
+        restart_counts=tuple(counts),
     )

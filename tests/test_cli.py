@@ -186,6 +186,11 @@ def test_search_command(tmp_path):
     trace_lines = (out / "trace.csv").read_text().splitlines()
     assert trace_lines[1] == "iteration,objective"
     assert len(trace_lines) == 2 + 400
+    # the move counters live in the manifest only
+    restarts = json.loads((out / "manifest.json").read_text())["search"]["restarts"]
+    assert len(restarts) == 2
+    assert all(r["accepted"] + r["rejected"] == 200 and r["fallbacks"] >= 0 for r in restarts)
+    assert "accepted" not in (out / "summary.json").read_text()
 
 
 def test_search_violation_exits_1_with_counterexample(tmp_path, monkeypatch):
@@ -293,6 +298,29 @@ def test_unusable_output_or_weight_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 7 and all(line.startswith("error: ") for line in err)
     assert taken.read_text() == "a file, not a directory\n"
+
+
+def _unwritable(out, name):
+    """An output directory whose data file ``name`` is taken by a directory."""
+    (out / name).mkdir(parents=True)
+    return out
+
+
+def test_verify_unwritable_report_exits_2(tmp_path, capsys):
+    out = _unwritable(tmp_path / "run", "report.csv")
+    assert run_cli(["verify", "--k", "2", "--depth", "2", "--trials", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "report.csv" in err and "Traceback" not in err
+    assert not (out / "counterexample.txt").exists()
+
+
+def test_search_unwritable_trace_exits_2(tmp_path, capsys):
+    out = _unwritable(tmp_path / "run", "trace.csv")
+    assert run_cli(["search", "--k", "2", "--depth", "2", "--iters", "5", "--restarts", "1",
+                    "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write ") and "trace.csv" in err and "Traceback" not in err
+    assert not (out / "counterexample.txt").exists()
 
 
 def test_huge_decimal_exponents_exit_2_before_fraction_sees_them(tmp_path, monkeypatch, capsys):

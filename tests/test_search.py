@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import random
+
 import pytest
 from hypothesis import given
 
@@ -14,7 +16,38 @@ from treea1 import (
     objective_exact,
     scale,
 )
-from treea1.search import _objective_float
+from treea1.search import _FLOAT_SLACK, _FloatClimb
+
+
+def _objective_float(k: int, m: int, values: list[float]) -> float:
+    """The climb's float objective re-evaluated from scratch: the reference for `_FloatClimb`.
+
+    This is the evaluator the climb ran before its state became incremental,
+    moved here unchanged; every `trace.csv` digest was recorded with it.
+    """
+    # maximal function via level sums and a top-down running max
+    sums = values
+    averages = [values]
+    for _ in range(m):
+        sums = [sum(sums[k * i + j] for j in range(k)) for i in range(len(sums) // k)]
+        width = len(values) // len(sums)
+        averages.append([s / width for s in sums])
+    averages.reverse()
+    running = averages[0]
+    for level in range(1, m + 1):
+        running = [max(running[i // k], a) for i, a in enumerate(averages[level])]
+    c = max(mf / v for mf, v in zip(running, values))
+    bound = k * c - k + 1
+
+    # sup of prefix-average ratios over sorted leaf boundaries; boundaries
+    # interior to a constant run can only tie or lose, so no coalescing needed
+    ordered = sorted(values, reverse=True)
+    best = 1.0
+    prefix = 0.0
+    for j in range(1, len(ordered)):
+        prefix += ordered[j - 1]
+        best = max(best, (prefix / j) / ordered[j])
+    return best / bound
 
 
 def test_objective_examples():
@@ -36,8 +69,31 @@ def test_objective_scaling_invariance(w):
 
 @given(step_weights())
 def test_float_evaluator_tracks_exact_objective(w):
-    fast = _objective_float(w.shape.k, w.shape.m, [float(v) for v in w.leaf_values])
+    fast = _FloatClimb(w.shape.k, w.shape.m, [float(v) for v in w.leaf_values]).score()
     assert fast == pytest.approx(float(objective_exact(w)), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("k, m", [(2, 1), (2, 6), (2, 8), (3, 4), (4, 2)])
+def test_incremental_climb_equals_full_reevaluation(k, m):
+    # seeded random walks with kept and undone moves, compared with == at every
+    # step: the climb's trace is digest-pinned, so no rounding may differ
+    rng = random.Random(1000 * k + m)
+    n = k**m
+    values = [float(rng.randint(1, 16)) for _ in range(n)]
+    climb = _FloatClimb(k, m, values)
+    assert climb.score() == _objective_float(k, m, values)
+    for _ in range(1500):
+        pos = rng.randrange(n)
+        # equal leaves now and then, so sorted runs and tied minima are exercised too
+        x = values[rng.randrange(n)] if rng.random() < 0.1 else values[pos] * rng.uniform(0.7, 1.3)
+        old = climb.set(pos, x)
+        assert old == values[pos]
+        values[pos] = x
+        assert climb.score() == _objective_float(k, m, values)
+        if rng.random() < 0.5:
+            assert climb.set(pos, old) == x
+            values[pos] = old
+            assert climb.score() == _objective_float(k, m, values)
 
 
 def test_config_validation():
@@ -85,3 +141,22 @@ def test_hill_climb_best_reverifies_exactly():
     assert result.exact_objective <= 1
     assert result.best_objective <= 1 + 2.0**-40
     assert objective_exact(result.best_weight) == result.exact_objective
+
+
+def test_hill_climb_counts_every_move_per_restart():
+    config = SearchConfig(shape=make_shape(2, 3), iterations=250, restarts=3, seed=9)
+    result = hill_climb(config)
+    assert len(result.restart_counts) == 3
+    for counts in result.restart_counts:
+        assert counts.accepted + counts.rejected == 250
+        assert counts.accepted > 0 and counts.rejected > 0
+
+
+def test_hill_climb_counts_exact_fallbacks(monkeypatch):
+    config = SearchConfig(shape=make_shape(2, 2), iterations=20, restarts=2, seed=3)
+    assert all(counts.fallbacks == 0 for counts in hill_climb(config).restart_counts)
+    monkeypatch.setattr(_FloatClimb, "score", lambda self: 1 + 2 * _FLOAT_SLACK)
+    result = hill_climb(config)
+    # every evaluation, the start of each restart included, took the exact path
+    assert [counts.fallbacks for counts in result.restart_counts] == [21, 21]
+    assert result.best_objective == float(result.exact_objective) <= 1
