@@ -168,7 +168,7 @@ def _cmd_extremal(args) -> int:
     c = as_fraction(args.c)
     if args.mode == "exact":
         depths = [2]
-        deltas = [Fraction(1, args.k**2)]
+        deltas = [Fraction(1, make_shape(args.k, 2).leaf_count)]  # 1/k**2, once make_shape has refused k < 2
     else:
         depths = _parse_int_list(args.depths)
         deltas = _parse_rational_list(args.delta_steps) if args.delta_steps else None
@@ -235,7 +235,7 @@ def _cmd_search(args) -> int:
 
 
 def _audit_json(audit) -> dict:
-    payload = {
+    return {
         "t": str(audit.t),
         "level_value": str(audit.level_value),
         "threshold": str(audit.threshold),
@@ -253,7 +253,6 @@ def _audit_json(audit) -> dict:
         },
         "passed": audit.passed,
     }
-    return payload
 
 
 def _cmd_inspect(args) -> int:

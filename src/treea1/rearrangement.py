@@ -1,13 +1,12 @@
 """Decreasing rearrangement of step weights on (0, 1].
 
-The rearranged function is kept as ordered (measure, value) pieces with the
+The rearranged function is non-increasing, made of ordered pieces with the
 left-continuous convention: the value of piece i holds on the half-open
-interval (boundary_{i-1}, boundary_i].  Prefix averages and the sup of
-(prefix average)/(value) are evaluated analytically at piece boundaries, so
-the supremum is exact even when it is a one-sided limit that no single t
-attains.  A :class:`RearrangedProfile` keeps its pieces as ints at one scale
-too, like a :class:`~treea1.maximal.WeightAnalysis`, and every computation on
-it reads those ints; only the pieces and reported results are ``Fraction``s.
+interval (boundary_{i-1}, boundary_i].  A :class:`RearrangedProfile` holds it
+in one format, int tables at one reduced scale, which :func:`rearrange` takes
+from ``analyze(w)`` as they are.  Prefix averages and the sup of (prefix
+average)/(value) are evaluated on those ints at piece boundaries, so the
+supremum is exact even when it is a one-sided limit that no single t attains.
 :func:`rearrange_oracle` stays in ``Fraction`` arithmetic and shares no code
 with :func:`rearrange`.
 """
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -36,42 +35,49 @@ class Piece(NamedTuple):
 
 @dataclass(frozen=True)
 class RearrangedProfile:
-    """Ordered pieces of a non-increasing step function of total measure 1.
+    """A non-increasing step function of total measure 1, as int tables at one scale.
 
-    The constructor also keeps the pieces as int attributes at one scale:
-    with ``n`` the lcm of the measure denominators and ``unit`` that of the
-    value denominators, piece i covers ``cells[i]`` cells of width 1/n, the
-    first ``cumulative_cells[i]`` cells end at its right boundary, its value
-    is ``scaled_values[i] / unit`` and the integral up to that boundary is
-    ``scaled_integrals[i] / (n * unit)``.  They are not dataclass fields, so
-    equality, hashing and the repr read the pieces alone.
+    Piece i covers ``cells[i]`` cells of width 1/n and has value
+    ``scaled_values[i] / unit``.  The constructor validates the tables and
+    divides ``n`` and ``unit`` by their gcd with the cells and the values, so
+    they are the lcms of the measure and value denominators and equal
+    functions have equal fields.  It derives ``cumulative_cells[i]``, the cells
+    up to piece i's right boundary, and ``scaled_integrals[i]``, the integral
+    up to there times ``n * unit``.  ``pieces`` is a ``Fraction`` view.
     """
 
-    pieces: tuple[Piece, ...]
+    n: int
+    unit: int
+    cells: tuple[int, ...]
+    scaled_values: tuple[int, ...]
 
     def __post_init__(self):
-        # a Fraction is kept as it is; only other types go through the slower as_fraction
-        pieces = tuple(Piece(*(x if type(x) is Fraction else as_fraction(x) for x in p)) for p in self.pieces)
-        if not pieces:
+        n, unit, cells, values = self.n, self.unit, tuple(self.cells), tuple(self.scaled_values)
+        if not cells:
             raise ParameterError("profile needs at least one piece")
-        n = lcm(*(measure.denominator for measure, _ in pieces))
-        unit = lcm(*(value.denominator for _, value in pieces))
-        cells = tuple(measure.numerator * (n // measure.denominator) for measure, _ in pieces)
-        values = tuple(value.numerator * (unit // value.denominator) for _, value in pieces)
-        for (measure, value), cell, scaled in zip(pieces, cells, values):
+        ints = (n, unit, *cells, *values)
+        if len(values) != len(cells) or any(type(x) is not int for x in ints) or min(n, unit) < 1:
+            raise ParameterError("profile needs ints, positive n and unit, and one value per cell count")
+        for cell, value in zip(cells, values):
             if cell <= 0:
-                raise ParameterError(f"piece measures must be positive, got {measure}")
-            if scaled <= 0:
-                raise ParameterError(f"piece values must be positive, got {value}")
+                raise ParameterError(f"piece measures must be positive, got {Fraction(cell, n)}")
+            if value <= 0:
+                raise ParameterError(f"piece values must be positive, got {Fraction(value, unit)}")
+        g, h = gcd(n, *cells), gcd(unit, *values)
+        n, unit, cells, values = n // g, unit // h, tuple(c // g for c in cells), tuple(v // h for v in values)
         if any(lo >= hi for hi, lo in zip(values, values[1:])):
             raise ParameterError("piece values must be strictly decreasing")
         cumulative = tuple(accumulate(cells))
         if cumulative[-1] != n:
             raise ParameterError("piece measures must sum exactly to 1")
-        scaled_integrals = tuple(accumulate(cell * value for cell, value in zip(cells, values)))
-        for name, attr in dict(pieces=pieces, n=n, unit=unit, cells=cells, cumulative_cells=cumulative,
-                               scaled_values=values, scaled_integrals=scaled_integrals).items():
-            object.__setattr__(self, name, attr)
+        self.__dict__.update(n=n, unit=unit, cells=cells, scaled_values=values, cumulative_cells=cumulative,
+                             scaled_integrals=tuple(accumulate(cell * value for cell, value in zip(cells, values))))
+
+    @cached_property
+    def pieces(self) -> tuple[Piece, ...]:
+        """The (measure, value) pieces as ``Fraction``s, built on first read, for output and the oracles."""
+        n, unit = self.n, self.unit
+        return tuple(Piece(Fraction(c, n), Fraction(v, unit)) for c, v in zip(self.cells, self.scaled_values))
 
     @cached_property
     def boundaries(self) -> tuple[Fraction, ...]:
@@ -89,7 +95,7 @@ class RearrangedProfile:
     def value_at(self, t) -> Fraction:
         """Value at t under the left-continuous convention."""
         t = _check_t(t)
-        return self.pieces[self._piece_index(t)].value
+        return Fraction(self.scaled_values[self._piece_index(t)], self.unit)
 
 
 def _check_t(t) -> Fraction:
@@ -104,16 +110,13 @@ def rearrange(w: StepWeight | WeightAnalysis) -> RearrangedProfile:
 
     Each leaf carries measure k**(-m); the resulting profile is equimeasurable
     with the weight and has the same total integral.  The leaves are read as
-    the ints of ``analyze(w)``, so equal values are counted and sorted as ints
-    before the pieces are built.
+    the ints of ``analyze(w)``: equal values are counted and sorted as ints and
+    the profile gets them as they are, counts over n leaves and values over unit.
     """
     a = analyze(w)
-    leaves = a.scaled_averages[-1]
-    counts = Counter(leaves)
-    n = len(leaves)
-    return RearrangedProfile(
-        tuple(Piece(Fraction(counts[x], n), Fraction(x, a.unit)) for x in sorted(counts, reverse=True))
-    )
+    counts = Counter(a.scaled_averages[-1])
+    values = sorted(counts, reverse=True)
+    return RearrangedProfile(a.weight.shape.leaf_count, a.unit, tuple(counts[x] for x in values), tuple(values))
 
 
 def rearrange_oracle(w: StepWeight, t) -> Fraction:
@@ -181,7 +184,7 @@ def profile_to_text(profile: RearrangedProfile) -> str:
 
 
 def profile_from_text(text: str) -> RearrangedProfile:
-    """Parse the serialization produced by :func:`profile_to_text` (exact round-trip)."""
+    """Parse the serialization of :func:`profile_to_text` (exact round-trip), clearing denominators by their lcm."""
     pieces = []
     for line in text.splitlines():
         line = line.strip()
@@ -193,7 +196,9 @@ def profile_from_text(text: str) -> RearrangedProfile:
         pieces.append((as_fraction(parts[0]), as_fraction(parts[1])))
     if not pieces:
         raise ParameterError("profile record contains no pieces")
-    return RearrangedProfile(tuple(pieces))
+    measures, values = zip(*pieces)
+    n, unit = lcm(*(x.denominator for x in measures)), lcm(*(x.denominator for x in values))
+    return RearrangedProfile(n, unit, tuple(int(x * n) for x in measures), tuple(int(x * unit) for x in values))
 
 
 def kadic_constant(profile: RearrangedProfile, k: int, depth: int) -> Fraction:

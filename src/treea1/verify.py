@@ -260,7 +260,7 @@ def check_rearrangement_bound(
             while profile.boundaries[piece] < t:
                 piece, level = piece + 1, None
             if level is None:
-                level = _level_audit(report, profile.pieces[piece].value)
+                level = _level_audit(report, piece)
             audits.append(_audit_at(report, level, t, piece))
         report = replace(report, audits=tuple(audits))
     return report
@@ -318,16 +318,16 @@ def audit_superlevel(w: StepWeight | WeightAnalysis | VerificationReport, t) -> 
     report = w if isinstance(w, VerificationReport) else check_rearrangement_bound(w)
     t = _check_t(t)
     piece = report.profile._piece_index(t)
-    return _audit_at(report, _level_audit(report, report.profile.pieces[piece].value), t, piece)
+    return _audit_at(report, _level_audit(report, piece), t, piece)
 
 
-def _level_audit(report: VerificationReport, lam: Fraction) -> dict:
-    """The SuperlevelAudit fields that depend on t only through the level w*(t) = lam.
+def _level_audit(report: VerificationReport, piece: int) -> dict:
+    """The SuperlevelAudit fields that depend on t only through its piece, whose value is the level w*(t) = lam.
 
     Leaves are compared as the analysis's ints: lam and the threshold are
     leaf-level values times rationals, so ``x > threshold`` is ``x * q > p * unit``.
     """
-    a = report.analysis
+    a, lam = report.analysis, Fraction(report.profile.scaled_values[piece], report.profile.unit)
     k, m = a.weight.shape.k, a.weight.shape.m
     unit, leaves = a.unit, a.scaled_averages[-1]
     n = len(leaves)

@@ -64,11 +64,11 @@ def refine(w: StepWeight, levels: int = 1) -> StepWeight:
     Each leaf splits into k equal children carrying the same value, so the
     represented function is unchanged.
     """
-    if not isinstance(levels, int) or levels < 1:
+    if not isinstance(levels, int) or isinstance(levels, bool) or levels < 1:
         raise ParameterError(f"refinement levels must be a positive integer, got {levels!r}")
+    shape = make_shape(w.shape.k, w.shape.m + levels)  # refuses too many leaves before k**levels is formed
     repeat = w.shape.k**levels
-    values = tuple(v for v in w.leaf_values for _ in range(repeat))
-    return StepWeight(make_shape(w.shape.k, w.shape.m + levels), values)
+    return StepWeight(shape, tuple(v for v in w.leaf_values for _ in range(repeat)))
 
 
 def random_weight(shape: TreeShape, seed: int, grid: Iterable) -> StepWeight:
@@ -117,11 +117,9 @@ class ExtremalParams:
     depth: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ParameterError(f"homogeneity k must be an integer >= 2, got {self.k!r}")
         if not isinstance(self.depth, int) or self.depth < 2:
             raise ParameterError(f"depth must be an integer >= 2, got {self.depth!r}")
-        make_shape(self.k, self.depth)  # refuses too many leaves before k**depth is formed
+        make_shape(self.k, self.depth)  # refuses a bad k, and too many leaves before k**depth is formed
         for name in ("c", "eps", "alpha", "delta"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.c < 1:
@@ -186,12 +184,10 @@ def extremal_family(params: ExtremalParams) -> StepWeight:
     shape = make_shape(k, depth)
     grandchild = k ** (depth - 2)
     values = [params.eps] * shape.leaf_count
-    for leaf in range(params.high_leaf_count):
-        values[leaf] = params.alpha
+    values[: params.high_leaf_count] = [params.alpha] * params.high_leaf_count
     for branch in range(1, k):
         start = branch * k * grandchild
-        for leaf in range(start, start + grandchild):
-            values[leaf] = params.alpha
+        values[start : start + grandchild] = [params.alpha] * grandchild
     return StepWeight(shape, tuple(values))
 
 

@@ -161,8 +161,13 @@ def test_extremal_violation_exits_1_with_counterexample(tmp_path, monkeypatch):
     assert manifest["outputs"] == ["counterexample.txt"]
 
 
-def test_extremal_usage_errors(tmp_path):
+def test_extremal_usage_errors(tmp_path, capsys):
     assert run_cli(["extremal", "--k", "2", "--c", "0.5", "--out", str(tmp_path / "x")]) == 2
+    for mode in ("exact", "paper"):  # k is refused before 1/k**2 is formed
+        out = tmp_path / f"k0-{mode}"
+        assert run_cli(["extremal", "--k", "0", "--c", "2", "--mode", mode, "--out", str(out)]) == 2
+        assert "error: homogeneity k must be an integer >= 2" in capsys.readouterr().err
+        assert not (out / "counterexample.txt").exists()
     assert run_cli(
         ["extremal", "--k", "2", "--c", "2", "--mode", "paper", "--depths", "4",
          "--delta-steps", "1/3", "--out", str(tmp_path / "y")]

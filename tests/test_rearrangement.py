@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from treea1 import (
     ParameterError,
     RearrangedProfile,
     a1_constant,
+    check_rearrangement_bound,
     extremal_exact,
     extremal_family,
     kadic_constant,
@@ -36,31 +38,56 @@ def test_rearrange_examples():
 
 
 def test_profile_validation():
-    with pytest.raises(ParameterError):
-        RearrangedProfile(())
-    with pytest.raises(ParameterError):
-        RearrangedProfile(((Fraction(1, 2), 2), (Fraction(1, 4), 1)))  # mass != 1
-    with pytest.raises(ParameterError):
-        RearrangedProfile(((Fraction(1, 2), 1), (Fraction(1, 2), 2)))  # increasing
-    with pytest.raises(ParameterError):
-        RearrangedProfile(((Fraction(1, 2), 2), (Fraction(1, 2), 2)))  # not coalesced
-    with pytest.raises(ParameterError):
-        RearrangedProfile(((1, 0),))
-    with pytest.raises(ParameterError, match="measures must be positive"):
-        RearrangedProfile(((Fraction(3, 2), 2), (Fraction(-1, 2), 1)))  # sums to 1
-    with pytest.raises(ParameterError, match="values must be positive"):
-        RearrangedProfile(((Fraction(1, 2), 2), (Fraction(1, 2), 0)))  # decreasing down to 0
+    # each refusal through the int constructor and through text, with the same message
+    cases = [
+        ((1, 1, (), ()), "", "needs at least one piece|contains no pieces"),
+        ((4, 1, (2, 1), (2, 1)), "1/2 2\n1/4 1", "sum exactly to 1"),
+        ((2, 1, (1, 1), (1, 2)), "1/2 1\n1/2 2", "strictly decreasing"),
+        ((2, 1, (1, 1), (2, 2)), "1/2 2\n1/2 2", "strictly decreasing"),  # not coalesced
+        ((1, 1, (1,), (0,)), "1 0", "values must be positive, got 0"),
+        ((2, 1, (3, -1), (2, 1)), "3/2 2\n-1/2 1", "measures must be positive, got -1/2"),  # sums to 1
+        ((2, 1, (1, 1), (2, 0)), "1/2 2\n1/2 0", "values must be positive, got 0"),  # decreasing down to 0
+    ]
+    for args, text, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            RearrangedProfile(*args)
+        with pytest.raises(ParameterError, match=message):
+            profile_from_text(text)
+    # the int tables themselves: ints only, a positive scale, one value per cell count
+    for args in ((2, 1, (1.0, 1.0), (3, 1)), (2, 1, (1, 1), (Fraction(3), 1)), (True, 1, (1,), (1,)),
+                 (0, 1, (0,), (1,)), (1, 0, (1,), (1,)), (1, -1, (1,), (1,)), (2, 1, (1, 1), (3,))):
+        with pytest.raises(ParameterError, match="profile needs ints"):
+            RearrangedProfile(*args)
+
+
+def test_profile_reduces_its_scale():
+    profile = RearrangedProfile(8, 6, (4, 4), (18, 6))  # 1/2 at 3 and 1/2 at 1, over a finer scale
+    assert profile == rearrange(extremal_exact(2, 2))
+    assert (profile.n, profile.unit, profile.cells, profile.scaled_values) == (2, 1, (1, 1), (3, 1))
+    assert (profile.cumulative_cells, profile.scaled_integrals) == ((1, 2), (3, 4))
+    assert [field.name for field in dataclasses.fields(profile)] == ["n", "unit", "cells", "scaled_values"]
+    assert hash(profile) == hash(RearrangedProfile(2, 1, [1, 1], [3, 1]))
+
+
+def test_profile_pieces_are_a_view_the_checks_do_not_build():
+    profile = check_rearrangement_bound(extremal_exact(2, 2), properties=True, with_audits=True).profile
+    assert "pieces" not in profile.__dict__
+    assert profile.pieces == ((Fraction(1, 2), 3), (Fraction(1, 2), 1))
+    assert all(type(x) is Fraction for piece in profile.pieces for x in piece)
+    const = rearrange(make_step_weight(make_shape(2, 2), [4] * 4))
+    assert (const.n, const.unit, const.cells, const.scaled_values) == (1, 1, (1,), (4,))
 
 
 def test_profile_coerces_ints_and_strings_through_as_fraction():
-    profile = RearrangedProfile((("1/2", 3), (Fraction(1, 2), "1")))
+    # text is the one way in for rationals; floats are refused by the int constructor above
+    profile = profile_from_text("1/2 3\n0.5 1.0\n")
     assert profile == rearrange(extremal_exact(2, 2))
-    assert all(type(x) is Fraction for piece in profile.pieces for x in piece)
     assert (profile.n, profile.unit, profile.scaled_values) == (2, 1, (3, 1))
-    assert RearrangedProfile(((1, "7/3"),)).scaled_values == (7,)
-    for bad in ((("1/2", 3), ("1/2", "one")), ((0.5, 3), (0.5, 1)), (("1/0", 1),)):
+    assert profile_from_text("1 7/3\n").scaled_values == (7,)
+    assert profile_from_text("1 7/3\n").unit == 3
+    for bad in ("1/2 3\n1/2 one\n", "1/0 1\n", "1 1e2000\n"):
         with pytest.raises(ParameterError):
-            RearrangedProfile(bad)
+            profile_from_text(bad)
 
 
 @given(step_weights())
@@ -130,7 +157,7 @@ def test_sup_ratio_examples():
         Fraction(1, 3),
     )
     # both inner boundaries give ratio 2; a tie keeps the first
-    tie = RearrangedProfile(((Fraction(1, 3), 4), (Fraction(1, 3), 2), (Fraction(1, 3), Fraction(3, 2))))
+    tie = RearrangedProfile(3, 2, (1, 1, 1), (8, 4, 3))  # 4, 2 and 3/2 on thirds
     assert sup_ratio(tie) == (2, Fraction(1, 3))
 
 

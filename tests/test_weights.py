@@ -205,6 +205,10 @@ def test_refine_repeats_values():
     w = make_step_weight(make_shape(2, 1), [2, 5])
     assert refine(w).leaf_values == (2, 2, 5, 5)
     assert refine(w, 2).leaf_values == (2,) * 4 + (5,) * 4
+    # a bool is not a level count, and a shape too deep is refused before its leaves are formed
+    for bad in (True, 0, 10**6):
+        with pytest.raises(ParameterError):
+            refine(w, bad)
 
 
 def test_scale_multiplies_values():
