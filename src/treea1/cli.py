@@ -1,10 +1,10 @@
 """Command-line interface: verification campaigns, extremal sweeps, search, inspection.
 
 Exit codes: 0 all checks passed, 1 a mathematical check failed (a
-counterexample file is written), 2 usage or parameter error.  Every command
-that writes data files also writes a ``manifest.json`` sidecar; identical
-flags and seed reproduce the data files byte for byte (timestamps live only
-in the manifest).
+counterexample file is written), 2 usage or parameter error (a refused run
+leaves no directory it created).  Every command that writes data files also
+writes a ``manifest.json`` sidecar; identical flags and seed reproduce the
+data files byte for byte (timestamps live only in the manifest).
 """
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from pathlib import Path
 from . import __version__
 from .errors import ParameterError, ViolationError
 from .rationals import as_fraction, decimal_string
-from .rearrangement import profile_to_text
 from .search import SearchConfig, hill_climb
 from .tree import make_shape
 from .verify import (
@@ -72,99 +71,92 @@ def _write_file(path: Path, text: str) -> None:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list[str]]) -> None:
+def _csv(header: list[str], rows: list[list[str]]) -> str:
     lines = [f"# manifest: {MANIFEST_NAME}", ",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    _write_file(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_manifest(
-    outdir: Path, command: str, parameters: dict, seed, outputs: list[str], started: float, **extra
-) -> None:
-    """Write manifest.json; ``extra`` keys (a campaign's ``workers``, a search's counts) are recorded as given."""
-    manifest = {
-        "command": command,
-        "parameters": parameters,
-        "seed": seed,
-        "artifact_version": __version__,
-        "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
-        "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time())),
-        "outputs": sorted(outputs),
-    }
-    manifest.update(extra)
-    _write_file(outdir / MANIFEST_NAME, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+def _run(args, command: str, parameters: dict, seed, job) -> int:
+    """The one writing path of every command with ``--out``.
 
-
-def _write_counterexample(
-    outdir: Path, command: str, parameters: dict, seed, exc: ViolationError, started: float
-) -> int:
-    """Write counterexample.txt and its manifest for a failed check; returns exit code 1."""
-    counter = outdir / "counterexample.txt"
-    _write_file(counter, exc.weight_text + f"check: {exc.check}\ndetail: {exc.detail}\n")
-    _write_manifest(outdir, command, parameters, seed, [counter.name], started)
-    print(f"violation: {exc}", file=sys.stderr)
-    print(f"counterexample written to {counter}", file=sys.stderr)
-    return 1
-
-
-def _outdir(args) -> Path:
+    ``job()`` returns (data files by name -> text, extra manifest keys, stdout
+    lines).  The directory is made before the job runs; a failed check
+    writes ``counterexample.txt`` instead of the data files and gives exit 1.
+    The manifest comes last and names the files written.  A refused run
+    (ParameterError) removes the directories it created, if still empty.
+    """
+    started = time.time()
     outdir = Path(args.out)
+    created: list[Path] = []
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ParameterError(f"cannot use output directory {args.out!r}: {exc}") from exc
-    return outdir
+        try:
+            created = [path for path in (outdir, *outdir.parents) if not path.exists()]  # deepest first
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ParameterError(f"cannot use output directory {args.out!r}: {exc}") from exc
+        try:
+            files, extra, lines = job()
+            code, stream = 0, sys.stdout
+        except ViolationError as exc:
+            counter = outdir / "counterexample.txt"
+            files, extra = {counter.name: exc.weight_text + f"check: {exc.check}\ndetail: {exc.detail}\n"}, {}
+            lines = [f"violation: {exc}", f"counterexample written to {counter}"]
+            code, stream = 1, sys.stderr
+        for name, text in files.items():
+            _write_file(outdir / name, text)
+        manifest = {
+            "command": command,
+            "parameters": parameters,
+            "seed": seed,
+            "artifact_version": __version__,
+            "started_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
+            "finished_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(time.time())),
+            "outputs": sorted(files),
+            **extra,
+        }
+        _write_file(outdir / MANIFEST_NAME, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    except ParameterError:
+        for path in created:
+            try:
+                path.rmdir()
+            except OSError:  # not empty, or never made
+                break
+        raise
+    for line in lines:
+        print(line, file=stream)
+    return code
 
 
 def _cmd_verify(args) -> int:
-    started = time.time()
-    outdir = _outdir(args)
     grid = _parse_rational_list(args.grid)
     make_shape(args.k, args.depth)
-    parameters = {
-        "k": args.k,
-        "depth": args.depth,
-        "trials": args.trials,
-        "grid": [str(g) for g in grid],
-        "exhaustive": args.exhaustive,
-        "threads": args.threads,
-    }
-    try:
-        summary = fuzz_campaign(
-            args.k,
-            args.depth,
-            args.trials,
-            args.seed,
-            grid,
-            checks=ALL_CHECKS,
-            exhaustive=args.exhaustive,
-            threads=args.threads,
-        )
-    except ViolationError as exc:
-        return _write_counterexample(outdir, "verify", parameters, args.seed, exc, started)
+    parameters = {"k": args.k, "depth": args.depth, "trials": args.trials, "grid": [str(g) for g in grid],
+                  "exhaustive": args.exhaustive, "threads": args.threads}
 
-    header = ["trial", "weight_hash"] + _rational_header(_REPORT_RATIONALS) + list(_REPORT_FLAGS)
-    rows = [
-        [str(row.index), row.weight_hash]
-        + _rational_cells(row, _REPORT_RATIONALS)
-        + [_bool_cell(getattr(row, name)) for name in _REPORT_FLAGS]
-        for row in summary.rows
-    ]
-    report = outdir / "report.csv"
-    _write_csv(report, header, rows)
-    _write_manifest(outdir, "verify", parameters, None if args.exhaustive else args.seed, [report.name], started,
-                    workers=summary.workers)
-    worst = str(summary.worst_margin) if summary.worst_margin is not None else "n/a"
-    print(f"{len(summary.rows)} weights checked, zero violations, worst margin {worst}")
-    print(f"{sum(1 for row in summary.rows if row.margin == 0)} weights attain the bound exactly")
-    if summary.worst_weight_text is not None:
-        print(f"worst-margin weight: {summary.worst_weight_text.strip()}")
-    return 0
+    def job():
+        summary = fuzz_campaign(args.k, args.depth, args.trials, args.seed, grid, checks=ALL_CHECKS,
+                                exhaustive=args.exhaustive, threads=args.threads)
+        header = ["trial", "weight_hash"] + _rational_header(_REPORT_RATIONALS) + list(_REPORT_FLAGS)
+        rows = [
+            [str(row.index), row.weight_hash]
+            + _rational_cells(row, _REPORT_RATIONALS)
+            + [_bool_cell(getattr(row, name)) for name in _REPORT_FLAGS]
+            for row in summary.rows
+        ]
+        worst = str(summary.worst_margin) if summary.worst_margin is not None else "n/a"
+        lines = [
+            f"{len(summary.rows)} weights checked, zero violations, worst margin {worst}",
+            f"{sum(1 for row in summary.rows if row.margin == 0)} weights attain the bound exactly",
+        ]
+        if summary.worst_weight_text is not None:
+            lines.append(f"worst-margin weight: {summary.worst_weight_text.strip()}")
+        return {"report.csv": _csv(header, rows)}, {"workers": summary.workers}, lines
+
+    return _run(args, "verify", parameters, None if args.exhaustive else args.seed, job)
 
 
 def _cmd_extremal(args) -> int:
-    started = time.time()
-    outdir = _outdir(args)
     c = as_fraction(args.c)
     if args.mode == "exact":
         depths = [2]
@@ -172,66 +164,43 @@ def _cmd_extremal(args) -> int:
     else:
         depths = _parse_int_list(args.depths)
         deltas = _parse_rational_list(args.delta_steps) if args.delta_steps else None
-    parameters = {
-        "k": args.k,
-        "c": str(c),
-        "mode": args.mode,
-        "depths": depths,
-        "delta_steps": [str(d) for d in deltas] if deltas else None,
-    }
-    try:
+    parameters = {"k": args.k, "c": str(c), "mode": args.mode, "depths": depths,
+                  "delta_steps": [str(d) for d in deltas] if deltas else None}
+
+    def job():
         rows = sharpness_sweep(args.k, c, depths, deltas)
-    except ViolationError as exc:
-        return _write_counterexample(outdir, "extremal", parameters, None, exc, started)
-    header = ["depth"] + _rational_header(_SWEEP_RATIONALS)
-    table = [[str(row.depth)] + _rational_cells(row, _SWEEP_RATIONALS) for row in rows]
-    sweep = outdir / "sweep.csv"
-    _write_csv(sweep, header, table)
-    _write_manifest(outdir, "extremal", parameters, None, [sweep.name], started)
-    print(f"{len(rows)} sweep rows written to {sweep}")
-    return 0
+        header = ["depth"] + _rational_header(_SWEEP_RATIONALS)
+        table = [[str(row.depth)] + _rational_cells(row, _SWEEP_RATIONALS) for row in rows]
+        sweep = Path(args.out) / "sweep.csv"
+        return {sweep.name: _csv(header, table)}, {}, [f"{len(rows)} sweep rows written to {sweep}"]
+
+    return _run(args, "extremal", parameters, None, job)
 
 
 def _cmd_search(args) -> int:
-    started = time.time()
-    outdir = _outdir(args)
-    config = SearchConfig(
-        shape=make_shape(args.k, args.depth),
-        iterations=args.iters,
-        restarts=args.restarts,
-        seed=args.seed,
-    )
+    config = SearchConfig(shape=make_shape(args.k, args.depth), iterations=args.iters, restarts=args.restarts,
+                          seed=args.seed)
     parameters = {"k": args.k, "depth": args.depth, "iters": args.iters, "restarts": args.restarts}
-    try:
-        result = hill_climb(config)
-    except ViolationError as exc:
-        return _write_counterexample(outdir, "search", parameters, args.seed, exc, started)
 
-    trace = outdir / "trace.csv"
-    _write_csv(trace, ["iteration", "objective"], [[str(i), repr(v)] for i, v in enumerate(result.trace)])
-    best = outdir / "best_weight.txt"
-    _write_file(best, weight_to_text(result.best_weight))
-    summary = outdir / "summary.json"
-    _write_file(
-        summary,
-        json.dumps(
-            {
-                "manifest": MANIFEST_NAME,
-                "best_objective": result.best_objective,
-                "exact_objective": str(result.exact_objective),
-                "exact_objective_dec": decimal_string(result.exact_objective),
-                "objective_at_most_one": result.exact_objective <= 1,
-                "best_restart": result.best_restart,
-            },
-            sort_keys=True,
-            indent=2,
-        )
-        + "\n"
-    )
-    _write_manifest(outdir, "search", parameters, args.seed, [trace.name, best.name, summary.name], started,
-                    search={"restarts": [counts._asdict() for counts in result.restart_counts]})
-    print(f"best objective {result.best_objective:.6f} (exact {result.exact_objective})")
-    return 0
+    def job():
+        result = hill_climb(config)
+        summary = {
+            "manifest": MANIFEST_NAME,
+            "best_objective": result.best_objective,
+            "exact_objective": str(result.exact_objective),
+            "exact_objective_dec": decimal_string(result.exact_objective),
+            "objective_at_most_one": result.exact_objective <= 1,
+            "best_restart": result.best_restart,
+        }
+        files = {
+            "trace.csv": _csv(["iteration", "objective"], [[str(i), repr(v)] for i, v in enumerate(result.trace)]),
+            "best_weight.txt": weight_to_text(result.best_weight),
+            "summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
+        }
+        extra = {"search": {"restarts": [counts._asdict() for counts in result.restart_counts]}}
+        return files, extra, [f"best objective {result.best_objective:.6f} (exact {result.exact_objective})"]
+
+    return _run(args, "search", parameters, args.seed, job)
 
 
 def _audit_json(audit) -> dict:
@@ -255,6 +224,29 @@ def _audit_json(audit) -> dict:
     }
 
 
+def _inspect_lines(payload: dict) -> list[str]:
+    """Text mode of ``inspect``: the JSON payload rendered line by line."""
+    lines = [
+        f"weight on k={payload['k']}, depth={payload['depth']}: {' '.join(payload['leaf_values'])}",
+        f"a1 constant  {payload['a1_constant']}  (bound k*c-k+1 = {payload['bound']})",
+        f"maximal fn   {' '.join(payload['maximal_function'])}",
+        "stopping family:",
+    ]
+    for member in payload["stopping_family"]:
+        star = member["star"]
+        star_text = f"-> ({star[0]},{star[1]})" if star is not None else "(root)"
+        leaves = ",".join(str(i) for i in member["leaves"])
+        lines.append(f"  ({member['level']},{member['index']}) avg {member['average']} {star_text} leaves [{leaves}]")
+    lines.append("profile (measure value per line):")
+    lines.extend(f"  {measure} {value}" for measure, value in payload["profile"]["pieces"])
+    lines.append(f"sup ratio    {payload['sup_ratio']} at boundary t={payload['witness']}")
+    audit = payload.get("audit")
+    if audit is not None:
+        lines.append(f"audit at t={audit['t']}:")
+        lines.extend(f"  {key}: {value}" for key, value in audit.items() if key != "t")
+    return lines
+
+
 def _cmd_inspect(args) -> int:
     try:
         text = Path(args.weight).read_text()
@@ -262,62 +254,32 @@ def _cmd_inspect(args) -> int:
         raise ParameterError(f"cannot read weight file {args.weight!r}: {exc}") from exc
     w = weight_from_text(text)
     report = check_rearrangement_bound(w)
-    mf = report.analysis.maximal
     fam = report.analysis.family
     parts = fam.parts()
-    audit = audit_superlevel(report, args.t) if args.t is not None else None
-
-    if args.json:
-        payload = {
-            "k": w.shape.k,
-            "depth": w.shape.m,
-            "leaf_values": [str(v) for v in w.leaf_values],
-            "a1_constant": str(report.c),
-            "bound": str(report.bound),
-            "maximal_function": [str(v) for v in mf],
-            "stopping_family": [
-                {
-                    "level": node.level,
-                    "index": node.index,
-                    "average": str(fam.node_averages[node]),
-                    "star": [fam.star[node].level, fam.star[node].index] if node in fam.star else None,
-                    "leaves": list(parts.get(node, ())),
-                }
-                for node in fam.members
-            ],
-            "profile": {
-                "pieces": [[str(p.measure), str(p.value)] for p in report.profile.pieces]
-            },
-            "sup_ratio": str(report.sup_ratio),
-            "witness": str(report.witness),
-        }
-        if audit is not None:
-            payload["audit"] = _audit_json(audit)
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return 0
-
-    print(f"weight on k={w.shape.k}, depth={w.shape.m}: {' '.join(str(v) for v in w.leaf_values)}")
-    print(f"a1 constant  {report.c}  (bound k*c-k+1 = {report.bound})")
-    print(f"maximal fn   {' '.join(str(v) for v in mf)}")
-    print("stopping family:")
-    for node in fam.members:
-        star = fam.star.get(node)
-        star_text = f"-> ({star.level},{star.index})" if star is not None else "(root)"
-        leaves = ",".join(str(i) for i in parts.get(node, ()))
-        print(
-            f"  ({node.level},{node.index}) avg {fam.node_averages[node]} "
-            f"{star_text} leaves [{leaves}]"
-        )
-    print("profile (measure value per line):")
-    for line in profile_to_text(report.profile).splitlines():
-        print(f"  {line}")
-    print(f"sup ratio    {report.sup_ratio} at boundary t={report.witness}")
-    if audit is not None:
-        print(f"audit at t={audit.t}:")
-        for key, value in _audit_json(audit).items():
-            if key == "t":
-                continue
-            print(f"  {key}: {value}")
+    payload = {
+        "k": w.shape.k,
+        "depth": w.shape.m,
+        "leaf_values": [str(v) for v in w.leaf_values],
+        "a1_constant": str(report.c),
+        "bound": str(report.bound),
+        "maximal_function": [str(v) for v in report.analysis.maximal],
+        "stopping_family": [
+            {
+                "level": node.level,
+                "index": node.index,
+                "average": str(fam.node_averages[node]),
+                "star": [fam.star[node].level, fam.star[node].index] if node in fam.star else None,
+                "leaves": list(parts.get(node, ())),
+            }
+            for node in fam.members
+        ],
+        "profile": {"pieces": [[str(p.measure), str(p.value)] for p in report.profile.pieces]},
+        "sup_ratio": str(report.sup_ratio),
+        "witness": str(report.witness),
+    }
+    if args.t is not None:
+        payload["audit"] = _audit_json(audit_superlevel(report, args.t))
+    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else "\n".join(_inspect_lines(payload)))
     return 0
 
 
@@ -384,8 +346,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ViolationError as exc:
-        # commands with an output directory write counterexample files
-        # themselves; anything reaching here still reports the weight
+        # _run writes the counterexample of every command with --out;
+        # anything reaching here still reports the weight
         print(f"violation: {exc}", file=sys.stderr)
         print(exc.weight_text, file=sys.stderr, end="")
         return 1

@@ -31,7 +31,8 @@ from .rearrangement import (
 )
 from .tree import ROOT, NodeId, TreeShape, make_shape, node_measure
 from .weights import (
-    ExtremalParams, StepWeight, extremal_family, family_constant_formula, random_weight, weight_hash, weight_to_text
+    ExtremalParams, StepWeight, _canonical_grid, _draw, extremal_family, family_constant_formula, weight_hash,
+    weight_to_text,
 )
 
 ALL_CHECKS = ("stopping", "growth", "weak_type", "decomposition", "oracle", "kadic")
@@ -466,12 +467,13 @@ def _campaign_weight(
 ) -> StepWeight:
     """Weight number ``index`` of a campaign.
 
-    With seeds it is the trial's draw ``random_weight(shape, seeds[index], grid)``.
+    With seeds it is the trial's draw ``random_weight(shape, seeds[index], grid)``,
+    made without canonicalizing ``grid`` again.
     Without, it is the index-th grid weight in :func:`itertools.product` order:
     ``index`` read in base ``len(grid)``, the first leaf the most significant digit.
     """
     if seeds is not None:
-        return random_weight(shape, seeds[index], grid)
+        return _draw(shape, seeds[index], grid)
     values = []
     for _ in range(shape.leaf_count):
         index, digit = divmod(index, len(grid))
@@ -540,12 +542,7 @@ def fuzz_campaign(
     this process.  ``CampaignSummary.workers`` says how many it used.
     """
     shape = make_shape(k, m)
-    grid_values = sorted({as_fraction(g) for g in grid})
-    if not grid_values:
-        raise ParameterError("grid must contain at least one value")
-    for g in grid_values:
-        if g <= 0:
-            raise ParameterError(f"grid values must be positive, got {g}")
+    grid_values = _canonical_grid(grid)
     selected = _normalize_checks(checks)
     if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
         raise ParameterError(f"trials must be a non-negative integer, got {trials!r}")

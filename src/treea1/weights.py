@@ -78,12 +78,21 @@ def random_weight(shape: TreeShape, seed: int, grid: Iterable) -> StepWeight:
     is canonicalized (deduplicated, sorted) so the draw depends only on the
     set of values, not on iteration order.  Equal seeds give equal weights.
     """
+    return _draw(shape, seed, _canonical_grid(grid))
+
+
+def _canonical_grid(grid: Iterable) -> list[Fraction]:
+    """The distinct grid values in ascending order; refuses an empty grid or one with a value <= 0."""
     values = sorted({as_fraction(g) for g in grid})
     if not values:
         raise ParameterError("grid must contain at least one value")
-    for g in values:
-        if g <= 0:
-            raise ParameterError(f"grid values must be positive, got {g}")
+    if values[0] <= 0:
+        raise ParameterError(f"grid values must be positive, got {values[0]}")
+    return values
+
+
+def _draw(shape: TreeShape, seed: int, values: Sequence[Fraction]) -> StepWeight:
+    """The draw of :func:`random_weight` from a grid :func:`_canonical_grid` has already made."""
     # rng.randrange(n), unrolled: draw n.bit_length() bits until the draw is
     # below n, so the weights are those of a randrange draw, bit for bit
     getrandbits = random.Random(seed).getrandbits

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from fractions import Fraction
@@ -116,6 +117,37 @@ def test_verify_violation_exits_1_with_counterexample(tmp_path, monkeypatch):
     assert not (out / "report.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["outputs"] == ["counterexample.txt"]
+
+
+def test_exhaustive_counterexample_manifest_records_no_seed(tmp_path, monkeypatch):
+    # an exhaustive campaign draws nothing, so its manifest seed is null whether it passes or fails
+    monkeypatch.setattr(treea1.verify, "check_decomposition", lambda w: False)
+    out = tmp_path / "run"
+    code = run_cli(["verify", "--k", "2", "--depth", "1", "--grid", "1,2", "--exhaustive", "--seed", "5",
+                    "--out", str(out)])
+    assert code == 1
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"] == ["counterexample.txt"]
+    assert manifest["seed"] is None
+
+
+def test_refused_runs_leave_no_directory_they_created(tmp_path, capsys):
+    refused = [
+        ["verify", "--k", "2", "--depth", "2", "--threads", "0"],
+        ["search", "--k", "2", "--depth", "2", "--iters", "0", "--restarts", "1"],
+        ["extremal", "--k", "0", "--c", "2"],
+    ]
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "keep.txt").write_text("kept\n")
+    for argv in refused:
+        assert run_cli(argv + ["--out", str(tmp_path / "a" / "b")]) == 2
+        assert not (tmp_path / "a").exists()
+        assert run_cli(argv + ["--out", str(existing)]) == 2
+        assert sorted(p.name for p in existing.iterdir()) == ["keep.txt"]
+        assert (existing / "keep.txt").read_text() == "kept\n"
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 6 and all(line.startswith("error: ") for line in err)
 
 
 def test_extremal_exact_mode(tmp_path):
@@ -280,6 +312,18 @@ def test_inspect_text_mode(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "a1 constant" in out and "5/2" in out
+
+
+# sha256 of the text-mode stdout of ``inspect --weight <extremal_exact(2, 2)> --t 3/8``,
+# recorded when text mode still printed its own walk over the report
+INSPECT_TEXT = "35a2dad2b42cbdeb7aaeea489f1b39ea4982fda6cdb1e239eaf02c8d2e2e23f7"
+
+
+def test_inspect_text_mode_matches_its_recorded_digest(tmp_path, capsys):
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text(weight_to_text(extremal_exact(2, 2)))
+    assert run_cli(["inspect", "--weight", str(weight_file), "--t", "3/8"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == INSPECT_TEXT
 
 
 def test_inspect_unreadable_file(tmp_path):
