@@ -21,7 +21,8 @@ from .rationals import as_fraction, decimal_string
 from .search import SearchConfig, hill_climb
 from .tree import make_shape
 from .verify import (
-    ALL_CHECKS, MIN_LEAVES_PER_WORKER, audit_superlevel, check_rearrangement_bound, fuzz_campaign, sharpness_sweep
+    ALL_CHECKS, MIN_LEAVES_PER_WORKER, _require, audit_superlevel, check_rearrangement_bound, fuzz_campaign,
+    sharpness_sweep
 )
 from .weights import weight_from_text, weight_to_text
 
@@ -254,6 +255,13 @@ def _cmd_inspect(args) -> int:
         raise ParameterError(f"cannot read weight file {args.weight!r}: {exc}") from exc
     w = weight_from_text(text)
     report = check_rearrangement_bound(w)
+    # a failed check exits 1 with the weight on stderr, through main, before anything is printed
+    _require(("bound",), report)
+    audit = audit_superlevel(report, args.t) if args.t is not None else None
+    if audit is not None and not audit.passed:
+        detail = ", ".join(name for name, ok in _audit_json(audit)["checks"].items() if not ok)
+        raise ViolationError(f"superlevel audit at t={audit.t} failed: {detail}", weight_text=weight_to_text(w),
+                             check="audit", detail=detail)
     fam = report.analysis.family
     parts = fam.parts()
     payload = {
@@ -277,8 +285,8 @@ def _cmd_inspect(args) -> int:
         "sup_ratio": str(report.sup_ratio),
         "witness": str(report.witness),
     }
-    if args.t is not None:
-        payload["audit"] = _audit_json(audit_superlevel(report, args.t))
+    if audit is not None:
+        payload["audit"] = _audit_json(audit)
     print(json.dumps(payload, sort_keys=True, indent=2) if args.json else "\n".join(_inspect_lines(payload)))
     return 0
 
@@ -347,7 +355,7 @@ def main(argv=None) -> int:
         return 2
     except ViolationError as exc:
         # _run writes the counterexample of every command with --out;
-        # anything reaching here still reports the weight
+        # inspect has none, so its failed check reports the weight here
         print(f"violation: {exc}", file=sys.stderr)
         print(exc.weight_text, file=sys.stderr, end="")
         return 1

@@ -1,8 +1,10 @@
+import dataclasses
 import hashlib
 import json
 import os
 from fractions import Fraction
 
+import treea1.cli
 import treea1.rationals
 import treea1.search
 import treea1.verify
@@ -324,6 +326,35 @@ def test_inspect_text_mode_matches_its_recorded_digest(tmp_path, capsys):
     weight_file.write_text(weight_to_text(extremal_exact(2, 2)))
     assert run_cli(["inspect", "--weight", str(weight_file), "--t", "3/8"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == INSPECT_TEXT
+
+
+def test_inspect_bound_violation_exits_1_with_the_weight(tmp_path, monkeypatch, capsys):
+    original = treea1.verify.sup_ratio
+    monkeypatch.setattr(treea1.verify, "sup_ratio", lambda profile: (original(profile)[0] + 2, original(profile)[1]))
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text(weight_to_text(extremal_exact(2, 2)))
+    for mode in ([], ["--json"]):
+        assert run_cli(["inspect", "--weight", str(weight_file), "--t", "3/8", *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("violation: check 'bound' failed: sup_ratio=5 exceeds bound=3")
+        assert captured.err.endswith(weight_to_text(extremal_exact(2, 2)))
+
+
+def test_inspect_failed_audit_exits_1_with_the_weight(tmp_path, monkeypatch, capsys):
+    original = treea1.cli.audit_superlevel
+    monkeypatch.setattr(treea1.cli, "audit_superlevel",
+                        lambda report, t: dataclasses.replace(original(report, t), dominates_prefix=False))
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text(weight_to_text(extremal_exact(2, 2)))
+    for mode in ([], ["--json"]):
+        assert run_cli(["inspect", "--weight", str(weight_file), "--t", "3/8", *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("violation: superlevel audit at t=3/8 failed: dominates_prefix")
+        assert captured.err.endswith(weight_to_text(extremal_exact(2, 2)))
+    # without --t no audit runs, so nothing fails
+    assert run_cli(["inspect", "--weight", str(weight_file)]) == 0
 
 
 def test_inspect_unreadable_file(tmp_path):

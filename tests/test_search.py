@@ -1,6 +1,6 @@
-from fractions import Fraction
-
+import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -16,7 +16,9 @@ from treea1 import (
     objective_exact,
     scale,
 )
-from treea1.search import _FLOAT_SLACK, _FloatClimb
+from treea1.search import (
+    _FACTOR_DENOM, _FLOAT_SLACK, _STEP_SPAN, _VALUE_FLOOR, MoveCounts, _FloatClimb, _move, _exact_at_most_one
+)
 
 
 def _objective_float(k: int, m: int, values: list[float]) -> float:
@@ -94,6 +96,123 @@ def test_incremental_climb_equals_full_reevaluation(k, m):
             assert climb.set(pos, old) == x
             values[pos] = old
             assert climb.score() == _objective_float(k, m, values)
+
+
+def _climb_reference(config: SearchConfig):
+    """The climb as it ran before its leaves were dyadic ints: the reference for `hill_climb`.
+
+    Moves are `Fraction` products drawn with `randrange`/`randint`, every state
+    is scored from scratch by `_objective_float`, and a rejected move is undone
+    by setting the old value back.  Returns (trace, best values, best restart,
+    restart counts).
+    """
+    k, m, n = config.shape.k, config.shape.m, config.shape.leaf_count
+
+    def evaluate(values):
+        score = _objective_float(k, m, [float(v) for v in values])
+        if score > 1 + _FLOAT_SLACK:
+            return float(_exact_at_most_one(make_step_weight(config.shape, values))), 1
+        return score, 0
+
+    master = random.Random(config.seed)
+    restart_seeds = [master.randrange(2**63) for _ in range(config.restarts)]
+    trace, counts = [], []
+    global_best, best_values, best_restart = -math.inf, None, 0
+    for restart, restart_seed in enumerate(restart_seeds):
+        rng = random.Random(restart_seed)
+        values = [Fraction(rng.randint(1, 16)) for _ in range(n)]
+        current, fallbacks = evaluate(values)
+        accepted = 0
+        if current > global_best:
+            global_best, best_values, best_restart = current, tuple(values), restart
+        for _ in range(config.iterations):
+            pos = rng.randrange(n)
+            factor = Fraction(_FACTOR_DENOM + rng.randint(-_STEP_SPAN, _STEP_SPAN), _FACTOR_DENOM)
+            old = values[pos]
+            values[pos] = max(old * factor, _VALUE_FLOOR)
+            score, fell_back = evaluate(values)
+            fallbacks += fell_back
+            if score >= current:
+                current = score
+                accepted += 1
+            else:
+                values[pos] = old
+            if current > global_best:
+                global_best, best_values, best_restart = current, tuple(values), restart
+            trace.append(global_best)
+        counts.append(MoveCounts(accepted, config.iterations - accepted, fallbacks))
+    return tuple(trace), best_values, best_restart, tuple(counts)
+
+
+@pytest.mark.parametrize(
+    "k, m, iterations, seeds",
+    [(2, 1, 300, range(6)), (2, 6, 200, range(4)), (3, 4, 200, range(4)), (4, 3, 150, range(3)), (2, 8, 60, range(2))],
+)
+def test_hill_climb_equals_the_fraction_move_reference(k, m, iterations, seeds):
+    # the int moves, the chain undo and the unrolled draws must change nothing:
+    # trace.csv, best_weight.txt and summary.json are digest-pinned
+    for seed in seeds:
+        config = SearchConfig(shape=make_shape(k, m), iterations=iterations, restarts=2, seed=seed)
+        result = hill_climb(config)
+        trace, best_values, best_restart, counts = _climb_reference(config)
+        assert result.trace == trace
+        assert result.best_weight.leaf_values == best_values
+        assert result.best_restart == best_restart
+        assert result.restart_counts == counts
+
+
+def _dyadic(value: Fraction) -> tuple[int, int]:
+    exp = value.denominator.bit_length() - 1
+    assert value.denominator == 1 << exp
+    return value.numerator, exp
+
+
+def test_int_move_equals_the_fraction_move():
+    rng = random.Random(7)
+    steps = [-_STEP_SPAN, -_STEP_SPAN + 1, -1, 0, 1, _STEP_SPAN - 1, _STEP_SPAN]
+    values = [_VALUE_FLOOR, _VALUE_FLOOR * 2, _VALUE_FLOOR / 2, Fraction(1), Fraction(16), Fraction(3, 1 << 70)]
+    tiny = Fraction(1, 1 << 120)
+    values += [_VALUE_FLOOR + tiny, _VALUE_FLOOR - tiny]
+    for q in steps:
+        # leaves whose product with this factor lands just above, on and just below the floor
+        exact = _VALUE_FLOOR * _FACTOR_DENOM / (_FACTOR_DENOM + q)
+        scale = 1 << 120
+        low = Fraction(math.floor(exact * scale), scale)
+        values += [low, low + Fraction(1, scale)]
+    values += [Fraction(rng.randrange(1, 1 << rng.randrange(1, 90)), 1 << rng.randrange(0, 120)) for _ in range(300)]
+    for value in values:
+        num, exp = _dyadic(value)
+        for q in steps + [rng.randint(-_STEP_SPAN, _STEP_SPAN) for _ in range(5)]:
+            expected = max(value * Fraction(_FACTOR_DENOM + q, _FACTOR_DENOM), _VALUE_FLOOR)
+            new_num, new_exp = _move(num, exp, _FACTOR_DENOM + q)
+            assert Fraction(new_num, 1 << new_exp) == expected
+            # lowest terms, as the Fraction keeps them
+            assert (new_num, 1 << new_exp) == (expected.numerator, expected.denominator)
+            assert new_num / (1 << new_exp) == float(expected)
+
+
+def _climb_state(climb: _FloatClimb) -> tuple:
+    return climb._sums, climb._mins, climb._ratios, climb._ascending
+
+
+@pytest.mark.parametrize("k, m", [(2, 1), (2, 5), (3, 3), (4, 2)])
+def test_undo_restores_the_state_a_fresh_climb_builds(k, m):
+    rng = random.Random(31 * k + m)
+    n = k**m
+    values = [float(rng.randint(1, 16)) for _ in range(n)]
+    climb = _FloatClimb(k, m, values)
+    for _ in range(800):
+        pos = rng.randrange(n)
+        # equal leaves now and then, so sorted runs and tied minima are exercised too
+        x = values[rng.randrange(n)] if rng.random() < 0.2 else values[pos] * rng.uniform(0.7, 1.3)
+        old = values[pos]
+        assert climb.set(pos, x) == old
+        values[pos] = x
+        assert _climb_state(climb) == _climb_state(_FloatClimb(k, m, values))
+        if rng.random() < 0.5:
+            climb.undo()
+            values[pos] = old
+            assert _climb_state(climb) == _climb_state(_FloatClimb(k, m, values))
 
 
 def test_config_validation():
