@@ -4,16 +4,17 @@ Everything here is exact.  The fast path, :func:`analyze`, clears the leaf
 denominators once, sums leaves bottom-up and sweeps the tree top-down once per
 weight, all in Python ints; every other fast function reads its result, and
 only reported values become ``Fraction``s; the same sweep gives the k-adic
-constant of a rearrangement.  Two oracles for the fast path stay in
-``Fraction`` arithmetic and share nothing with it: :func:`average` sums a
-node's leaves straight from the definition, and
-:func:`maximal_function_bruteforce` reads every node average off one pass
-of cumulative leaf sums and carries the running maximum down the tree, one
-``Fraction`` comparison per node and per leaf.
+constant of a rearrangement.  Two oracles for the fast path take and return
+``Fraction``s and share no code with it: :func:`average` sums a node's leaves
+straight from the definition, and :func:`maximal_function_bruteforce`
+clears the leaf denominators at its own scale, reads every node's int sum off
+one pass of cumulative leaf sums and carries the running maximum down the
+tree, one cross-multiplied int comparison per node and per leaf.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -181,27 +182,38 @@ def maximal_function(w: StepWeight | WeightAnalysis) -> tuple[Fraction, ...]:
 
 
 def maximal_function_bruteforce(w: StepWeight) -> tuple[Fraction, ...]:
-    """Prefix-sum oracle: every block average from cumulative leaf sums, in ``Fraction``s.
+    """Prefix-sum oracle: every block sum from cumulative leaf sums, compared in ints.
 
-    The leaf values are summed left to right once.  A node at ``level`` is a
-    block of ``width = k**(m - level)`` consecutive leaves starting at
-    ``start``, so its average is ``(prefix[start + width] - prefix[start]) /
-    width``.  Going down from the root, a node's best is its own average or
-    its parent's best, whichever is larger, and a leaf's best is its value or
-    its parent's best: one ``Fraction`` comparison per node and per leaf.
-    Nothing is shared with the fast path, which sums levels bottom-up in ints.
+    ``Fraction`` leaf values in, ``Fraction`` maximal values out; inside, the
+    leaf values are cleared by the lcm of their denominators, the oracle's own
+    scale, and summed left to right once.  A node at ``level`` is a block of
+    ``width = k**(m - level)`` consecutive leaves starting at ``start``, so
+    its sum is ``prefix[start + width] - prefix[start]``.  Going down from the
+    root, a node's best is a ``(sum, width)`` pair, its own or its parent's
+    best ``(bs, bw)``, whichever average is larger: the node's sum ``s`` wins
+    only if ``s * bw > bs * width``.  A leaf is a block of width 1 against its
+    parent's best.  ``Fraction``s are built only for the result: one per distinct best
+    node, and a leaf that is its own maximum returns its own value.  Nothing
+    is shared with the fast path, which sums levels bottom-up in ints at a
+    scale that also clears ``k**m``.
     """
     k, m = w.shape.k, w.shape.m
-    n = len(w.leaf_values)
-    prefix = [Fraction(0), *itertools.accumulate(w.leaf_values)]
-    best = [prefix[n] / n]  # the root block
+    values = w.leaf_values
+    n = len(values)
+    denominators = {v.denominator for v in values}
+    common = lcm(*denominators)
+    factor = {d: common // d for d in denominators}
+    cleared = [v.numerator * factor[v.denominator] for v in values]
+    prefix = [0, *itertools.accumulate(cleared)]
+    best = [(prefix[n], n)]  # the root block
     for level in range(1, m):
         width = k ** (m - level)
-        blocks = ((prefix[start + width] - prefix[start]) / width for start in range(0, n, width))
+        blocks = map(operator.sub, prefix[width::width], prefix[:n:width])
         parents = (top for top in best for _ in range(k))
-        best = [avg if avg > top else top for avg, top in zip(blocks, parents)]
-    parents = (top for top in best for _ in range(k))
-    return tuple(v if v > top else top for v, top in zip(w.leaf_values, parents))
+        best = [(s, width) if s * bw > bs * width else (bs, bw) for s, (bs, bw) in zip(blocks, parents)]
+    parents = [top for top in best for _ in range(k)]
+    view = {top: Fraction(top[0], top[1] * common) for top in set(parents)}
+    return tuple(v if x * bw > bs else view[bs, bw] for v, x, (bs, bw) in zip(values, cleared, parents))
 
 
 def a1_constant(w: StepWeight | WeightAnalysis) -> Fraction:

@@ -6,7 +6,9 @@ rejected at the boundary so no rounding can sneak into a comparison.
 """
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -40,5 +42,36 @@ def as_fraction(value) -> Fraction:
 
 
 def decimal_string(value: Fraction, digits: int = 12) -> str:
-    """Lossy decimal rendering for human-readable report columns."""
-    return f"{float(value):.{digits}g}"
+    """Lossy decimal rendering for human-readable report columns, in ``.{digits}g`` style.
+
+    A value with a normal float is rendered through ``float``.  One that
+    overflows the floats, or a nonzero one below the normal floats (where a
+    float would keep fewer digits, or none), is rounded exactly instead.
+    """
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = math.inf
+    if sys.float_info.min <= abs(approx) < math.inf or value == 0:
+        return f"{approx:.{digits}g}"
+    return _exact_decimal_string(Fraction(value), digits)
+
+
+def _exact_decimal_string(value: Fraction, digits: int) -> str:
+    """``format(value, f".{digits}g")`` of a nonzero rational, rounded half to even without a float.
+
+    Only values outside the normal floats come here, and ``g`` writes those
+    in scientific notation, with its trailing zeros trimmed.
+    """
+    sign, value = ("-" if value < 0 else ""), abs(value)
+    # the decimal exponent: 10**exponent <= value < 10**(exponent + 1); the bit lengths give it to within 1
+    exponent = int((value.numerator.bit_length() - value.denominator.bit_length()) * math.log10(2))
+    while Fraction(10) ** exponent > value:
+        exponent -= 1
+    while Fraction(10) ** (exponent + 1) <= value:
+        exponent += 1
+    mantissa = round(value / Fraction(10) ** (exponent - digits + 1))
+    if mantissa == 10**digits:  # rounding carried into one more digit
+        mantissa, exponent = 10 ** (digits - 1), exponent + 1
+    text = str(mantissa)
+    return f"{sign}{text[0]}.{text[1:]}".rstrip("0").rstrip(".") + f"e{exponent:+03d}"

@@ -51,10 +51,10 @@ _REPORT_CHECKS = ("stopping", "growth", "weak_type", "decomposition")
 # refused before anything is allocated.
 MAX_WEIGHTS = 500_000
 # Least work, in leaves (trials * k**m), a pooled campaign gives each worker.
-# All checks cost about 13-19 us per leaf at 64 to 1,024 leaves (Python 3.11,
-# one core), so this is about 55-80 ms per worker, above the 10-50 ms it takes
-# to start and join a process pool; a campaign with less work runs in this
-# process.
+# All checks cost about 11-13 us per leaf at 64 leaves and 6-10 us at 1,024
+# (Python 3.11, one core), so this is about 25-55 ms per worker, no less than
+# the 10-50 ms it takes to start and join a process pool; a campaign with less
+# work runs in this process.
 MIN_LEAVES_PER_WORKER = 4096
 
 
@@ -175,9 +175,10 @@ def check_decomposition(w: StepWeight | WeightAnalysis) -> bool:
 def check_oracle_equality(w: StepWeight | WeightAnalysis) -> bool:
     """Fast maximal function agrees with :func:`~treea1.maximal.maximal_function_bruteforce`.
 
-    The oracle recomputes every node average from prefix sums of the leaf
-    values in ``Fraction``s, one comparison per node and per leaf, sharing
-    nothing with the kernel's int sweep.
+    The oracle takes and returns ``Fraction``s; inside, it recomputes every
+    node's sum from prefix sums of the leaf values in ints at its own scale,
+    one cross-multiplied comparison per node and per leaf, sharing no code
+    with the kernel's int sweep.
     """
     a = analyze(w)
     return maximal_function(a) == maximal_function_bruteforce(a.weight)

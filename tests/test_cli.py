@@ -152,6 +152,19 @@ def test_refused_runs_leave_no_directory_they_created(tmp_path, capsys):
     assert len(err) == 6 and all(line.startswith("error: ") for line in err)
 
 
+def test_verify_reports_values_outside_the_floats(tmp_path):
+    # 1e-400 underflows a float to 0.0 and c = (1 + 1e-400) / (2 * 1e-400) overflows one
+    out = tmp_path / "run"
+    code = run_cli(["verify", "--k", "2", "--depth", "1", "--grid", "1e-400,1", "--trials", "3", "--out", str(out)])
+    assert code == 0
+    assert not (out / "counterexample.txt").exists()
+    header, rows = read_csv(out / "report.csv")
+    assert len(rows) == 3
+    decimal_columns = [i for i, name in enumerate(header) if name.endswith("_dec")]
+    assert all(float(row[i]) >= 0 for row in rows for i in decimal_columns)  # every one parses
+    assert {row[header.index("c_dec")] for row in rows} <= {"1", "5e+399"}
+
+
 def test_extremal_exact_mode(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["extremal", "--k", "2", "--c", "2", "--mode", "exact", "--out", str(out)])
@@ -179,6 +192,18 @@ def test_extremal_family_mode(tmp_path):
     first = dict(zip(header, rows[0]))
     assert first["nominal_c"] == "7/4"
     assert first["measured_c"] == "5/2"
+
+
+def test_extremal_reports_a_constant_above_the_floats(tmp_path):
+    out = tmp_path / "run"
+    code = run_cli(["extremal", "--k", "2", "--c", "1e400", "--mode", "paper", "--depths", "2", "--out", str(out)])
+    assert code == 0
+    assert not (out / "counterexample.txt").exists()
+    header, rows = read_csv(out / "sweep.csv")
+    row = dict(zip(header, rows[0]))
+    assert Fraction(row["nominal_c"]) == 10**400
+    assert row["nominal_c_dec"] == "1e+400"
+    assert row["bound_dec"] == "2e+400"  # k*c - k + 1 = 2e400 - 1
 
 
 def test_extremal_violation_exits_1_with_counterexample(tmp_path, monkeypatch):

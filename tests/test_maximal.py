@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -143,6 +144,36 @@ def test_prefix_sum_oracle_equals_the_enumeration_at_256_leaves():
     assert len({v.denominator for v in values}) > 100
     assert maximal_function_bruteforce(w) == _enumeration_oracle(w)
     assert maximal_function(w) == _enumeration_oracle(w)
+
+
+def test_prefix_sum_oracle_equals_the_enumeration_at_729_leaves():
+    # k=3 beyond the 64-leaf hypothesis range; WIDE_VALUES mixes Mersenne denominators with 10**18
+    rng = random.Random(729)
+    w = make_step_weight(make_shape(3, 6), [rng.choice(WIDE_VALUES) for _ in range(3**6)])
+    assert len(set(w.leaf_values)) == len(WIDE_VALUES)
+    assert maximal_function_bruteforce(w) == _enumeration_oracle(w)
+
+
+def test_a_tie_with_the_parents_best_keeps_the_parent():
+    # the level-1 block [4, 1, 5/2, 5/2] averages 5/2 over 4 leaves; its level-2
+    # blocks [4, 1] and [5/2, 5/2] and the leaves 5/2 average exactly 5/2 too,
+    # so the strict cross-multiplied comparison keeps the parent's best
+    w = make_step_weight(make_shape(2, 3), [4, 1, Fraction(5, 2), Fraction(5, 2), 1, 1, 1, 1])
+    assert average(w, NodeId(1, 0)) == average(w, NodeId(2, 0)) == average(w, NodeId(2, 1)) == Fraction(5, 2)
+    expected = (4, Fraction(5, 2), Fraction(5, 2), Fraction(5, 2), *[Fraction(7, 4)] * 4)
+    assert maximal_function_bruteforce(w) == expected
+    assert maximal_function(w) == expected
+    assert _enumeration_oracle(w) == expected
+
+
+def test_prefix_sum_oracle_at_a_scale_above_2_to_the_90():
+    mersenne = [2**p - 1 for p in (7, 13, 17, 19, 31, 61)]
+    rng = random.Random(90)
+    for k, m in ((2, 6), (3, 4), (4, 3)):
+        values = [Fraction(rng.randint(1, 10**6), rng.choice(mersenne)) for _ in range(k**m)]
+        w = make_step_weight(make_shape(k, m), values)
+        assert math.lcm(*{v.denominator for v in w.leaf_values}) > 2**90
+        assert maximal_function_bruteforce(w) == maximal_function(w)
 
 
 @given(step_weights())

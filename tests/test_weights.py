@@ -1,8 +1,9 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from conftest import positive_rationals, step_weights
 from treea1 import (
@@ -11,6 +12,7 @@ from treea1 import (
     ParameterError,
     a1_constant,
     as_fraction,
+    decimal_string,
     extremal_exact,
     extremal_family,
     family_constant_formula,
@@ -25,6 +27,7 @@ from treea1 import (
     weight_hash,
     weight_to_text,
 )
+from treea1.rationals import _exact_decimal_string
 
 
 def test_make_step_weight_accepts_rationals():
@@ -43,6 +46,23 @@ def test_make_step_weight_rejects_bad_input():
         make_step_weight(shape, [-1, 1])
     with pytest.raises(ParameterError):
         make_step_weight(shape, [0.5, 1])  # floats are refused
+
+
+def test_decimal_string_rounds_values_outside_the_normal_floats_exactly():
+    assert decimal_string(Fraction(10) ** 400) == "1e+400"
+    assert decimal_string(Fraction(1, 10**400)) == "1e-400"
+    assert decimal_string(-Fraction(7, 3) * 10**500) == "-2.33333333333e+500"
+    assert decimal_string(Fraction(10**13 - 1, 10**13) * 10**400) == "1e+400"  # rounds up into a new digit
+    assert decimal_string(Fraction(1, 10**320)) == "1e-320"  # a subnormal float keeps fewer digits
+    assert decimal_string(Fraction(2, 3)) == "0.666666666667" and decimal_string(0) == "0"
+
+
+@given(st.floats(min_value=sys.float_info.min, allow_infinity=False), st.integers(1, 17))
+def test_exact_decimal_rendering_matches_float_formatting(x, digits):
+    # a float's exact value, wherever g writes it in scientific notation
+    assume("e" in f"{x:.{digits}g}")
+    assert _exact_decimal_string(Fraction(x), digits) == f"{x:.{digits}g}"
+    assert _exact_decimal_string(-Fraction(x), digits) == f"{-x:.{digits}g}"
 
 
 def test_decimal_exponents_are_bounded_before_fraction_is_formed():
