@@ -3,13 +3,13 @@
 Everything here is exact.  The fast path, :func:`analyze`, clears the leaf
 denominators once, sums leaves bottom-up and sweeps the tree top-down once per
 weight, all in Python ints; every other fast function reads its result, and
-only reported values become ``Fraction``s; the same sweep gives the k-adic
-constant of a rearrangement.  Two oracles for the fast path take and return
-``Fraction``s and share no code with it: :func:`average` sums a node's leaves
-straight from the definition, and :func:`maximal_function_bruteforce`
-clears the leaf denominators at its own scale, reads every node's int sum off
-one pass of cumulative leaf sums and carries the running maximum down the
-tree, one cross-multiplied int comparison per node and per leaf.
+only reported values become ``Fraction``s.  Two oracles for the fast path
+take and return ``Fraction``s and share no code with it: :func:`average` sums
+a node's leaves straight from the definition, and
+:func:`maximal_function_bruteforce` clears the leaf denominators at its own
+scale, reads every node's int sum off one pass of cumulative leaf sums and
+carries the running maximum down the tree, one cross-multiplied int
+comparison per node and per leaf.
 """
 from __future__ import annotations
 

@@ -25,7 +25,7 @@ from .errors import ParameterError
 from .rationals import as_fraction
 from .tree import make_shape
 from .weights import StepWeight
-from .maximal import WeightAnalysis, _sweep, analyze
+from .maximal import WeightAnalysis, analyze
 
 
 class Piece(NamedTuple):
@@ -150,13 +150,15 @@ def _prefix_average(profile: RearrangedProfile, i: int, t: Fraction) -> Fraction
 
     With t = p/q, the integral over (0, t] is one int over ``n * unit * q``.
     """
+    p, q = t.numerator, t.denominator
+    return Fraction(_scaled_integral(profile, i, p * profile.n, q), profile.n * profile.unit * p)
+
+
+def _scaled_integral(profile: RearrangedProfile, i: int, cells: int, per: int) -> int:
+    """The integral over the first ``cells / per`` cells, which end on piece i, times ``n * unit * per``."""
     before_cells = profile.cumulative_cells[i - 1] if i else 0
     before_integral = profile.scaled_integrals[i - 1] if i else 0
-    p, q = t.numerator, t.denominator
-    return Fraction(
-        before_integral * q + (p * profile.n - before_cells * q) * profile.scaled_values[i],
-        profile.n * profile.unit * p,
-    )
+    return before_integral * per + (cells - before_cells * per) * profile.scaled_values[i]
 
 
 def sup_ratio(profile: RearrangedProfile) -> tuple[Fraction, Fraction]:
@@ -209,16 +211,40 @@ def kadic_constant(profile: RearrangedProfile, k: int, depth: int) -> Fraction:
     (j*k**(-depth), (j+1)*k**(-depth)].  Nodes deeper than the profile's
     resolution are constant and contribute ratio 1, so this depth captures
     the constant of the full k-adic tree.  The boundaries are aligned exactly
-    when the profile's n divides k**depth; each piece value, scaled by
-    ``unit * k**depth`` so every node average is an int, is then repeated over
-    its leaves for the int sweep of :func:`~treea1.maximal.analyze`.
+    when the profile's n divides k**depth.
+
+    The profile is non-increasing, so a node's minimum is the value of its
+    last leaf, and a node that lies inside one piece has ratio 1.  A ratio
+    above 1 therefore needs a piece boundary strictly inside the node, so only
+    the nodes that straddle an interior boundary are visited: at most
+    ``depth`` per boundary, from the root down to the first width that
+    divides the boundary, below which every finer width divides it too.  In
+    leaf units, with ``scale = k**depth // n``, a node [start, stop) of width
+    W has ratio ``(I(stop) - I(start)) / (W * v)``, where I(x) is the integral
+    over the first x leaves times ``n * unit * scale`` and v the scaled value
+    of leaf stop - 1.  Ratios are compared by cross-multiplication; no leaf
+    row is built.
     """
     leaves = make_shape(k, depth).leaf_count
     if leaves % profile.n:
         raise ParameterError(
             f"piece boundaries on the grid 1/{profile.n} are not aligned to the k-adic grid 1/{leaves}"
         )
-    row: list[int] = []
-    for cell, value in zip(profile.cells, profile.scaled_values):
-        row.extend([value * leaves] * (cell * (leaves // profile.n)))
-    return _sweep(row, k, depth)[2]
+    scale = leaves // profile.n
+    ends = [cells * scale for cells in profile.cumulative_cells]  # the pieces' right boundaries in leaves
+    best_num, best_den = 1, 1
+    for boundary in ends[:-1]:
+        width = leaves
+        while boundary % width:
+            start = boundary - boundary % width
+            stop = start + width
+            # leaf stop - 1 lies on the piece whose right boundary is the first at or after stop
+            i = bisect_left(ends, stop)
+            num = _scaled_integral(profile, i, stop, scale) - _scaled_integral(
+                profile, bisect_left(ends, start), start, scale
+            )
+            den = width * profile.scaled_values[i]
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+            width //= k
+    return Fraction(best_num, best_den)

@@ -2,6 +2,7 @@
 import ast
 import dataclasses
 import inspect
+import random
 import textwrap
 from fractions import Fraction
 from functools import cached_property
@@ -10,7 +11,9 @@ from itertools import accumulate
 from hypothesis import given, settings, strategies as st
 
 import treea1.maximal
+import treea1.rearrangement
 from treea1 import (
+    MAX_LEAVES,
     NodeId,
     WeightAnalysis,
     a1_constant,
@@ -107,6 +110,45 @@ def test_kadic_constant_matches_the_expanded_weight_on_parsed_profiles(case):
     assert kadic_constant(profile, k, depth) == kadic_oracle(profile, k, depth)
 
 
+@settings(max_examples=25)
+@given(aligned_profiles(), st.integers(min_value=1, max_value=2))
+def test_kadic_constant_matches_the_expanded_weight_below_the_profiles_resolution(case, extra):
+    profile, k, depth = case
+    assert kadic_constant(profile, k, depth + extra) == kadic_oracle(profile, k, depth + extra)
+
+
+def test_kadic_constant_matches_the_expanded_weight_when_every_leaf_is_its_own_piece():
+    rng = random.Random(17)
+    for k, m in ((2, 10), (3, 6)):
+        n = k**m
+        w = make_step_weight(make_shape(k, m), [Fraction(x, 7) for x in rng.sample(range(1, 10**9), n)])
+        profile = rearrange(w)
+        assert len(profile.cells) == n
+        assert kadic_constant(profile, k, m) == kadic_oracle(profile, k, m)
+
+
+def test_kadic_constant_when_only_the_root_straddles_a_boundary():
+    # both boundaries, 1/4 and 3/4, are edges of level-1 nodes, so every other node lies in one piece
+    profile = profile_from_text("1/4 7\n1/2 2\n1/4 1\n")
+    for depth in (1, 2, 3):
+        # the root average (7 + 2*2 + 1)/4 over the last value 1
+        assert kadic_constant(profile, 4, depth) == 3 == kadic_oracle(profile, 4, depth)
+
+
+def test_kadic_constant_builds_no_leaf_row(monkeypatch):
+    profile = profile_from_text("1/2 3\n1/2 1\n")
+
+    def refuse(*args):
+        raise AssertionError("kadic_constant must not sweep a leaf row")
+
+    for module, name in ((treea1.maximal, "_sweep"), (treea1.maximal, "analyze"), (treea1.rearrangement, "analyze")):
+        monkeypatch.setattr(module, name, refuse)
+    assert not hasattr(treea1.rearrangement, "_sweep")
+    assert 2**20 == MAX_LEAVES
+    assert kadic_constant(profile, 2, 20) == 2
+    assert kadic_constant(profile_from_text("1/4 7\n1/2 2\n1/4 1\n"), 4, 10) == 3
+
+
 def _fraction_c_and_sup_ratio(w):
     """c and the rearrangement sup-ratio recomputed with Fractions from the definitions."""
     k, m = w.shape.k, w.shape.m
@@ -165,6 +207,13 @@ def test_oracles_share_no_code_with_the_kernel():
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "leaf_values" in names  # the walk sees the body
         assert not names & kernel, f"{oracle.__name__} uses {sorted(names & kernel)}"
+    # the k-adic check reads the profile's ints and shares nothing with the kernel either
+    for check in (kadic_constant, treea1.rearrangement._scaled_integral):
+        tree = ast.parse(textwrap.dedent(inspect.getsource(check)))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "scaled_values" in names  # the walk sees the body
+        assert not names & kernel, f"{check.__name__} uses {sorted(names & kernel)}"
 
 
 def prefix_average_oracle(profile, t):
