@@ -17,20 +17,19 @@ from pathlib import Path
 
 from . import __version__
 from .errors import ParameterError, ViolationError
+from .maximal import maximal_function
 from .rationals import as_fraction, decimal_string
 from .search import SearchConfig, hill_climb
 from .tree import make_shape
 from .verify import (
-    ALL_CHECKS, MIN_LEAVES_PER_WORKER, _require, audit_superlevel, check_rearrangement_bound, fuzz_campaign,
-    sharpness_sweep
+    ALL_CHECKS, MIN_LEAVES_PER_WORKER, _FLAG_FIELDS, _require, audit_superlevel, check_rearrangement_bound,
+    fuzz_campaign, sharpness_sweep
 )
 from .weights import weight_from_text, weight_to_text
 
 MANIFEST_NAME = "manifest.json"
 # Data-file columns, in file order; each name is also the field it reads.
 _REPORT_RATIONALS = ("c", "bound", "sup_ratio", "margin")
-_REPORT_FLAGS = ("bound_holds", "stopping_consistent", "growth_bound_ok", "weak_type_ok",
-                 "decomposition_ok", "oracle_match", "kadic_ok")
 _SWEEP_RATIONALS = ("delta", "nominal_c", "measured_c", "bound", "sup_ratio", "ratio_at_branch_scale", "gap")
 
 
@@ -138,11 +137,12 @@ def _cmd_verify(args) -> int:
     def job():
         summary = fuzz_campaign(args.k, args.depth, args.trials, args.seed, grid, checks=ALL_CHECKS,
                                 exhaustive=args.exhaustive, threads=args.threads)
-        header = ["trial", "weight_hash"] + _rational_header(_REPORT_RATIONALS) + list(_REPORT_FLAGS)
+        flags = ["bound_holds", *_FLAG_FIELDS.values()]
+        header = ["trial", "weight_hash"] + _rational_header(_REPORT_RATIONALS) + flags
         rows = [
             [str(row.index), row.weight_hash]
             + _rational_cells(row, _REPORT_RATIONALS)
-            + [_bool_cell(getattr(row, name)) for name in _REPORT_FLAGS]
+            + [_bool_cell(getattr(row, name)) for name in flags]
             for row in summary.rows
         ]
         worst = str(summary.worst_margin) if summary.worst_margin is not None else "n/a"
@@ -214,13 +214,7 @@ def _audit_json(audit) -> dict:
         "superlevel_measure": str(audit.superlevel_measure),
         "above_threshold_measure": str(audit.above_threshold_measure),
         "set_average": str(audit.set_average) if audit.set_average is not None else None,
-        "checks": {
-            "nodes_are_members": audit.nodes_are_members,
-            "average_bounded": audit.average_bounded,
-            "dominates_prefix": audit.dominates_prefix,
-            "inside_level_set": audit.inside_level_set,
-            "measures_ordered": audit.measures_ordered,
-        },
+        "checks": audit.checks,
         "passed": audit.passed,
     }
 
@@ -259,7 +253,7 @@ def _cmd_inspect(args) -> int:
     _require(("bound",), report)
     audit = audit_superlevel(report, args.t) if args.t is not None else None
     if audit is not None and not audit.passed:
-        detail = ", ".join(name for name, ok in _audit_json(audit)["checks"].items() if not ok)
+        detail = ", ".join(name for name, ok in audit.checks.items() if not ok)
         raise ViolationError(f"superlevel audit at t={audit.t} failed: {detail}", weight_text=weight_to_text(w),
                              check="audit", detail=detail)
     fam = report.analysis.family
@@ -270,7 +264,7 @@ def _cmd_inspect(args) -> int:
         "leaf_values": [str(v) for v in w.leaf_values],
         "a1_constant": str(report.c),
         "bound": str(report.bound),
-        "maximal_function": [str(v) for v in report.analysis.maximal],
+        "maximal_function": [str(v) for v in maximal_function(report.analysis)],
         "stopping_family": [
             {
                 "level": node.level,

@@ -59,11 +59,12 @@ class WeightAnalysis:
     the node's average times ``unit`` (its leaf sum, cleared by L, times
     ``k**level``) and ``scaled_maximal[leaf]`` the maximal function times
     ``unit``.  Every comparison between node averages is therefore a
-    comparison of ints.  ``sums``, ``averages`` and ``maximal`` are the same
-    tables as ``Fraction``s and ``family`` the stopping family; each is built
-    on first read, so a caller that needs only c never pays for them.  Every
-    function here and in ``verify`` that reads these tables accepts a weight
-    or its analysis; the oracles take weights only.
+    comparison of ints.  The functions that report a value, such as
+    :func:`maximal_function`, build its ``Fraction``s from these tables;
+    ``family``, the stopping family, is built on first read, so a caller that
+    needs only c never pays for it.  Every function here and in ``verify``
+    that reads these tables accepts a weight or its analysis; the oracles take
+    weights only.
     """
 
     weight: StepWeight
@@ -73,36 +74,12 @@ class WeightAnalysis:
     c: Fraction
 
     @cached_property
-    def sums(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Leaf sum under each node, indexed [level][index]."""
-        k, m = self.weight.shape.k, self.weight.shape.m
-        # a sum is the average times the node's k**(m - level) leaves
-        scales = [self.unit // k ** (m - level) for level in range(m + 1)]
-        return tuple(
-            tuple(Fraction(x, scale) for x in row) for row, scale in zip(self.scaled_averages, scales)
-        )
-
-    @cached_property
-    def averages(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Average of the weight over each node, indexed [level][index]."""
-        unit = self.unit
-        return tuple(tuple(Fraction(x, unit) for x in row) for row in self.scaled_averages)
-
-    @cached_property
-    def maximal(self) -> tuple[Fraction, ...]:
-        """Maximal function at each leaf."""
-        unit = self.unit
-        # one Fraction per distinct value: a maximal function repeats its node averages
-        view = {x: Fraction(x, unit) for x in set(self.scaled_maximal)}
-        return tuple(map(view.__getitem__, self.scaled_maximal))
-
-    @cached_property
     def family(self) -> StoppingFamily:
         """Members, star links and the leaf assignment, from one top-down sweep.
 
         Each node carries the running maximal average and its deepest achiever,
         the star link of a new member below it.  The sweep never reads
-        ``maximal``, so the decomposition check compares two computations.
+        ``scaled_maximal``, so the decomposition check compares two computations.
         """
         k, table = self.weight.shape.k, self.scaled_averages
         members: list[NodeId] = [ROOT]
@@ -178,7 +155,10 @@ def average(w: StepWeight, node: NodeId) -> Fraction:
 
 def maximal_function(w: StepWeight | WeightAnalysis) -> tuple[Fraction, ...]:
     """Per-leaf maximum of node averages over the leaf's ancestor chain."""
-    return analyze(w).maximal
+    a = analyze(w)
+    # one Fraction per distinct value: a maximal function repeats its node averages
+    view = {x: Fraction(x, a.unit) for x in set(a.scaled_maximal)}
+    return tuple(map(view.__getitem__, a.scaled_maximal))
 
 
 def maximal_function_bruteforce(w: StepWeight) -> tuple[Fraction, ...]:

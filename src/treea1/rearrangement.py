@@ -79,15 +79,6 @@ class RearrangedProfile:
         n, unit = self.n, self.unit
         return tuple(Piece(Fraction(c, n), Fraction(v, unit)) for c, v in zip(self.cells, self.scaled_values))
 
-    @cached_property
-    def boundaries(self) -> tuple[Fraction, ...]:
-        """Cumulative measures; boundaries[i] is the right endpoint of piece i."""
-        return tuple(Fraction(c, self.n) for c in self.cumulative_cells)
-
-    @property
-    def total_integral(self) -> Fraction:
-        return Fraction(self.scaled_integrals[-1], self.n * self.unit)
-
     def _piece_index(self, t: Fraction) -> int:
         # boundary_i >= t  <=>  cumulative_cells[i] >= t * n
         return bisect_left(self.cumulative_cells, t * self.n)

@@ -29,7 +29,7 @@ from .rationals import as_fraction
 from .rearrangement import (
     RearrangedProfile, _check_t, _prefix_average, kadic_constant, prefix_average, rearrange, sup_ratio
 )
-from .tree import ROOT, NodeId, TreeShape, make_shape, node_measure
+from .tree import ROOT, NodeId, TreeShape, make_shape
 from .weights import (
     ExtremalParams, StepWeight, _canonical_grid, _draw, extremal_family, family_constant_formula, weight_hash,
     weight_to_text,
@@ -51,11 +51,13 @@ _REPORT_CHECKS = ("stopping", "growth", "weak_type", "decomposition")
 # refused before anything is allocated.
 MAX_WEIGHTS = 500_000
 # Least work, in leaves (trials * k**m), a pooled campaign gives each worker.
-# All checks cost about 11-13 us per leaf at 64 leaves and 6-10 us at 1,024
-# (Python 3.11, one core), so this is about 25-55 ms per worker, no less than
-# the 10-50 ms it takes to start and join a process pool; a campaign with less
-# work runs in this process.
-MIN_LEAVES_PER_WORKER = 4096
+# Measured on 2 cores with Python 3.11: importing the process pool takes about
+# 16 ms and starting and joining 2 workers 6-8 ms, while all checks cost about
+# 4.0 us per leaf at 256 leaves and 3.7 us at 1,024, so this is 30-33 ms per
+# worker, more than the 22-25 ms start-up (at 4,096 leaves each, 2 workers
+# took 36 ms against 34 ms in one process); a campaign with less work runs in
+# this process.
+MIN_LEAVES_PER_WORKER = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,14 +105,14 @@ class SuperlevelAudit:
     measures_ordered: bool  # mu{w > c*w*(t)} <= mu(superlevel set) <= t
 
     @property
+    def checks(self) -> dict[str, bool]:
+        """The five flags by name, in field order."""
+        names = ("nodes_are_members", "average_bounded", "dominates_prefix", "inside_level_set", "measures_ordered")
+        return {name: getattr(self, name) for name in names}
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.nodes_are_members
-            and self.average_bounded
-            and self.dominates_prefix
-            and self.inside_level_set
-            and self.measures_ordered
-        )
+        return all(self.checks.values())
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +129,8 @@ class GrowthCheck:
 
 def average_thresholds(w: StepWeight | WeightAnalysis) -> tuple[Fraction, ...]:
     """All distinct node averages, ascending; superlevel sets only change here."""
-    return tuple(sorted({avg for level in analyze(w).averages for avg in level}))
+    a = analyze(w)
+    return tuple(Fraction(x, a.unit) for x in sorted({x for row in a.scaled_averages for x in row}))
 
 
 def check_weak_type(w: StepWeight | WeightAnalysis, level) -> bool:
@@ -137,6 +140,9 @@ def check_weak_type(w: StepWeight | WeightAnalysis, level) -> bool:
     E is empty.  This is the check at one level, by a superlevel DFS; the
     ``weak_type`` check of reports and campaigns covers every node average
     in one sorted sweep instead, and this function is its test oracle.
+
+    With W leaves under E, S their scaled sum and level = p/q, mu(E) = W/n
+    and the integral is S/(unit*n), so the inequality is ``W*p*unit < S*q``.
     """
     lam = as_fraction(level)
     if lam <= 0:
@@ -145,10 +151,15 @@ def check_weak_type(w: StepWeight | WeightAnalysis, level) -> bool:
     nodes = superlevel_set(a, lam)
     if not nodes:
         return True
-    shape = a.weight.shape
-    mu = sum(node_measure(shape, node) for node in nodes)
-    integral = sum(a.sums[node.level][node.index] for node in nodes) / shape.leaf_count
-    return mu < integral / lam
+    count, total = _leaves_and_sum(a, nodes)
+    return count * lam.numerator * a.unit < total * lam.denominator
+
+
+def _leaves_and_sum(a: WeightAnalysis, nodes: Sequence[NodeId]) -> tuple[int, int]:
+    """Leaf count under the disjoint nodes, and their leaf sum times ``unit``: each average times its width."""
+    k, m = a.weight.shape.k, a.weight.shape.m
+    widths = [k ** (m - node.level) for node in nodes]
+    return sum(widths), sum(a.scaled_averages[node.level][node.index] * width for node, width in zip(nodes, widths))
 
 
 def check_stopping_consistency(w: StepWeight | WeightAnalysis) -> bool:
@@ -259,7 +270,7 @@ def check_rearrangement_bound(
     if with_audits:
         audits, piece, level = [], 0, None
         for t in audit_grid(a.weight):  # ascending, so the piece holding t only moves right
-            while profile.boundaries[piece] < t:
+            while profile.cumulative_cells[piece] * t.denominator < t.numerator * profile.n:
                 piece, level = piece + 1, None
             if level is None:
                 level = _level_audit(report, piece)
@@ -349,13 +360,10 @@ def _level_audit(report: VerificationReport, piece: int) -> dict:
         return dict(fields, superlevel_measure=Fraction(0), set_average=None, nodes_are_members=True,
                     average_bounded=above == 0, inside_level_set=True)
 
+    count, total = _leaves_and_sum(a, nodes)
+    # the integral over the set is total / (unit * n); the measure is count / n
+    set_average = Fraction(total, unit * count)
     widths = [k ** (m - node.level) for node in nodes]  # leaves under each node
-    count = sum(widths)
-    # the integral over the set is sum(width * average) / n; the measure is count / n
-    set_average = Fraction(
-        sum(a.scaled_averages[node.level][node.index] * width for node, width in zip(nodes, widths)),
-        unit * count,
-    )
     return dict(
         fields,
         superlevel_measure=Fraction(count, n),
@@ -538,7 +546,7 @@ def fuzz_campaign(
 
     A random campaign starts at most ``threads`` worker processes, and no
     more than the CPUs or the trials, but none for less than
-    ``MIN_LEAVES_PER_WORKER`` (4,096) leaves of work each, counted as
+    ``MIN_LEAVES_PER_WORKER`` (8,192) leaves of work each, counted as
     ``trials * k**m``; below that, and for an exhaustive campaign, it runs in
     this process.  ``CampaignSummary.workers`` says how many it used.
     """

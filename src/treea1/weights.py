@@ -39,11 +39,6 @@ class StepWeight:
                 raise ParameterError(f"leaf value at position {pos} must be positive, got {v}")
         object.__setattr__(self, "leaf_values", values)
 
-    @property
-    def total_integral(self) -> Fraction:
-        """Integral over the whole space: mean of the leaf values."""
-        return Fraction(sum(self.leaf_values), self.shape.leaf_count)
-
 
 def make_step_weight(shape: TreeShape, values: Sequence) -> StepWeight:
     """Build a step weight from any sequence of exact rationals."""

@@ -50,8 +50,8 @@ def _audit_fields(audit):
 def test_analyze_returns_an_analysis_unchanged():
     a = analyze(extremal_exact(2, 2))
     assert analyze(a) is a
-    assert a.maximal == (3, 2, 3, 2) and a.c == 2
-    assert a.sums[0] == (8,) and a.averages[1] == (2, 2)
+    assert maximal_function(a) == (3, 2, 3, 2) and a.c == 2
+    assert a.scaled_averages[:2] == ((2 * a.unit,), (2 * a.unit,) * 2)
 
 
 def test_one_report_builds_the_tables_and_the_family_once(monkeypatch):

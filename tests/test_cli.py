@@ -286,8 +286,8 @@ def _workers(outdir):
 
 
 def test_verify_threads_flag_matches_serial(tmp_path):
-    # 40 trials of 256 leaves is enough work for a real 2-worker pool
-    args = ["verify", "--k", "2", "--depth", "8", "--trials", "40", "--seed", "4", "--grid", "1,2"]
+    # 40 trials of 512 leaves is enough work for a real 2-worker pool
+    args = ["verify", "--k", "2", "--depth", "9", "--trials", "40", "--seed", "4", "--grid", "1,2"]
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli(args + ["--out", str(a)]) == 0
     assert run_cli(args + ["--threads", "2", "--out", str(b)]) == 0

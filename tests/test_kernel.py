@@ -82,14 +82,13 @@ def kadic_oracle(profile, k, depth):
 @given(wide_weights())
 def test_kernel_matches_the_fraction_oracles(w):
     a = analyze(w)
-    k, m = w.shape.k, w.shape.m
+    k = w.shape.k
     brute = maximal_function_bruteforce(w)
     assert maximal_function(w) == brute
     assert a.c == max(mf / v for mf, v in zip(brute, w.leaf_values))
-    for level, row in enumerate(a.averages):
+    for level, row in enumerate(a.scaled_averages):
         expected = tuple(average(w, NodeId(level, i)) for i in range(k**level))
-        assert row == expected
-        assert a.sums[level] == tuple(avg * k ** (m - level) for avg in expected)
+        assert tuple(Fraction(x, a.unit) for x in row) == expected
     profile = rearrange(w)
     assert all(profile.value_at(t) == rearrange_oracle(w, t) for t in audit_grid(w))
 
@@ -242,10 +241,11 @@ def sup_ratio_oracle(profile):
 
 def _assert_profile_matches_the_fraction_oracles(profile, cells):
     """The int scale against the oracles at every boundary and at the midpoint of each of ``cells`` cells."""
-    assert profile.boundaries == tuple(accumulate(measure for measure, _ in profile.pieces))
-    assert profile.total_integral == sum(measure * value for measure, value in profile.pieces)
+    boundaries = tuple(Fraction(c, profile.n) for c in profile.cumulative_cells)
+    assert boundaries == tuple(accumulate(measure for measure, _ in profile.pieces))
+    assert prefix_average(profile, 1) == sum(measure * value for measure, value in profile.pieces)
     assert sup_ratio(profile) == sup_ratio_oracle(profile)
-    for t in set(profile.boundaries) | {Fraction(2 * j - 1, 2 * cells) for j in range(1, cells + 1)}:
+    for t in set(boundaries) | {Fraction(2 * j - 1, 2 * cells) for j in range(1, cells + 1)}:
         assert prefix_average(profile, t) == prefix_average_oracle(profile, t)
 
 

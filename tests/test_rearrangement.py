@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 
 from conftest import step_weights
 from treea1 import (
+    ROOT,
     ExtremalParams,
     ParameterError,
     RearrangedProfile,
     a1_constant,
+    average,
     check_rearrangement_bound,
     extremal_exact,
     extremal_family,
@@ -101,7 +103,7 @@ def test_rearrangement_is_equimeasurable(w):
     for measure, value in profile.pieces:
         from_profile[value] += measure
     assert from_weight == from_profile
-    assert profile.total_integral == w.total_integral
+    assert prefix_average(profile, 1) == average(w, ROOT)
 
 
 def test_rearrange_oracle_examples():
@@ -118,7 +120,7 @@ def test_rearrange_oracle_examples():
 @given(step_weights())
 def test_oracle_agrees_with_profile_evaluation(w):
     profile = rearrange(w)
-    points = set(profile.boundaries)
+    points = {Fraction(c, profile.n) for c in profile.cumulative_cells}
     n = w.shape.leaf_count
     points.update(Fraction(2 * j - 1, 2 * n) for j in range(1, n + 1))  # leaf midpoints
     for t in points:
@@ -144,7 +146,8 @@ def test_prefix_average_examples():
 @given(step_weights())
 def test_prefix_average_is_non_increasing(w):
     profile = rearrange(w)
-    points = sorted(set(profile.boundaries) | {b / 2 for b in profile.boundaries})
+    boundaries = {Fraction(c, profile.n) for c in profile.cumulative_cells}
+    points = sorted(boundaries | {b / 2 for b in boundaries})
     values = [prefix_average(profile, t) for t in points if 0 < t <= 1]
     assert all(a >= b for a, b in zip(values, values[1:]))
 

@@ -14,6 +14,7 @@ from conftest import step_weights
 from treea1 import (
     ALL_CHECKS,
     ExtremalParams,
+    GrowthCheck,
     NodeId,
     ParameterError,
     StepWeight,
@@ -172,7 +173,7 @@ def _audit_oracle(report, t):
             dominates_prefix=True, inside_level_set=True, measures_ordered=True,
         )
     mu = sum(node_measure(w.shape, node) for node in nodes)
-    integral = sum(a.sums[node.level][node.index] for node in nodes) / n
+    integral = sum(w.leaf_values[leaf] for node in nodes for leaf in leaves_under(w.shape, node)) / n
     set_average = integral / mu
     return SuperlevelAudit(
         t=t, level_value=lam, threshold=threshold, degenerate=False, nodes=nodes,
@@ -429,10 +430,10 @@ def test_fuzz_campaign_is_deterministic():
 
 
 def test_fuzz_campaign_threads_match_serial():
-    # 40 trials of 256 leaves is 2.5 workers' worth of leaves, so this starts a real pool
-    assert 40 * 2**8 >= 2 * treea1.verify.MIN_LEAVES_PER_WORKER
-    serial = fuzz_campaign(2, 8, 40, seed=5, grid=[1, 2, 3], checks=("kadic",))
-    parallel = fuzz_campaign(2, 8, 40, seed=5, grid=[1, 2, 3], checks=("kadic",), threads=2)
+    # 40 trials of 512 leaves is 2.5 workers' worth of leaves, so this starts a real pool
+    assert 40 * 2**9 >= 2 * treea1.verify.MIN_LEAVES_PER_WORKER
+    serial = fuzz_campaign(2, 9, 40, seed=5, grid=[1, 2, 3], checks=("kadic",))
+    parallel = fuzz_campaign(2, 9, 40, seed=5, grid=[1, 2, 3], checks=("kadic",), threads=2)
     assert serial.workers == 1
     assert parallel.workers == min(2, os.cpu_count() or 1)
     assert [dataclasses.astuple(r) for r in serial.rows] == [dataclasses.astuple(r) for r in parallel.rows]
@@ -602,6 +603,29 @@ def test_fuzz_campaign_aborts_on_violation(monkeypatch):
     assert err.value.check == "decomposition"
     assert err.value.weight_text.startswith("2 1 ")
     assert "trial 0" in err.value.detail
+
+
+# check name -> (the function in treea1.verify it calls, a replacement that makes it fail on every weight)
+_FAILING = {
+    "stopping": ("check_stopping_consistency", lambda a: False),
+    "growth": ("check_growth_bound", lambda a: GrowthCheck(False)),
+    "weak_type": ("_weak_type_failure", lambda a: Fraction(1)),
+    "decomposition": ("check_decomposition", lambda a: False),
+    "oracle": ("maximal_function", lambda a: ()),
+    "kadic": ("kadic_constant", lambda profile, k, depth: Fraction(10**9)),
+}
+
+
+@pytest.mark.parametrize("name", ALL_CHECKS)
+def test_a_failing_check_is_reported_under_its_own_name(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(treea1.verify, *_FAILING[name])
+    with pytest.raises(ViolationError) as err:
+        fuzz_campaign(2, 2, 3, seed=1, grid=[1, 2, 3], checks=(name,))
+    assert err.value.check == name
+
+    out = tmp_path / "run"
+    assert main(["verify", "--k", "2", "--depth", "2", "--trials", "3", "--out", str(out)]) == 1
+    assert f"\ncheck: {name}\n" in (out / "counterexample.txt").read_text()
 
 
 def test_sharpness_sweep_family_row():

@@ -8,10 +8,12 @@ from hypothesis import assume, given, strategies as st
 from conftest import positive_rationals, step_weights
 from treea1 import (
     MAX_DECIMAL_EXPONENT,
+    ROOT,
     ExtremalParams,
     ParameterError,
     a1_constant,
     as_fraction,
+    average,
     decimal_string,
     extremal_exact,
     extremal_family,
@@ -33,7 +35,7 @@ from treea1.rationals import _exact_decimal_string
 def test_make_step_weight_accepts_rationals():
     w = make_step_weight(make_shape(2, 1), [1, "3/2"])
     assert w.leaf_values == (Fraction(1), Fraction(3, 2))
-    assert w.total_integral == Fraction(5, 4)
+    assert average(w, ROOT) == Fraction(5, 4)
 
 
 def test_make_step_weight_rejects_bad_input():
