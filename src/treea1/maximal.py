@@ -212,22 +212,38 @@ def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, .
     The returned nodes are pairwise disjoint and their union is exactly
     {maximal_function(w) > threshold}.  If the root already qualifies the
     answer is (root,); if no node qualifies, the empty tuple.
+
+    A top-down walk over the analysis's level rows, with a mask of free
+    nodes, those with no ancestor in the set: a level's hits are its free
+    nodes above the threshold, a node's children are free when it is free
+    and not a hit, and the walk stops once no node is free.  Nodes come out
+    level by level in index order, so already sorted.  No node average
+    exceeds the largest leaf, so when no leaf exceeds the threshold the set
+    is empty without a walk.  Neither ``scaled_maximal`` nor the stopping
+    family is read, so the weak-type check built on this function stays
+    independent of the sweep it checks.
     """
     threshold = as_fraction(threshold)
     a = analyze(w)
-    k, m = a.weight.shape.k, a.weight.shape.m
+    k, table = a.weight.shape.k, a.scaled_averages
     # average > p/q  <=>  scaled average * q > p * unit
     bar, q = threshold.numerator * a.unit, threshold.denominator
+    if max(table[-1]) * q <= bar:
+        return ()
     out: list[NodeId] = []
-    stack = [ROOT]
-    while stack:
-        node = stack.pop()
-        if a.scaled_averages[node.level][node.index] * q > bar:
-            out.append(node)
-        elif node.level < m:
-            base = node.index * k
-            stack.extend(NodeId(node.level + 1, base + j) for j in range(k))
-    return tuple(sorted(out))
+    free = [True]  # per node of the level: no ancestor is in the set
+    for level, row in enumerate(table):
+        hits = [index for index in itertools.compress(range(len(row)), free) if row[index] * q > bar]
+        for index in hits:
+            out.append(NodeId(level, index))
+            free[index] = False
+        if not any(free):
+            break
+        below = [False] * (len(free) * k)
+        for j in range(k):
+            below[j::k] = free
+        free = below
+    return tuple(out)
 
 
 def stopping_family(w: StepWeight | WeightAnalysis) -> StoppingFamily:

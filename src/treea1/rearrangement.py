@@ -131,17 +131,12 @@ def rearrange_oracle(w: StepWeight, t) -> Fraction:
 
 
 def prefix_average(profile: RearrangedProfile, t) -> Fraction:
-    """Exact (1/t) * integral of the profile over (0, t]."""
-    t = _check_t(t)
-    return _prefix_average(profile, profile._piece_index(t), t)
-
-
-def _prefix_average(profile: RearrangedProfile, i: int, t: Fraction) -> Fraction:
-    """:func:`prefix_average` at a t already checked and known to lie on piece i.
+    """Exact (1/t) * integral of the profile over (0, t].
 
     With t = p/q, the integral over (0, t] is one int over ``n * unit * q``.
     """
-    p, q = t.numerator, t.denominator
+    t = _check_t(t)
+    i, p, q = profile._piece_index(t), t.numerator, t.denominator
     return Fraction(_scaled_integral(profile, i, p * profile.n, q), profile.n * profile.unit * p)
 
 

@@ -27,7 +27,7 @@ from .maximal import (
 )
 from .rationals import as_fraction
 from .rearrangement import (
-    RearrangedProfile, _check_t, _prefix_average, kadic_constant, prefix_average, rearrange, sup_ratio
+    RearrangedProfile, _check_t, _scaled_integral, kadic_constant, prefix_average, rearrange, sup_ratio
 )
 from .tree import ROOT, NodeId, TreeShape, make_shape
 from .weights import (
@@ -137,9 +137,11 @@ def check_weak_type(w: StepWeight | WeightAnalysis, level) -> bool:
     """Strict weak-type inequality mu(E) < (1/level) * integral of w over E.
 
     E is the superlevel set {maximal_function > level}; vacuously true when
-    E is empty.  This is the check at one level, by a superlevel DFS; the
-    ``weak_type`` check of reports and campaigns covers every node average
-    in one sorted sweep instead, and this function is its test oracle.
+    E is empty.  This is the check at one level, on the maximal nodes that
+    :func:`~treea1.maximal.superlevel_set` walks down the node averages to
+    find; the ``weak_type`` check of reports and campaigns covers every node
+    average in one sorted sweep of the maximal function instead, and this
+    function is its test oracle.
 
     With W leaves under E, S their scaled sum and level = p/q, mu(E) = W/n
     and the integral is S/(unit*n), so the inequality is ``W*p*unit < S*q``.
@@ -334,11 +336,14 @@ def audit_superlevel(w: StepWeight | WeightAnalysis | VerificationReport, t) -> 
     return _audit_at(report, _level_audit(report, piece), t, piece)
 
 
-def _level_audit(report: VerificationReport, piece: int) -> dict:
+def _level_audit(report: VerificationReport, piece: int) -> tuple[dict, int, int, int]:
     """The SuperlevelAudit fields that depend on t only through its piece, whose value is the level w*(t) = lam.
 
     Leaves are compared as the analysis's ints: lam and the threshold are
     leaf-level values times rationals, so ``x > threshold`` is ``x * q > p * unit``.
+    The fields come with the ints the comparisons with t read: the count of
+    leaves above the threshold, and the count of leaves under the set and
+    their sum times ``unit`` (both 0 for an empty set).
     """
     a, lam = report.analysis, Fraction(report.profile.scaled_values[piece], report.profile.unit)
     k, m = a.weight.shape.k, a.weight.shape.m
@@ -357,15 +362,15 @@ def _level_audit(report: VerificationReport, piece: int) -> dict:
     )
     if not nodes:
         # w <= threshold at every leaf is the fallback; the other flags are vacuous
-        return dict(fields, superlevel_measure=Fraction(0), set_average=None, nodes_are_members=True,
-                    average_bounded=above == 0, inside_level_set=True)
+        fields.update(superlevel_measure=Fraction(0), set_average=None, nodes_are_members=True,
+                      average_bounded=above == 0, inside_level_set=True)
+        return fields, above, 0, 0
 
     count, total = _leaves_and_sum(a, nodes)
     # the integral over the set is total / (unit * n); the measure is count / n
     set_average = Fraction(total, unit * count)
     widths = [k ** (m - node.level) for node in nodes]  # leaves under each node
-    return dict(
-        fields,
+    fields.update(
         superlevel_measure=Fraction(count, n),
         set_average=set_average,
         nodes_are_members=all(node in a.family.node_averages for node in nodes),
@@ -375,17 +380,30 @@ def _level_audit(report: VerificationReport, piece: int) -> dict:
             for node, width in zip(nodes, widths)
         ),
     )
+    return fields, above, count, total
 
 
-def _audit_at(report: VerificationReport, level: dict, t: Fraction, piece: int) -> SuperlevelAudit:
-    """Complete a level's audit at t, checked and found on ``piece``, by the two comparisons with t."""
-    if level["degenerate"]:
-        return SuperlevelAudit(t=t, dominates_prefix=True, measures_ordered=True, **level)
+def _audit_at(
+    report: VerificationReport, level: tuple[dict, int, int, int], t: Fraction, piece: int
+) -> SuperlevelAudit:
+    """Complete a level's audit at t, checked and found on ``piece``, by the two comparisons with t.
+
+    Both are int comparisons.  With t = p/q and n leaves, the measures are
+    above/n <= count/n <= p/q.  The set average total / (unit * count) is
+    compared with the prefix average, the profile's scaled integral up to t
+    over ``profile.n * profile.unit * p``, by cross-multiplication.
+    """
+    fields, above, count, total = level
+    if fields["degenerate"]:
+        return SuperlevelAudit(t=t, dominates_prefix=True, measures_ordered=True, **fields)
+    a, profile = report.analysis, report.profile
+    p, q = t.numerator, t.denominator
+    integral = _scaled_integral(profile, piece, p * profile.n, q)
     return SuperlevelAudit(
         t=t,
-        dominates_prefix=level["set_average"] >= _prefix_average(report.profile, piece, t),
-        measures_ordered=level["above_threshold_measure"] <= level["superlevel_measure"] <= t,
-        **level,
+        dominates_prefix=total * profile.n * profile.unit * p >= integral * a.unit * count,
+        measures_ordered=above <= count and count * q <= p * a.weight.shape.leaf_count,
+        **fields,
     )
 
 
@@ -393,7 +411,7 @@ def _weak_type_failure(a: WeightAnalysis) -> Fraction | None:
     """Smallest node average lam with mu(E) >= (1/lam) * integral of w over E, or None.
 
     E = {maximal_function > lam}.  One sorted sweep replaces a superlevel
-    DFS per threshold: walking the scaled node averages x = lam * unit
+    set per threshold: walking the scaled node averages x = lam * unit
     downwards, the leaves with scaled maximal function above x join E in
     order, and E keeps its leaf count and scaled leaf sum.  Then
     lam * mu(E) = x * count / (unit * n) and the integral of w over E is

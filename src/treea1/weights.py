@@ -233,7 +233,10 @@ def weight_from_text(text: str) -> StepWeight:
         raise ParameterError(
             f"weight record for k={k}, m={m} needs {shape.leaf_count} values, got {len(values)}"
         )
-    return StepWeight(shape, tuple(as_fraction(v) for v in values))
+    # a weight file repeats few distinct tokens: each is parsed once, in order of first appearance,
+    # so the first bad token is still the one reported
+    parsed = {token: as_fraction(token) for token in dict.fromkeys(values)}
+    return StepWeight(shape, tuple(map(parsed.__getitem__, values)))
 
 
 def weight_hash(w: StepWeight) -> str:

@@ -1,6 +1,9 @@
+import ast
+import inspect
 import itertools
 import math
 import random
+import textwrap
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -10,12 +13,15 @@ from test_kernel import WIDE_VALUES, wide_values
 from treea1 import (
     NodeId,
     a1_constant,
+    analyze,
+    as_fraction,
     average,
     extremal_exact,
     make_shape,
     make_step_weight,
     maximal_function,
     maximal_function_bruteforce,
+    random_weight,
     refine,
     scale,
     stopping_family,
@@ -290,6 +296,60 @@ def test_superlevel_set_is_exactly_the_maximal_superlevel(w):
         for node in nodes:
             if node.level:
                 assert average(w, parent(w.shape, node)) <= threshold
+
+
+def _dfs_superlevel_set(w, threshold):
+    """Reference for :func:`superlevel_set`: a depth-first search from the root.
+
+    A node above the threshold is taken and its subtree skipped; any other
+    node pushes its children.  One ``NodeId`` per visited node, sorted at the end.
+    """
+    threshold = as_fraction(threshold)
+    a = analyze(w)
+    k, m = a.weight.shape.k, a.weight.shape.m
+    # average > p/q  <=>  scaled average * q > p * unit
+    bar, q = threshold.numerator * a.unit, threshold.denominator
+    out: list[NodeId] = []
+    stack = [ROOT]
+    while stack:
+        node = stack.pop()
+        if a.scaled_averages[node.level][node.index] * q > bar:
+            out.append(node)
+        elif node.level < m:
+            base = node.index * k
+            stack.extend(NodeId(node.level + 1, base + j) for j in range(k))
+    return tuple(sorted(out))
+
+
+def _assert_superlevel_sets_match_the_dfs(w):
+    """Every node average, each one +- 1/7, 0, -1 and the largest leaf, as thresholds."""
+    a = analyze(w)
+    averages = {Fraction(x, a.unit) for row in a.scaled_averages for x in row}
+    thresholds = averages | {v + d for v in averages for d in (Fraction(1, 7), Fraction(-1, 7))}
+    thresholds |= {Fraction(0), Fraction(-1), max(w.leaf_values)}
+    for threshold in sorted(thresholds):
+        assert superlevel_set(a, threshold) == _dfs_superlevel_set(a, threshold), threshold
+
+
+@given(step_weights(ks=(2, 3, 4)))
+def test_superlevel_set_matches_the_dfs_reference(w):
+    _assert_superlevel_sets_match_the_dfs(w)
+
+
+def test_superlevel_set_matches_the_dfs_reference_at_256_and_729_leaves():
+    grid = (1, 2, 3, 5, 10, 100)
+    for k, m, seed in ((2, 8, 256), (3, 6, 729)):
+        _assert_superlevel_sets_match_the_dfs(random_weight(make_shape(k, m), seed, grid))
+
+
+def test_superlevel_set_reads_neither_the_maximal_function_nor_the_family():
+    # check_weak_type builds on superlevel_set to check the weak-type sweep over
+    # scaled_maximal, so it must find the set from the node averages alone
+    tree = ast.parse(textwrap.dedent(inspect.getsource(superlevel_set)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "scaled_averages" in names  # the walk sees the body
+    assert not names & {"scaled_maximal", "family", "stopping_family", "maximal_function"}
 
 
 @given(step_weights(), st.fractions(min_value=Fraction(1, 7), max_value=7, max_denominator=7))

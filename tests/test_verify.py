@@ -153,7 +153,7 @@ def test_report_with_audits_covers_canonical_grid():
 
 
 def _audit_oracle(report, t):
-    """The superlevel audit at one t from scratch: a DFS and Fraction sums over its nodes.
+    """The superlevel audit at one t from scratch: one superlevel set and Fraction sums over its nodes.
 
     This is the per-t audit the library replaced by one superlevel set per
     rearrangement piece; it shares with it only the report it reads.
@@ -289,13 +289,13 @@ def test_audits_neither_check_t_nor_bisect_per_grid_point(monkeypatch):
                          (treea1.rearrangement, "_check_t"), (treea1.rearrangement, "bisect_left")):
         monkeypatch.setattr(module, name, refuse)
     seen = []
-    original = treea1.verify._prefix_average
+    original = treea1.verify._scaled_integral
 
-    def recorded(profile, piece, t):
-        seen.append((piece, t))
-        return original(profile, piece, t)
+    def recorded(profile, piece, cells, per):
+        seen.append((piece, Fraction(cells, per * profile.n)))  # the integral runs up to t = cells / (per * n)
+        return original(profile, piece, cells, per)
 
-    monkeypatch.setattr(treea1.verify, "_prefix_average", recorded)
+    monkeypatch.setattr(treea1.verify, "_scaled_integral", recorded)
     w = make_step_weight(make_shape(2, 3), [4, 2, 2, 2, 1, 1, 1, 1])  # two pieces with a superlevel set
     report = check_rearrangement_bound(w, with_audits=True)
     monkeypatch.undo()

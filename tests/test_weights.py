@@ -257,6 +257,21 @@ def test_serialization_errors():
         weight_from_text("")
 
 
+def test_weight_from_text_reports_the_first_bad_token():
+    # each distinct token is parsed once; "zz" comes first in the file but last in sorted order
+    with pytest.raises(ParameterError, match="'zz'"):
+        weight_from_text("2 2 1 zz aa zz\n")
+    with pytest.raises(ParameterError, match="'aa'"):
+        weight_from_text("2 2 1 aa zz aa\n")
+
+
+def test_weight_from_text_parses_equal_values_written_differently_as_equal():
+    w = weight_from_text("2 2 2 4/2 2.0 6/3\n")
+    assert w.leaf_values == (2, 2, 2, 2)
+    assert w == make_step_weight(make_shape(2, 2), [2] * 4)
+    assert weight_from_text("2 1 1/3 2/6\n").leaf_values == (Fraction(1, 3), Fraction(1, 3))
+
+
 @given(step_weights(values=st.fractions(min_value=Fraction(1, 97), max_value=97, max_denominator=97)))
 def test_serialization_round_trip_is_exact(w):
     assert weight_from_text(weight_to_text(w)) == w
