@@ -53,6 +53,7 @@ from .verify import (
     MAX_WEIGHTS,
     CampaignSummary,
     GrowthCheck,
+    LevelAudit,
     SuperlevelAudit,
     SweepRow,
     VerificationReport,

@@ -205,15 +205,16 @@ def _cmd_search(args) -> int:
 
 
 def _audit_json(audit) -> dict:
+    level = audit.level
     return {
         "t": str(audit.t),
-        "level_value": str(audit.level_value),
-        "threshold": str(audit.threshold),
-        "degenerate": audit.degenerate,
-        "nodes": [[n.level, n.index] for n in audit.nodes],
-        "superlevel_measure": str(audit.superlevel_measure),
-        "above_threshold_measure": str(audit.above_threshold_measure),
-        "set_average": str(audit.set_average) if audit.set_average is not None else None,
+        "level_value": str(level.level_value),
+        "threshold": str(level.threshold),
+        "degenerate": level.degenerate,
+        "nodes": [[n.level, n.index] for n in level.nodes],
+        "superlevel_measure": str(level.superlevel_measure),
+        "above_threshold_measure": str(level.above_threshold_measure),
+        "set_average": str(level.set_average) if level.set_average is not None else None,
         "checks": audit.checks,
         "passed": audit.passed,
     }

@@ -217,9 +217,10 @@ def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, .
     nodes, those with no ancestor in the set: a level's hits are its free
     nodes above the threshold, a node's children are free when it is free
     and not a hit, and the walk stops once no node is free.  Nodes come out
-    level by level in index order, so already sorted.  No node average
-    exceeds the largest leaf, so when no leaf exceeds the threshold the set
-    is empty without a walk.  Neither ``scaled_maximal`` nor the stopping
+    level by level in index order, so already sorted.  The root is tested
+    before anything else, so a root that qualifies costs one comparison.  No
+    node average exceeds the largest leaf, so when no leaf exceeds the
+    threshold the set is empty without a walk.  Neither ``scaled_maximal`` nor the stopping
     family is read, so the weak-type check built on this function stays
     independent of the sweep it checks.
     """
@@ -228,6 +229,8 @@ def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, .
     k, table = a.weight.shape.k, a.scaled_averages
     # average > p/q  <=>  scaled average * q > p * unit
     bar, q = threshold.numerator * a.unit, threshold.denominator
+    if table[0][0] * q > bar:
+        return (ROOT,)
     if max(table[-1]) * q <= bar:
         return ()
     out: list[NodeId] = []

@@ -13,14 +13,13 @@ import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ParameterError, ViolationError
 from .maximal import (
     WeightAnalysis,
     a1_constant,
     analyze,
-    maximal_function,
     maximal_function_bruteforce,
     stopping_family,
     superlevel_set,
@@ -80,17 +79,15 @@ class VerificationReport:
 
 
 @dataclass(frozen=True, eq=False)
-class SuperlevelAudit:
-    """Quantities of the superlevel set {maximal_function > c * w*(t)} at one t.
+class LevelAudit:
+    """Quantities of the superlevel set {maximal_function > c * level} at one level w*(t).
 
-    Every field but ``t``, ``dominates_prefix`` and ``measures_ordered``
-    depends on t only through the level w*(t), so it is computed once per
-    rearrangement piece and shared by every t on that piece.  When the set
-    is empty the record is degenerate and ``average_bounded`` reports the
-    leafwise fallback w <= c * w*(t); the remaining flags are vacuously true.
+    They depend on t only through the level, so one record is built per
+    rearrangement piece and shared by every audit on that piece.  When the
+    set is empty the record is degenerate and ``average_bounded`` reports the
+    leafwise fallback w <= c * level; the other flags are vacuously true.
     """
 
-    t: Fraction
     level_value: Fraction  # w*(t)
     threshold: Fraction  # c * w*(t)
     degenerate: bool
@@ -100,15 +97,33 @@ class SuperlevelAudit:
     set_average: Fraction | None
     nodes_are_members: bool
     average_bounded: bool  # set average <= (k*c-k+1) * w*(t); leafwise fallback if degenerate
-    dominates_prefix: bool  # set average >= prefix average at t
     inside_level_set: bool  # superlevel set is contained in {w > w*(t)}
+
+
+class SuperlevelAudit(NamedTuple):
+    """The superlevel audit at one t: the level record of t's piece and the two comparisons with t.
+
+    The per-piece quantities are read as ``audit.level.<name>``; only the two
+    flags that compare the set with t itself are computed per t, when the
+    audit is built.  ``checks`` gathers all five flags by name.
+    """
+
+    t: Fraction
+    level: LevelAudit
+    dominates_prefix: bool  # set average >= prefix average at t
     measures_ordered: bool  # mu{w > c*w*(t)} <= mu(superlevel set) <= t
 
     @property
     def checks(self) -> dict[str, bool]:
-        """The five flags by name, in field order."""
-        names = ("nodes_are_members", "average_bounded", "dominates_prefix", "inside_level_set", "measures_ordered")
-        return {name: getattr(self, name) for name in names}
+        """The five flags by name, in the order ``inspect --json`` lists them."""
+        level = self.level
+        return {
+            "nodes_are_members": level.nodes_are_members,
+            "average_bounded": level.average_bounded,
+            "dominates_prefix": self.dominates_prefix,
+            "inside_level_set": level.inside_level_set,
+            "measures_ordered": self.measures_ordered,
+        }
 
     @property
     def passed(self) -> bool:
@@ -191,10 +206,16 @@ def check_oracle_equality(w: StepWeight | WeightAnalysis) -> bool:
     The oracle takes and returns ``Fraction``s; inside, it recomputes every
     node's sum from prefix sums of the leaf values in ints at its own scale,
     one cross-multiplied comparison per node and per leaf, sharing no code
-    with the kernel's int sweep.
+    with the kernel's int sweep.  Each oracle value f is compared with the
+    kernel's scaled int x = M(leaf) * unit in ints, ``f.numerator * unit ==
+    x * f.denominator``, so no ``Fraction`` view of the kernel is built.
     """
     a = analyze(w)
-    return maximal_function(a) == maximal_function_bruteforce(a.weight)
+    unit, scaled = a.unit, a.scaled_maximal
+    oracle = maximal_function_bruteforce(a.weight)
+    return len(oracle) == len(scaled) and all(
+        f.numerator * unit == x * f.denominator for f, x in zip(oracle, scaled)
+    )
 
 
 def check_growth_bound(w: StepWeight | WeightAnalysis) -> GrowthCheck:
@@ -242,10 +263,12 @@ def check_rearrangement_bound(
     With ``properties=True`` the report also runs the structural checks
     (stopping consistency, member growth, weak type at every node-average
     threshold, decomposition identity); with ``with_audits=True`` it carries
-    a superlevel audit for every t on the canonical grid.  The audits build
-    the superlevel set once per distinct level w*(t), that is once per
-    rearrangement piece, and only the two comparisons with t itself once per
-    grid point.  Omitted pieces stay None.
+    a :class:`SuperlevelAudit` for every t on the canonical grid, in grid
+    order.  The superlevel set and its :class:`LevelAudit` are built once per
+    distinct level w*(t), that is once per rearrangement piece the grid
+    meets, and every audit on that piece holds the same record; per grid
+    point the walk makes only the two int comparisons with t and one
+    four-field record.  Omitted parts stay None.
     """
     a = analyze(w)
     c = a1_constant(a)
@@ -326,8 +349,11 @@ def audit_superlevel(w: StepWeight | WeightAnalysis | VerificationReport, t) -> 
     mu({w > threshold}) and t.  When the set is empty, w <= threshold must
     hold at every leaf.
 
-    A report is read as it is; a weight or an analysis gets a new report for
-    this one t, so a caller auditing many t should pass a report or ask
+    The result is the record ``check_rearrangement_bound(..., with_audits=True)``
+    holds for this t: the level record of t's piece, built here for this one
+    piece, and the two flags that compare the set with t.  A report is read as
+    it is; a weight or an analysis gets a new report for this one t, so a
+    caller auditing many t should pass a report or ask
     :func:`check_rearrangement_bound` for ``with_audits=True``.
     """
     report = w if isinstance(w, VerificationReport) else check_rearrangement_bound(w)
@@ -336,14 +362,14 @@ def audit_superlevel(w: StepWeight | WeightAnalysis | VerificationReport, t) -> 
     return _audit_at(report, _level_audit(report, piece), t, piece)
 
 
-def _level_audit(report: VerificationReport, piece: int) -> tuple[dict, int, int, int]:
-    """The SuperlevelAudit fields that depend on t only through its piece, whose value is the level w*(t) = lam.
+def _level_audit(report: VerificationReport, piece: int) -> tuple[LevelAudit, int, int, int]:
+    """The level record of ``piece``, whose value is the level w*(t) = lam, and the ints the comparisons with t read.
 
     Leaves are compared as the analysis's ints: lam and the threshold are
     leaf-level values times rationals, so ``x > threshold`` is ``x * q > p * unit``.
-    The fields come with the ints the comparisons with t read: the count of
-    leaves above the threshold, and the count of leaves under the set and
-    their sum times ``unit`` (both 0 for an empty set).
+    The record comes with the count of leaves above the threshold, and the
+    count of leaves under the set and their sum times ``unit`` (both 0 for an
+    empty set).
     """
     a, lam = report.analysis, Fraction(report.profile.scaled_values[piece], report.profile.unit)
     k, m = a.weight.shape.k, a.weight.shape.m
@@ -353,25 +379,33 @@ def _level_audit(report: VerificationReport, piece: int) -> tuple[dict, int, int
     bar, q = threshold.numerator * unit, threshold.denominator
     above = sum(1 for x in leaves if x * q > bar)
     nodes = superlevel_set(a, threshold)
-    fields = dict(
-        level_value=lam,
-        threshold=threshold,
-        degenerate=not nodes,
-        nodes=nodes,
-        above_threshold_measure=Fraction(above, n),
-    )
     if not nodes:
         # w <= threshold at every leaf is the fallback; the other flags are vacuous
-        fields.update(superlevel_measure=Fraction(0), set_average=None, nodes_are_members=True,
-                      average_bounded=above == 0, inside_level_set=True)
-        return fields, above, 0, 0
+        record = LevelAudit(
+            level_value=lam,
+            threshold=threshold,
+            degenerate=True,
+            nodes=nodes,
+            superlevel_measure=Fraction(0),
+            above_threshold_measure=Fraction(above, n),
+            set_average=None,
+            nodes_are_members=True,
+            average_bounded=above == 0,
+            inside_level_set=True,
+        )
+        return record, above, 0, 0
 
     count, total = _leaves_and_sum(a, nodes)
     # the integral over the set is total / (unit * n); the measure is count / n
     set_average = Fraction(total, unit * count)
     widths = [k ** (m - node.level) for node in nodes]  # leaves under each node
-    fields.update(
+    record = LevelAudit(
+        level_value=lam,
+        threshold=threshold,
+        degenerate=False,
+        nodes=nodes,
         superlevel_measure=Fraction(count, n),
+        above_threshold_measure=Fraction(above, n),
         set_average=set_average,
         nodes_are_members=all(node in a.family.node_averages for node in nodes),
         average_bounded=set_average <= report.bound * lam,
@@ -380,30 +414,31 @@ def _level_audit(report: VerificationReport, piece: int) -> tuple[dict, int, int
             for node, width in zip(nodes, widths)
         ),
     )
-    return fields, above, count, total
+    return record, above, count, total
 
 
 def _audit_at(
-    report: VerificationReport, level: tuple[dict, int, int, int], t: Fraction, piece: int
+    report: VerificationReport, level: tuple[LevelAudit, int, int, int], t: Fraction, piece: int
 ) -> SuperlevelAudit:
     """Complete a level's audit at t, checked and found on ``piece``, by the two comparisons with t.
 
     Both are int comparisons.  With t = p/q and n leaves, the measures are
     above/n <= count/n <= p/q.  The set average total / (unit * count) is
     compared with the prefix average, the profile's scaled integral up to t
-    over ``profile.n * profile.unit * p``, by cross-multiplication.
+    over ``profile.n * profile.unit * p``, by cross-multiplication.  An empty
+    set passes both vacuously.
     """
-    fields, above, count, total = level
-    if fields["degenerate"]:
-        return SuperlevelAudit(t=t, dominates_prefix=True, measures_ordered=True, **fields)
+    record, above, count, total = level
+    if not count:
+        return SuperlevelAudit(t, record, True, True)
     a, profile = report.analysis, report.profile
     p, q = t.numerator, t.denominator
     integral = _scaled_integral(profile, piece, p * profile.n, q)
     return SuperlevelAudit(
-        t=t,
-        dominates_prefix=total * profile.n * profile.unit * p >= integral * a.unit * count,
-        measures_ordered=above <= count and count * q <= p * a.weight.shape.leaf_count,
-        **fields,
+        t,
+        record,
+        total * profile.n * profile.unit * p >= integral * a.unit * count,
+        above <= count and count * q <= p * a.weight.shape.leaf_count,
     )
 
 

@@ -35,7 +35,8 @@ def _family_fields(fam):
 
 def _report_fields(report):
     audits = tuple(
-        (a.t, a.threshold, a.nodes, a.superlevel_measure, a.set_average, a.passed) for a in report.audits
+        (a.t, a.level.threshold, a.level.nodes, a.level.superlevel_measure, a.level.set_average, a.passed)
+        for a in report.audits
     )
     return (report.c, report.bound, report.sup_ratio, report.margin, report.witness, report.holds,
             report.profile, report.stopping_consistent, report.growth_bound_ok, report.weak_type_ok,
@@ -43,8 +44,9 @@ def _report_fields(report):
 
 
 def _audit_fields(audit):
-    return (audit.t, audit.level_value, audit.threshold, audit.degenerate, audit.nodes,
-            audit.superlevel_measure, audit.above_threshold_measure, audit.set_average, audit.passed)
+    level = audit.level
+    return (audit.t, level.level_value, level.threshold, level.degenerate, level.nodes,
+            level.superlevel_measure, level.above_threshold_measure, level.set_average, audit.passed)
 
 
 def test_analyze_returns_an_analysis_unchanged():

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -369,7 +368,7 @@ def test_inspect_bound_violation_exits_1_with_the_weight(tmp_path, monkeypatch, 
 def test_inspect_failed_audit_exits_1_with_the_weight(tmp_path, monkeypatch, capsys):
     original = treea1.cli.audit_superlevel
     monkeypatch.setattr(treea1.cli, "audit_superlevel",
-                        lambda report, t: dataclasses.replace(original(report, t), dominates_prefix=False))
+                        lambda report, t: original(report, t)._replace(dominates_prefix=False))
     weight_file = tmp_path / "w.txt"
     weight_file.write_text(weight_to_text(extremal_exact(2, 2)))
     for mode in ([], ["--json"]):

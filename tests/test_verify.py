@@ -15,6 +15,7 @@ from treea1 import (
     ALL_CHECKS,
     ExtremalParams,
     GrowthCheck,
+    LevelAudit,
     NodeId,
     ParameterError,
     StepWeight,
@@ -103,20 +104,22 @@ def test_report_is_refinement_invariant(w):
 
 def test_audit_extremal_weight_active_branch():
     audit = audit_superlevel(extremal_exact(2, 2), Fraction(3, 4))
-    assert not audit.degenerate
-    assert audit.level_value == 1 and audit.threshold == 2
-    assert audit.nodes == (NodeId(2, 0), NodeId(2, 2))
-    assert audit.superlevel_measure == Fraction(1, 2)
-    assert audit.above_threshold_measure == Fraction(1, 2)
-    assert audit.set_average == 3
+    level = audit.level
+    assert not level.degenerate
+    assert level.level_value == 1 and level.threshold == 2
+    assert level.nodes == (NodeId(2, 0), NodeId(2, 2))
+    assert level.superlevel_measure == Fraction(1, 2)
+    assert level.above_threshold_measure == Fraction(1, 2)
+    assert level.set_average == 3
     assert audit.passed
 
 
 def test_audit_extremal_weight_degenerate_branch():
     audit = audit_superlevel(extremal_exact(2, 2), Fraction(1, 4))
-    assert audit.degenerate
-    assert audit.level_value == 3 and audit.threshold == 6
-    assert audit.nodes == () and audit.set_average is None
+    level = audit.level
+    assert level.degenerate
+    assert level.level_value == 3 and level.threshold == 6
+    assert level.nodes == () and level.set_average is None
     assert audit.passed
 
 
@@ -124,7 +127,7 @@ def test_audit_constant_weight_is_degenerate_everywhere():
     w = make_step_weight(make_shape(3, 1), [2, 2, 2])
     for j in range(1, 10):
         audit = audit_superlevel(w, Fraction(j, 9))
-        assert audit.degenerate and audit.passed
+        assert audit.level.degenerate and audit.passed
 
 
 def test_audit_rejects_bad_t():
@@ -153,10 +156,11 @@ def test_report_with_audits_covers_canonical_grid():
 
 
 def _audit_oracle(report, t):
-    """The superlevel audit at one t from scratch: one superlevel set and Fraction sums over its nodes.
+    """Every quantity of the superlevel audit at one t, by name, from scratch: one superlevel set and Fraction sums.
 
-    This is the per-t audit the library replaced by one superlevel set per
-    rearrangement piece; it shares with it only the report it reads.
+    This is the per-t audit the library replaced by one level record per
+    rearrangement piece; it shares with it only the report it reads, and it
+    computes each of the 13 record fields and ``passed`` at every t.
     """
     a = report.analysis
     w = a.weight
@@ -166,30 +170,36 @@ def _audit_oracle(report, t):
     above = Fraction(sum(1 for v in w.leaf_values if v > threshold), n)
     nodes = superlevel_set(a, threshold)
     if not nodes:
-        return SuperlevelAudit(
+        fields = dict(
             t=t, level_value=lam, threshold=threshold, degenerate=True, nodes=(),
             superlevel_measure=Fraction(0), above_threshold_measure=above, set_average=None,
             nodes_are_members=True, average_bounded=all(v <= threshold for v in w.leaf_values),
             dominates_prefix=True, inside_level_set=True, measures_ordered=True,
         )
-    mu = sum(node_measure(w.shape, node) for node in nodes)
-    integral = sum(w.leaf_values[leaf] for node in nodes for leaf in leaves_under(w.shape, node)) / n
-    set_average = integral / mu
-    return SuperlevelAudit(
-        t=t, level_value=lam, threshold=threshold, degenerate=False, nodes=nodes,
-        superlevel_measure=mu, above_threshold_measure=above, set_average=set_average,
-        nodes_are_members=all(node in a.family.node_averages for node in nodes),
-        average_bounded=set_average <= report.bound * lam,
-        dominates_prefix=set_average >= prefix_average(report.profile, t),
-        inside_level_set=all(
-            w.leaf_values[leaf] > lam for node in nodes for leaf in leaves_under(w.shape, node)
-        ),
-        measures_ordered=above <= mu <= t,
-    )
+    else:
+        mu = sum(node_measure(w.shape, node) for node in nodes)
+        integral = sum(w.leaf_values[leaf] for node in nodes for leaf in leaves_under(w.shape, node)) / n
+        set_average = integral / mu
+        fields = dict(
+            t=t, level_value=lam, threshold=threshold, degenerate=False, nodes=nodes,
+            superlevel_measure=mu, above_threshold_measure=above, set_average=set_average,
+            nodes_are_members=all(node in a.family.node_averages for node in nodes),
+            average_bounded=set_average <= report.bound * lam,
+            dominates_prefix=set_average >= prefix_average(report.profile, t),
+            inside_level_set=all(
+                w.leaf_values[leaf] > lam for node in nodes for leaf in leaves_under(w.shape, node)
+            ),
+            measures_ordered=above <= mu <= t,
+        )
+    flags = ("nodes_are_members", "average_bounded", "dominates_prefix", "inside_level_set", "measures_ordered")
+    return dict(fields, passed=all(fields[name] for name in flags))
 
 
 def _all_fields(audit):
-    return tuple(getattr(audit, f.name) for f in dataclasses.fields(SuperlevelAudit))
+    """The audit's quantities by name: its per-t fields, its level record's fields and ``passed``."""
+    fields = {name: getattr(audit, name) for name in SuperlevelAudit._fields if name != "level"}
+    fields.update((f.name, getattr(audit.level, f.name)) for f in dataclasses.fields(LevelAudit))
+    return dict(fields, passed=audit.passed)
 
 
 def _assert_audits_match_oracle(w, reuse_report):
@@ -199,7 +209,7 @@ def _assert_audits_match_oracle(w, reuse_report):
     grid = audit_grid(w)
     assert [a.t for a in report.audits] == list(grid)
     for t, audit in zip(grid, report.audits):
-        expected = _all_fields(_audit_oracle(report, t))
+        expected = _audit_oracle(report, t)
         assert _all_fields(audit) == expected
         assert _all_fields(audit_superlevel(source, t)) == expected
 
@@ -241,6 +251,17 @@ def test_audit_through_a_report_reuses_its_analysis(monkeypatch):
     assert built == []
     assert through_report == [_all_fields(audit_superlevel(w, t)) for t in audit_grid(w)]
     assert len(built) == len(through_report)  # a plain weight gets a new analysis per t
+
+
+@given(audit_weights)
+def test_audits_on_one_piece_share_one_level_record(w):
+    report = check_rearrangement_bound(w, with_audits=True)
+    levels = {}  # piece -> the level record of its first audit
+    for audit in report.audits:
+        assert levels.setdefault(report.profile._piece_index(audit.t), audit.level) is audit.level
+    assert len({id(audit.level) for audit in report.audits}) == len(levels)
+    for audit in report.audits:
+        assert _all_fields(audit_superlevel(report, audit.t)) == _all_fields(audit)
 
 
 def _weak_type_detail(report):
@@ -376,15 +397,15 @@ def test_structure_checks_pass_exhaustively_on_small_grid():
 
 
 def test_oracle_check_fails_on_a_tampered_maximal_function(tmp_path, monkeypatch):
-    real = treea1.verify.maximal_function
+    real = treea1.verify.maximal_function_bruteforce
 
-    def tampered(w):  # wrong at the last leaf
+    def tampered(w):  # the oracle, wrong at the last leaf
         *head, last = real(w)
         return (*head, last + 1)
 
     w = extremal_exact(2, 2)
     assert check_oracle_equality(w)
-    monkeypatch.setattr(treea1.verify, "maximal_function", tampered)
+    monkeypatch.setattr(treea1.verify, "maximal_function_bruteforce", tampered)
     assert not check_oracle_equality(w)
 
     with pytest.raises(ViolationError) as err:
@@ -398,6 +419,16 @@ def test_oracle_check_fails_on_a_tampered_maximal_function(tmp_path, monkeypatch
     assert counterexample.startswith("2 2 ")
     assert "check: oracle" in counterexample
     assert not (out / "report.csv").exists()
+
+
+def test_oracle_check_reads_the_kernels_scaled_maximal_function():
+    report = check_rearrangement_bound(extremal_exact(2, 2))
+    a = report.analysis
+    assert check_oracle_equality(a) and treea1.verify._failure("oracle", report) is None
+    # the kernel's maximal function, one scaled unit too high at the first leaf
+    object.__setattr__(a, "scaled_maximal", (a.scaled_maximal[0] + 1, *a.scaled_maximal[1:]))
+    assert not check_oracle_equality(a)
+    assert treea1.verify._failure("oracle", report) == "fast maximal function disagrees with the prefix-sum oracle"
 
 
 @pytest.mark.parametrize("k, m", [(2, 10), (3, 6)])
@@ -611,7 +642,7 @@ _FAILING = {
     "growth": ("check_growth_bound", lambda a: GrowthCheck(False)),
     "weak_type": ("_weak_type_failure", lambda a: Fraction(1)),
     "decomposition": ("check_decomposition", lambda a: False),
-    "oracle": ("maximal_function", lambda a: ()),
+    "oracle": ("maximal_function_bruteforce", lambda w: ()),
     "kadic": ("kadic_constant", lambda profile, k, depth: Fraction(10**9)),
 }
 
