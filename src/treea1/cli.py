@@ -257,7 +257,8 @@ def _cmd_inspect(args) -> int:
         detail = ", ".join(name for name, ok in audit.checks.items() if not ok)
         raise ViolationError(f"superlevel audit at t={audit.t} failed: {detail}", weight_text=weight_to_text(w),
                              check="audit", detail=detail)
-    fam = report.analysis.family
+    a = report.analysis
+    fam = a.family
     parts = fam.parts()
     payload = {
         "k": w.shape.k,
@@ -265,12 +266,12 @@ def _cmd_inspect(args) -> int:
         "leaf_values": [str(v) for v in w.leaf_values],
         "a1_constant": str(report.c),
         "bound": str(report.bound),
-        "maximal_function": [str(v) for v in maximal_function(report.analysis)],
+        "maximal_function": [str(v) for v in maximal_function(a)],
         "stopping_family": [
             {
                 "level": node.level,
                 "index": node.index,
-                "average": str(fam.node_averages[node]),
+                "average": str(Fraction(a.scaled_averages[node.level][node.index], a.unit)),
                 "star": [fam.star[node].level, fam.star[node].index] if node in fam.star else None,
                 "leaves": list(parts.get(node, ())),
             }

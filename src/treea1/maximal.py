@@ -34,13 +34,14 @@ class StoppingFamily:
     every strict ancestor (the root is always a member).  ``assignment`` maps
     each leaf to the largest node on its chain achieving the maximal average;
     ``star`` links each non-root member to the smallest member strictly
-    containing it; ``node_averages`` records each member's average.
+    containing it.  The family holds nodes only: a member's average is
+    ``Fraction(scaled_averages[level][index], unit)`` of the analysis it was
+    read from, or :func:`average` of the weight.
     """
 
     members: tuple[NodeId, ...]
     star: Mapping[NodeId, NodeId]
     assignment: tuple[NodeId, ...]
-    node_averages: Mapping[NodeId, Fraction]
 
     def parts(self) -> dict[NodeId, tuple[int, ...]]:
         """Leaf partition: member -> leaves whose assignment is that member."""
@@ -62,9 +63,10 @@ class WeightAnalysis:
     comparison of ints.  The functions that report a value, such as
     :func:`maximal_function`, build its ``Fraction``s from these tables;
     ``family``, the stopping family, is built on first read, so a caller that
-    needs only c never pays for it.  Every function here and in ``verify``
-    that reads these tables accepts a weight or its analysis; the oracles take
-    weights only.
+    needs only c never pays for it; it holds nodes only, and a member's
+    average is read from ``scaled_averages`` like any other node's.  Every
+    function here and in ``verify`` that reads these tables accepts a weight
+    or its analysis; the oracles take weights only.
     """
 
     weight: StepWeight
@@ -100,7 +102,6 @@ class WeightAnalysis:
             members=tuple(members),  # found level by level, so already sorted
             star=star,
             assignment=tuple(node for _, node in best),
-            node_averages={node: Fraction(table[node.level][node.index], self.unit) for node in members},
         )
 
 

@@ -168,15 +168,16 @@ def check_weak_type(w: StepWeight | WeightAnalysis, level) -> bool:
     nodes = superlevel_set(a, lam)
     if not nodes:
         return True
-    count, total = _leaves_and_sum(a, nodes)
+    count, total, _ = _leaves_and_sum(a, nodes)
     return count * lam.numerator * a.unit < total * lam.denominator
 
 
-def _leaves_and_sum(a: WeightAnalysis, nodes: Sequence[NodeId]) -> tuple[int, int]:
-    """Leaf count under the disjoint nodes, and their leaf sum times ``unit``: each average times its width."""
+def _leaves_and_sum(a: WeightAnalysis, nodes: Sequence[NodeId]) -> tuple[int, int, list[int]]:
+    """Leaf count under the disjoint nodes, their leaf sum times ``unit`` (average times width) and the widths."""
     k, m = a.weight.shape.k, a.weight.shape.m
     widths = [k ** (m - node.level) for node in nodes]
-    return sum(widths), sum(a.scaled_averages[node.level][node.index] * width for node, width in zip(nodes, widths))
+    total = sum(a.scaled_averages[node.level][node.index] * width for node, width in zip(nodes, widths))
+    return sum(widths), total, widths
 
 
 def check_stopping_consistency(w: StepWeight | WeightAnalysis) -> bool:
@@ -367,48 +368,34 @@ def _level_audit(report: VerificationReport, piece: int) -> tuple[LevelAudit, in
 
     Leaves are compared as the analysis's ints: lam and the threshold are
     leaf-level values times rationals, so ``x > threshold`` is ``x * q > p * unit``.
-    The record comes with the count of leaves above the threshold, and the
-    count of leaves under the set and their sum times ``unit`` (both 0 for an
-    empty set).
+    An empty set takes the same path with count = total = 0: its record is
+    degenerate with no set average, ``average_bounded`` is the leafwise
+    fallback that no leaf exceeds the threshold, and the flags over its nodes
+    are vacuously true.  Membership is read from the family's star links, the
+    keys of every member but the root.  The record comes with the count of
+    leaves above the threshold, and the count of leaves under the set and
+    their sum times ``unit``.
     """
     a, lam = report.analysis, Fraction(report.profile.scaled_values[piece], report.profile.unit)
-    k, m = a.weight.shape.k, a.weight.shape.m
     unit, leaves = a.unit, a.scaled_averages[-1]
     n = len(leaves)
     threshold = report.c * lam
     bar, q = threshold.numerator * unit, threshold.denominator
     above = sum(1 for x in leaves if x * q > bar)
     nodes = superlevel_set(a, threshold)
-    if not nodes:
-        # w <= threshold at every leaf is the fallback; the other flags are vacuous
-        record = LevelAudit(
-            level_value=lam,
-            threshold=threshold,
-            degenerate=True,
-            nodes=nodes,
-            superlevel_measure=Fraction(0),
-            above_threshold_measure=Fraction(above, n),
-            set_average=None,
-            nodes_are_members=True,
-            average_bounded=above == 0,
-            inside_level_set=True,
-        )
-        return record, above, 0, 0
-
-    count, total = _leaves_and_sum(a, nodes)
+    count, total, widths = _leaves_and_sum(a, nodes)
     # the integral over the set is total / (unit * n); the measure is count / n
-    set_average = Fraction(total, unit * count)
-    widths = [k ** (m - node.level) for node in nodes]  # leaves under each node
+    set_average = Fraction(total, unit * count) if nodes else None
     record = LevelAudit(
         level_value=lam,
         threshold=threshold,
-        degenerate=False,
+        degenerate=not nodes,
         nodes=nodes,
         superlevel_measure=Fraction(count, n),
         above_threshold_measure=Fraction(above, n),
         set_average=set_average,
-        nodes_are_members=all(node in a.family.node_averages for node in nodes),
-        average_bounded=set_average <= report.bound * lam,
+        nodes_are_members=all(node in a.family.star or node == ROOT for node in nodes),
+        average_bounded=above == 0 if set_average is None else set_average <= report.bound * lam,
         inside_level_set=all(
             min(leaves[node.index * width : (node.index + 1) * width]) * lam.denominator > lam.numerator * unit
             for node, width in zip(nodes, widths)

@@ -30,7 +30,7 @@ from treea1 import (
 
 
 def _family_fields(fam):
-    return fam.members, dict(fam.star), fam.assignment, dict(fam.node_averages)
+    return fam.members, dict(fam.star), fam.assignment
 
 
 def _report_fields(report):

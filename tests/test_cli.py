@@ -331,6 +331,18 @@ def test_inspect_json(tmp_path, capsys):
     assert payload["audit"]["nodes"] == [[2, 0], [2, 2]]
 
 
+def test_inspect_json_lists_fractional_member_averages(tmp_path, capsys):
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text("2 2 4 1 1 1\n")
+    assert run_cli(["inspect", "--weight", str(weight_file), "--json"]) == 0
+    members = json.loads(capsys.readouterr().out)["stopping_family"]
+    assert [(m["level"], m["index"], m["average"], m["star"], m["leaves"]) for m in members] == [
+        (0, 0, "7/4", None, [2, 3]),
+        (1, 0, "5/2", [0, 0], [1]),
+        (2, 0, "4", [1, 0], [0]),
+    ]
+
+
 def test_inspect_text_mode(tmp_path, capsys):
     weight_file = tmp_path / "w.txt"
     weight_file.write_text("2 1 4 1\n")
@@ -379,6 +391,19 @@ def test_inspect_failed_audit_exits_1_with_the_weight(tmp_path, monkeypatch, cap
         assert captured.err.endswith(weight_to_text(extremal_exact(2, 2)))
     # without --t no audit runs, so nothing fails
     assert run_cli(["inspect", "--weight", str(weight_file)]) == 0
+
+
+def test_inspect_exits_1_when_the_superlevel_set_is_lost(tmp_path, monkeypatch, capsys):
+    # an empty set while two leaves exceed the threshold: the audit's leafwise fallback fails
+    monkeypatch.setattr(treea1.verify, "superlevel_set", lambda a, threshold: ())
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text(weight_to_text(extremal_exact(2, 2)))
+    for mode in ([], ["--json"]):
+        assert run_cli(["inspect", "--weight", str(weight_file), "--t", "3/4", *mode]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("violation: superlevel audit at t=3/4 failed: average_bounded")
+        assert captured.err.endswith(weight_to_text(extremal_exact(2, 2)))
 
 
 def test_inspect_unreadable_file(tmp_path):

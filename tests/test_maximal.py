@@ -27,6 +27,7 @@ from treea1 import (
     stopping_family,
     superlevel_set,
 )
+import treea1.maximal
 from treea1.tree import ROOT, leaves_under
 
 
@@ -214,25 +215,39 @@ def test_stopping_family_constant_weight():
 
 
 def test_stopping_family_extremal_weight():
-    fam = stopping_family(extremal_exact(2, 2))
+    w = extremal_exact(2, 2)
+    fam = stopping_family(w)
     assert fam.members == (ROOT, NodeId(2, 0), NodeId(2, 2))
     assert fam.star == {NodeId(2, 0): ROOT, NodeId(2, 2): ROOT}
     assert fam.assignment == (NodeId(2, 0), ROOT, NodeId(2, 2), ROOT)
-    assert fam.node_averages[ROOT] == 2
-    assert fam.node_averages[NodeId(2, 0)] == 3
+    assert average(w, ROOT) == 2
+    assert average(w, NodeId(2, 0)) == 3
     assert fam.parts() == {NodeId(2, 0): (0,), ROOT: (1, 3), NodeId(2, 2): (2,)}
 
 
 def test_stopping_family_nested_members():
-    fam = stopping_family(make_step_weight(make_shape(2, 2), [4, 1, 1, 1]))
+    w = make_step_weight(make_shape(2, 2), [4, 1, 1, 1])
+    fam = stopping_family(w)
     assert fam.members == (ROOT, NodeId(1, 0), NodeId(2, 0))
     assert fam.star == {NodeId(1, 0): ROOT, NodeId(2, 0): NodeId(1, 0)}
     assert fam.assignment == (NodeId(2, 0), NodeId(1, 0), ROOT, ROOT)
-    assert fam.node_averages == {
+    assert {node: average(w, node) for node in fam.members} == {
         ROOT: Fraction(7, 4),
         NodeId(1, 0): Fraction(5, 2),
         NodeId(2, 0): 4,
     }
+
+
+def test_reading_the_family_builds_no_fraction(monkeypatch):
+    a = analyze(make_step_weight(make_shape(2, 2), [4, 1, 1, 1]))
+
+    def refused(*args):
+        raise AssertionError("the stopping family built a Fraction")
+
+    monkeypatch.setattr(treea1.maximal, "Fraction", refused)
+    fam = a.family
+    assert fam.members == (ROOT, NodeId(1, 0), NodeId(2, 0))
+    assert stopping_family(a) is fam
 
 
 @given(step_weights())

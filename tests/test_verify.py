@@ -123,6 +123,20 @@ def test_audit_extremal_weight_degenerate_branch():
     assert audit.passed
 
 
+def test_audit_of_a_lost_superlevel_set_fails_its_leafwise_fallback(monkeypatch):
+    # an empty set while two leaves of 3 exceed the threshold 2: only the fallback can notice
+    monkeypatch.setattr(treea1.verify, "superlevel_set", lambda a, threshold: ())
+    audit = audit_superlevel(extremal_exact(2, 2), Fraction(3, 4))
+    level = audit.level
+    assert level.degenerate
+    assert level.level_value == 1 and level.threshold == 2
+    assert level.nodes == () and level.set_average is None
+    assert level.superlevel_measure == 0 and level.above_threshold_measure == Fraction(1, 2)
+    assert not level.average_bounded
+    assert [name for name, ok in audit.checks.items() if not ok] == ["average_bounded"]
+    assert not audit.passed
+
+
 def test_audit_constant_weight_is_degenerate_everywhere():
     w = make_step_weight(make_shape(3, 1), [2, 2, 2])
     for j in range(1, 10):
@@ -183,7 +197,7 @@ def _audit_oracle(report, t):
         fields = dict(
             t=t, level_value=lam, threshold=threshold, degenerate=False, nodes=nodes,
             superlevel_measure=mu, above_threshold_measure=above, set_average=set_average,
-            nodes_are_members=all(node in a.family.node_averages for node in nodes),
+            nodes_are_members=all(node in a.family.members for node in nodes),
             average_bounded=set_average <= report.bound * lam,
             dominates_prefix=set_average >= prefix_average(report.profile, t),
             inside_level_set=all(
@@ -350,7 +364,7 @@ def test_growth_check_compares_the_scaled_averages(monkeypatch):
     assert check_growth_bound(a).ok
     member, star = _raise_past_the_growth_limit(a)
     av_member = Fraction(a.scaled_averages[member.level][member.index], a.unit)
-    av_star = stopping_family(a).node_averages[star]
+    av_star = Fraction(a.scaled_averages[star.level][star.index], a.unit)
     limit = (2 - 1 / a.c) * av_star
     assert av_member > limit
     assert check_growth_bound(a).violation == (member, star, av_member, av_star, limit)
