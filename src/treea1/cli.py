@@ -260,10 +260,11 @@ def _cmd_inspect(args) -> int:
     a = report.analysis
     fam = a.family
     parts = fam.parts()
+    texts = list(map(str, w.palette))
     payload = {
         "k": w.shape.k,
         "depth": w.shape.m,
-        "leaf_values": [str(v) for v in w.leaf_values],
+        "leaf_values": list(map(texts.__getitem__, w.codes)),
         "a1_constant": str(report.c),
         "bound": str(report.bound),
         "maximal_function": [str(v) for v in maximal_function(a)],

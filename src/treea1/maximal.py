@@ -1,15 +1,17 @@
 """Tree averages, the maximal operator, A1 constants and stopping families.
 
-Everything here is exact.  The fast path, :func:`analyze`, clears the leaf
-denominators once, sums leaves bottom-up and sweeps the tree top-down once per
-weight, all in Python ints; every other fast function reads its result, and
-only reported values become ``Fraction``s.  Two oracles for the fast path
-take and return ``Fraction``s and share no code with it: :func:`average` sums
-a node's leaves straight from the definition, and
+Everything here is exact.  The fast path, :func:`analyze`, clears the
+denominators of the weight's ``palette``, its distinct values, once per value,
+reads the leaf row off them by the weight's int leaf ``codes``, sums leaves
+bottom-up and sweeps the tree top-down once per weight, all in Python ints;
+every other fast function reads its result, and only reported values become
+``Fraction``s.  Two oracles for the fast path take and return ``Fraction``s,
+read ``leaf_values`` and never the palette, and share no code with it:
+:func:`average` sums a node's leaves straight from the definition, and
 :func:`maximal_function_bruteforce` clears the leaf denominators at its own
-scale, reads every node's int sum off one pass of cumulative leaf sums and
-carries the running maximum down the tree, one cross-multiplied int
-comparison per node and per leaf.
+scale, leaf by leaf, reads every node's int sum off one pass of cumulative
+leaf sums and carries the running maximum down the tree, one cross-multiplied
+int comparison per node and per leaf.
 """
 from __future__ import annotations
 
@@ -106,19 +108,21 @@ class WeightAnalysis:
 
 
 def analyze(w: StepWeight | WeightAnalysis) -> WeightAnalysis:
-    """Clear the leaf denominators once, then sum bottom-up and sweep top-down in :func:`_sweep`.
+    """Clear the denominators once per palette value, then sum bottom-up and sweep top-down in :func:`_sweep`.
 
-    Every node is visited a constant number of times, so the cost is linear
-    in the number of nodes.  An analysis is returned unchanged.
+    The leaf row is the palette's scaled ints looked up by the leaf codes, so
+    no per-leaf step touches a ``Fraction``.  Every node is visited a constant
+    number of times, so the cost is linear in the number of nodes.  An
+    analysis is returned unchanged.
     """
     if isinstance(w, WeightAnalysis):
         return w
     k, m = w.shape.k, w.shape.m
-    denominators = {v.denominator for v in w.leaf_values}
+    denominators = {v.denominator for v in w.palette}
     unit = lcm(*denominators) * k**m
     multiplier = {d: unit // d for d in denominators}
-    row = [v.numerator * multiplier[v.denominator] for v in w.leaf_values]
-    return WeightAnalysis(w, unit, *_sweep(row, k, m))
+    scaled = [v.numerator * multiplier[v.denominator] for v in w.palette]
+    return WeightAnalysis(w, unit, *_sweep(list(map(scaled.__getitem__, w.codes)), k, m))
 
 
 def _sweep(row: list[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], Fraction]:
@@ -131,12 +135,17 @@ def _sweep(row: list[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], ...],
     table = [row]
     for _ in range(m):
         # a parent's average is the mean of its k children's; at this scale it is an exact int
-        row = [s // k for s in map(sum, zip(*[iter(row)] * k))]
+        sums = row[::k]
+        for j in range(1, k):  # child j of every node, at stride k
+            sums = list(map(operator.add, sums, row[j::k]))
+        row = list(map(operator.floordiv, sums, itertools.repeat(k, len(sums))))
         table.append(row)
     table.reverse()
     running = table[0]
     for row in table[1:]:
-        parents = [r for r in running for _ in range(k)]
+        parents = [0] * len(row)
+        for j in range(k):  # child j of every node, at stride k
+            parents[j::k] = running
         running = [a if a > r else r for a, r in zip(row, parents)]
     # c is the largest maximal / leaf ratio, compared by cross-multiplication;
     # maximal >= leaf everywhere, so starting from 1/1 is safe

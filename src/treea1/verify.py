@@ -51,11 +51,10 @@ _REPORT_CHECKS = ("stopping", "growth", "weak_type", "decomposition")
 MAX_WEIGHTS = 500_000
 # Least work, in leaves (trials * k**m), a pooled campaign gives each worker.
 # Measured on 2 cores with Python 3.11: importing the process pool takes about
-# 16 ms and starting and joining 2 workers 6-8 ms, while all checks cost about
-# 4.0 us per leaf at 256 leaves and 3.7 us at 1,024, so this is 30-33 ms per
-# worker, more than the 22-25 ms start-up (at 4,096 leaves each, 2 workers
-# took 36 ms against 34 ms in one process); a campaign with less work runs in
-# this process.
+# 16 ms and starting and joining 2 workers 9-11 ms, while all checks cost about
+# 3.0 us per leaf at 256 leaves and 2.5 us at 1,024, so this is 20-25 ms per
+# worker, about the 25 ms start-up; a campaign with less work runs in this
+# process.
 MIN_LEAVES_PER_WORKER = 8192
 
 

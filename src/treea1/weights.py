@@ -5,10 +5,18 @@ for the function constant on every leaf.  Besides direct and randomized
 construction, this module builds the two-parameter extremal family that makes
 the rearrangement bound tight, and provides the exact text serialization used
 by the CLI.
+
+A weight usually holds a few distinct value objects over many leaves: a
+random draw and a parsed weight file share one object per distinct value.  A
+:class:`StepWeight` therefore keeps them once, as its ``palette``, with each
+leaf's int index into it, its ``codes``; the fast readers (``analyze``,
+:func:`weight_to_text`, :func:`scale`) work once per palette value and only
+look up ints per leaf.
 """
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,23 +29,41 @@ from .tree import TreeShape, make_shape
 
 @dataclass(frozen=True)
 class StepWeight:
-    """Positive rational leaf values on a tree shape."""
+    """Positive rational leaf values on a tree shape.
+
+    A weight repeats a few value objects over many leaves, so the constructor
+    finds the distinct objects once, by identity, and checks and coerces each
+    of them once.  Besides ``leaf_values`` it keeps ``palette``, those values in
+    order of first appearance, and ``codes``, each leaf's index into
+    ``palette``: ``leaf_values[i] is palette[codes[i]]``.  Equal values held in
+    distinct objects get distinct palette entries.  The two are derived, not
+    fields, so they take no part in ``==``, ``hash`` or ``repr``.
+    """
 
     shape: TreeShape
     leaf_values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        # a Fraction is kept as it is; only other types go through the slower as_fraction
-        values = tuple([v if type(v) is Fraction else as_fraction(v) for v in self.leaf_values])
+        values = tuple(self.leaf_values)
         if len(values) != self.shape.leaf_count:
             raise ParameterError(
                 f"expected {self.shape.leaf_count} leaf values for shape "
                 f"(k={self.shape.k}, m={self.shape.m}), got {len(values)}"
             )
-        for pos, v in enumerate(values):
+        # every per-leaf pass is a C-level map over ids and ints; only the distinct objects are visited in Python
+        ids = list(map(id, values))
+        objects = dict(zip(ids, values))  # id -> object, in order of first appearance
+        code_of = {key: code for code, key in enumerate(objects)}
+        codes = tuple(map(code_of.__getitem__, ids))
+        # a Fraction is kept as it is; only other types go through the slower as_fraction
+        palette = tuple([v if type(v) is Fraction else as_fraction(v) for v in objects.values()])
+        for code, v in enumerate(palette):
             if v.numerator <= 0:
-                raise ParameterError(f"leaf value at position {pos} must be positive, got {v}")
-        object.__setattr__(self, "leaf_values", values)
+                # the palette is in order of first appearance, so this is the first bad leaf
+                raise ParameterError(f"leaf value at position {codes.index(code)} must be positive, got {v}")
+        if any(map(operator.is_not, palette, objects.values())):  # some value was coerced
+            values = tuple(map(palette.__getitem__, codes))
+        self.__dict__.update(leaf_values=values, palette=palette, codes=codes)
 
 
 def make_step_weight(shape: TreeShape, values: Sequence) -> StepWeight:
@@ -50,7 +76,8 @@ def scale(w: StepWeight, factor) -> StepWeight:
     s = as_fraction(factor)
     if s <= 0:
         raise ParameterError(f"scale factor must be positive, got {s}")
-    return StepWeight(w.shape, tuple(v * s for v in w.leaf_values))
+    scaled = [v * s for v in w.palette]
+    return StepWeight(w.shape, tuple(map(scaled.__getitem__, w.codes)))
 
 
 def refine(w: StepWeight, levels: int = 1) -> StepWeight:
@@ -213,9 +240,8 @@ def family_constant_formula(k: int, alpha, eps, delta) -> Fraction:
 
 def weight_to_text(w: StepWeight) -> str:
     """Serialize as ``k m v_0 ... v_{k^m-1}`` with rationals as p/q, newline-terminated."""
-    fields = [str(w.shape.k), str(w.shape.m)]
-    fields.extend(str(v) for v in w.leaf_values)
-    return " ".join(fields) + "\n"
+    texts = list(map(str, w.palette))  # one str() per distinct value, then a lookup per leaf
+    return " ".join([str(w.shape.k), str(w.shape.m), *map(texts.__getitem__, w.codes)]) + "\n"
 
 
 def weight_from_text(text: str) -> StepWeight:

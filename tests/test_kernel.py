@@ -15,6 +15,7 @@ import treea1.rearrangement
 from treea1 import (
     MAX_LEAVES,
     NodeId,
+    StepWeight,
     WeightAnalysis,
     a1_constant,
     analyze,
@@ -200,6 +201,10 @@ def test_oracles_share_no_code_with_the_kernel():
     # the int tables and their Fraction views
     kernel |= {field.name for field in dataclasses.fields(WeightAnalysis)} - {"weight", "c"}
     kernel |= {name for name, obj in vars(WeightAnalysis).items() if isinstance(obj, cached_property)}
+    # a weight's derived palette and leaf codes, which the fast path reads instead of the leaf values
+    derived = set(vars(make_step_weight(make_shape(2, 1), [1, 2]))) - {f.name for f in dataclasses.fields(StepWeight)}
+    assert derived == {"palette", "codes"}
+    kernel |= derived
     for oracle in (maximal_function_bruteforce, rearrange_oracle, average):
         tree = ast.parse(textwrap.dedent(inspect.getsource(oracle)))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

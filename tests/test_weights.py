@@ -12,6 +12,7 @@ from treea1 import (
     ExtremalParams,
     ParameterError,
     a1_constant,
+    analyze,
     as_fraction,
     average,
     decimal_string,
@@ -48,6 +49,65 @@ def test_make_step_weight_rejects_bad_input():
         make_step_weight(shape, [-1, 1])
     with pytest.raises(ParameterError):
         make_step_weight(shape, [0.5, 1])  # floats are refused
+
+
+def test_a_non_positive_value_reports_its_first_position():
+    shape = make_shape(2, 3)
+    bad, zero = Fraction(-2, 3), Fraction(0)
+    # the same object at several positions is checked once, and its first position is the one reported
+    with pytest.raises(ParameterError, match="position 3 "):
+        make_step_weight(shape, [1, 2, 1, bad, 2, bad, bad, 1])
+    # of two bad objects, the one that appears first is reported
+    with pytest.raises(ParameterError, match="position 2 .*got 0"):
+        make_step_weight(shape, [3, 3, zero, bad, zero, bad, 1, 1])
+    with pytest.raises(ParameterError, match="position 4 .*got -1"):
+        make_step_weight(shape, ["1/2", 3, "1/2", 3, -1, 3, -1, 3])
+
+
+def test_mixed_inputs_are_coerced_value_by_value():
+    half, text = Fraction(1, 2), "3/2"
+    w = make_step_weight(make_shape(2, 2), [1, text, half, text])
+    assert w.leaf_values == (1, Fraction(3, 2), Fraction(1, 2), Fraction(3, 2))
+    assert all(type(v) is Fraction for v in w.leaf_values)
+    assert w.leaf_values[2] is half  # a Fraction is kept as it is
+    assert w.leaf_values[1] is w.leaf_values[3]  # one string object, coerced once
+    assert w.codes == (0, 1, 2, 1) and len(w.palette) == 3
+    assert all(v is w.palette[code] for v, code in zip(w.leaf_values, w.codes))
+    with pytest.raises(ParameterError):
+        make_step_weight(make_shape(2, 1), [half, 0.5])  # a float is still refused
+
+
+@given(
+    st.sampled_from(((2, 1), (2, 3), (3, 2), (2, 4))),
+    st.lists(st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30), min_size=1, max_size=6,
+             unique=True),
+    st.data(),
+)
+def test_a_weight_is_the_same_from_shared_fresh_or_uncoerced_values(km, distinct, data):
+    shape = make_shape(*km)
+    n = shape.leaf_count
+    picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n))
+    forms = data.draw(st.lists(st.sampled_from(("int", "str", "unreduced")), min_size=n, max_size=n))
+
+    def uncoerced(v, form):
+        if form == "int" and v.denominator == 1:
+            return v.numerator
+        if form == "unreduced":
+            return f"{3 * v.numerator}/{3 * v.denominator}"
+        return str(v)
+
+    shared = make_step_weight(shape, [distinct[i] for i in picks])
+    fresh = make_step_weight(shape, [Fraction(distinct[i].numerator, distinct[i].denominator) for i in picks])
+    raw = make_step_weight(shape, [uncoerced(distinct[i], form) for i, form in zip(picks, forms)])
+    assert len(shared.palette) == len(set(picks))
+    tables = {(a.unit, a.scaled_averages, a.scaled_maximal, a.c) for a in map(analyze, (shared, fresh, raw))}
+    assert len(tables) == 1
+    assert shared == fresh == raw
+    assert weight_to_text(shared).encode() == weight_to_text(fresh).encode() == weight_to_text(raw).encode()
+    assert weight_hash(shared) == weight_hash(fresh) == weight_hash(raw)
+    for w in (shared, fresh, raw):
+        assert len(w.codes) == n
+        assert all(v is w.palette[code] for v, code in zip(w.leaf_values, w.codes))
 
 
 def test_decimal_string_rounds_values_outside_the_normal_floats_exactly():
