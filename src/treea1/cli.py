@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="tree homogeneity (branching factor)")
     p.add_argument("--depth", type=int, required=True, help="weight depth m")
     p.add_argument("--trials", type=int, default=100, help="number of seeded random weights")
-    p.add_argument("--seed", type=int, default=0, help="campaign seed")
+    p.add_argument("--seed", type=int, default=0, help="campaign seed, a non-negative integer")
     p.add_argument("--grid", default="1,2,3", help="comma-separated positive rationals to draw from")
     p.add_argument("--exhaustive", action="store_true", help="enumerate every grid weight instead of sampling")
     p.add_argument("--threads", type=int, default=1,
@@ -329,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--restarts", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="search seed, a non-negative integer")
     p.add_argument("--out", required=True, help="output directory (trace.csv, best_weight.txt, summary.json)")
     p.set_defaults(func=_cmd_search)
 

@@ -225,14 +225,17 @@ def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, .
 
     A top-down walk over the analysis's level rows, with a mask of free
     nodes, those with no ancestor in the set: a level's hits are its free
-    nodes above the threshold, a node's children are free when it is free
-    and not a hit, and the walk stops once no node is free.  Nodes come out
-    level by level in index order, so already sorted.  The root is tested
-    before anything else, so a root that qualifies costs one comparison.  No
-    node average exceeds the largest leaf, so when no leaf exceeds the
-    threshold the set is empty without a walk.  Neither ``scaled_maximal`` nor the stopping
-    family is read, so the weak-type check built on this function stays
-    independent of the sweep it checks.
+    nodes above the threshold, and a node's children are free when it is
+    free and not a hit.  The walk runs to the leaves without a stop: a node
+    that is not a hit has a child that is not a hit, since its average is
+    the mean of its children's, so once the root is no hit some node stays
+    free at every level.  Nodes come out level by level in index order, so
+    already sorted.  The root is tested before anything else, so a root that
+    qualifies costs one comparison.  No node average exceeds the largest
+    leaf, so when no leaf exceeds the threshold the set is empty without a
+    walk.  Neither ``scaled_maximal`` nor the stopping family is read, so the
+    weak-type check built on this function stays independent of the sweep
+    it checks.
     """
     threshold = as_fraction(threshold)
     a = analyze(w)
@@ -244,18 +247,16 @@ def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, .
     if max(table[-1]) * q <= bar:
         return ()
     out: list[NodeId] = []
-    free = [True]  # per node of the level: no ancestor is in the set
-    for level, row in enumerate(table):
+    free = [True]  # per node of the level: no ancestor is in the set; the root is free and no hit
+    for level, row in enumerate(table[1:], 1):
+        below = [False] * len(row)
+        for j in range(k):
+            below[j::k] = free
+        free = below
         hits = [index for index in itertools.compress(range(len(row)), free) if row[index] * q > bar]
         for index in hits:
             out.append(NodeId(level, index))
             free[index] = False
-        if not any(free):
-            break
-        below = [False] * (len(free) * k)
-        for j in range(k):
-            below[j::k] = free
-        free = below
     return tuple(out)
 
 

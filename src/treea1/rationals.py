@@ -16,6 +16,7 @@ from .errors import ParameterError
 # Largest decimal exponent, in absolute value, a string may carry: Fraction
 # would form 10**exponent, so '1e999999999' is refused before it is called.
 MAX_DECIMAL_EXPONENT = 1000
+_DIGITS = 12  # significant digits of the lossy decimal columns
 _EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)  # Fraction's exponent syntax
 
 
@@ -41,8 +42,8 @@ def as_fraction(value) -> Fraction:
         raise ParameterError(f"not a rational value: {value!r}") from exc
 
 
-def decimal_string(value: Fraction, digits: int = 12) -> str:
-    """Lossy decimal rendering for human-readable report columns, in ``.{digits}g`` style.
+def decimal_string(value: Fraction) -> str:
+    """Lossy decimal rendering for human-readable report columns, in ``.12g`` style.
 
     A value with a normal float is rendered through ``float``.  One that
     overflows the floats, or a nonzero one below the normal floats (where a
@@ -53,8 +54,8 @@ def decimal_string(value: Fraction, digits: int = 12) -> str:
     except OverflowError:
         approx = math.inf
     if sys.float_info.min <= abs(approx) < math.inf or value == 0:
-        return f"{approx:.{digits}g}"
-    return _exact_decimal_string(Fraction(value), digits)
+        return f"{approx:.{_DIGITS}g}"
+    return _exact_decimal_string(Fraction(value), _DIGITS)
 
 
 def _exact_decimal_string(value: Fraction, digits: int) -> str:

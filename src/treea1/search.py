@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .errors import ParameterError, ViolationError
 from .tree import TreeShape
 from .verify import check_rearrangement_bound
-from .weights import StepWeight, weight_to_text
+from .weights import StepWeight, _check_seed, weight_to_text
 
 # Perturbation factors are drawn from the rational grid 1 + q/_FACTOR_DENOM,
 # |q| <= _STEP_SPAN; a move never takes a leaf below _VALUE_FLOOR.
@@ -57,6 +57,7 @@ class SearchConfig:
             raise ParameterError(
                 f"iterations * restarts must be at most {MAX_MOVES}, got {self.iterations} * {self.restarts}"
             )
+        _check_seed(self.seed)
 
 
 class MoveCounts(NamedTuple):

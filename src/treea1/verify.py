@@ -13,7 +13,7 @@ import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParameterError, ViolationError
 from .maximal import (
@@ -30,8 +30,8 @@ from .rearrangement import (
 )
 from .tree import ROOT, NodeId, TreeShape, make_shape
 from .weights import (
-    ExtremalParams, StepWeight, _canonical_grid, _draw, extremal_family, family_constant_formula, weight_hash,
-    weight_to_text,
+    ExtremalParams, StepWeight, _canonical_grid, _check_seed, _draw, extremal_family, family_constant_formula,
+    weight_hash, weight_to_text,
 )
 
 ALL_CHECKS = ("stopping", "growth", "weak_type", "decomposition", "oracle", "kadic")
@@ -263,12 +263,8 @@ def check_rearrangement_bound(
     With ``properties=True`` the report also runs the structural checks
     (stopping consistency, member growth, weak type at every node-average
     threshold, decomposition identity); with ``with_audits=True`` it carries
-    a :class:`SuperlevelAudit` for every t on the canonical grid, in grid
-    order.  The superlevel set and its :class:`LevelAudit` are built once per
-    distinct level w*(t), that is once per rearrangement piece the grid
-    meets, and every audit on that piece holds the same record; per grid
-    point the walk makes only the two int comparisons with t and one
-    four-field record.  Omitted parts stay None.
+    the :class:`SuperlevelAudit` of every t on the canonical grid, in grid
+    order, from one walk of :func:`_audits`.  Omitted parts stay None.
     """
     a = analyze(w)
     c = a1_constant(a)
@@ -293,14 +289,7 @@ def check_rearrangement_bound(
             **{_FLAG_FIELDS[name]: _failure(name, report) is None for name in _REPORT_CHECKS},
         )
     if with_audits:
-        audits, piece, level = [], 0, None
-        for t in audit_grid(a.weight):  # ascending, so the piece holding t only moves right
-            while profile.cumulative_cells[piece] * t.denominator < t.numerator * profile.n:
-                piece, level = piece + 1, None
-            if level is None:
-                level = _level_audit(report, piece)
-            audits.append(_audit_at(report, level, t, piece))
-        report = replace(report, audits=tuple(audits))
+        report = replace(report, audits=tuple(_audits(report, audit_grid(a.weight))))
     return report
 
 
@@ -350,82 +339,77 @@ def audit_superlevel(w: StepWeight | WeightAnalysis | VerificationReport, t) -> 
     hold at every leaf.
 
     The result is the record ``check_rearrangement_bound(..., with_audits=True)``
-    holds for this t: the level record of t's piece, built here for this one
-    piece, and the two flags that compare the set with t.  A report is read as
-    it is; a weight or an analysis gets a new report for this one t, so a
+    holds for this t, from the same walk of :func:`_audits`.  A report is read
+    as it is; a weight or an analysis gets a new report for this one t, so a
     caller auditing many t should pass a report or ask
     :func:`check_rearrangement_bound` for ``with_audits=True``.
     """
     report = w if isinstance(w, VerificationReport) else check_rearrangement_bound(w)
-    t = _check_t(t)
-    piece = report.profile._piece_index(t)
-    return _audit_at(report, _level_audit(report, piece), t, piece)
+    return next(_audits(report, (_check_t(t),)))
 
 
-def _level_audit(report: VerificationReport, piece: int) -> tuple[LevelAudit, int, int, int]:
-    """The level record of ``piece``, whose value is the level w*(t) = lam, and the ints the comparisons with t read.
+def _audits(report: VerificationReport, ts: Iterable[Fraction]) -> Iterator[SuperlevelAudit]:
+    """The audit at each t of ``ts``, checked t values in ascending order, from one walk of the profile's pieces.
 
-    Leaves are compared as the analysis's ints: lam and the threshold are
-    leaf-level values times rationals, so ``x > threshold`` is ``x * q > p * unit``.
-    An empty set takes the same path with count = total = 0: its record is
-    degenerate with no set average, ``average_bounded`` is the leafwise
-    fallback that no leaf exceeds the threshold, and the flags over its nodes
-    are vacuously true.  Membership is read from the family's star links, the
-    keys of every member but the root.  The record comes with the count of
-    leaves above the threshold, and the count of leaves under the set and
-    their sum times ``unit``.
+    The piece holding t only moves right, so the walk steps on while the
+    piece ends before t.  The first t on a piece builds its
+    :class:`LevelAudit`, whose level is the piece's value lam = w*(t), and
+    every later t on the piece shares it.  Leaves are compared as the
+    analysis's ints: lam and the threshold are leaf-level values times
+    rationals, so ``x > threshold`` is ``x * d > bar``.  Beside the record the
+    walk keeps the count ``above`` of leaves above the threshold, and the
+    count of leaves under the set and their sum times ``unit``.  An empty set
+    has count = total = 0: its record is degenerate with no set average,
+    ``average_bounded`` is the leafwise fallback that no leaf exceeds the
+    threshold, and the flags over its nodes are vacuously true.  Membership
+    is read from the family's star links, the keys of every member but the
+    root.
+
+    Per t the walk makes two int comparisons.  With t = p/q and n leaves, the
+    measures are above/n <= count/n <= p/q.  The set average
+    total / (unit * count) is compared with the prefix average, the
+    profile's scaled integral up to t over ``profile.n * profile.unit * p``,
+    by cross-multiplication.  An empty set passes both vacuously.
     """
-    a, lam = report.analysis, Fraction(report.profile.scaled_values[piece], report.profile.unit)
+    a, profile = report.analysis, report.profile
     unit, leaves = a.unit, a.scaled_averages[-1]
     n = len(leaves)
-    threshold = report.c * lam
-    bar, q = threshold.numerator * unit, threshold.denominator
-    above = sum(1 for x in leaves if x * q > bar)
-    nodes = superlevel_set(a, threshold)
-    count, total, widths = _leaves_and_sum(a, nodes)
-    # the integral over the set is total / (unit * n); the measure is count / n
-    set_average = Fraction(total, unit * count) if nodes else None
-    record = LevelAudit(
-        level_value=lam,
-        threshold=threshold,
-        degenerate=not nodes,
-        nodes=nodes,
-        superlevel_measure=Fraction(count, n),
-        above_threshold_measure=Fraction(above, n),
-        set_average=set_average,
-        nodes_are_members=all(node in a.family.star or node == ROOT for node in nodes),
-        average_bounded=above == 0 if set_average is None else set_average <= report.bound * lam,
-        inside_level_set=all(
-            min(leaves[node.index * width : (node.index + 1) * width]) * lam.denominator > lam.numerator * unit
-            for node, width in zip(nodes, widths)
-        ),
-    )
-    return record, above, count, total
-
-
-def _audit_at(
-    report: VerificationReport, level: tuple[LevelAudit, int, int, int], t: Fraction, piece: int
-) -> SuperlevelAudit:
-    """Complete a level's audit at t, checked and found on ``piece``, by the two comparisons with t.
-
-    Both are int comparisons.  With t = p/q and n leaves, the measures are
-    above/n <= count/n <= p/q.  The set average total / (unit * count) is
-    compared with the prefix average, the profile's scaled integral up to t
-    over ``profile.n * profile.unit * p``, by cross-multiplication.  An empty
-    set passes both vacuously.
-    """
-    record, above, count, total = level
-    if not count:
-        return SuperlevelAudit(t, record, True, True)
-    a, profile = report.analysis, report.profile
-    p, q = t.numerator, t.denominator
-    integral = _scaled_integral(profile, piece, p * profile.n, q)
-    return SuperlevelAudit(
-        t,
-        record,
-        total * profile.n * profile.unit * p >= integral * a.unit * count,
-        above <= count and count * q <= p * a.weight.shape.leaf_count,
-    )
+    piece, level = 0, None
+    for t in ts:
+        p, q = t.numerator, t.denominator
+        while profile.cumulative_cells[piece] * q < p * profile.n:
+            piece, level = piece + 1, None
+        if level is None:
+            lam = Fraction(profile.scaled_values[piece], profile.unit)
+            threshold = report.c * lam
+            bar, d = threshold.numerator * unit, threshold.denominator
+            above = sum(1 for x in leaves if x * d > bar)
+            nodes = superlevel_set(a, threshold)
+            count, total, widths = _leaves_and_sum(a, nodes)
+            # the integral over the set is total / (unit * n); the measure is count / n
+            set_average = Fraction(total, unit * count) if nodes else None
+            level = LevelAudit(
+                level_value=lam,
+                threshold=threshold,
+                degenerate=not nodes,
+                nodes=nodes,
+                superlevel_measure=Fraction(count, n),
+                above_threshold_measure=Fraction(above, n),
+                set_average=set_average,
+                nodes_are_members=all(node in a.family.star or node == ROOT for node in nodes),
+                average_bounded=above == 0 if set_average is None else set_average <= report.bound * lam,
+                inside_level_set=all(
+                    min(leaves[node.index * width : (node.index + 1) * width]) * lam.denominator
+                    > lam.numerator * unit
+                    for node, width in zip(nodes, widths)
+                ),
+            )
+        if not count:
+            yield SuperlevelAudit(t, level, True, True)
+            continue
+        integral = _scaled_integral(profile, piece, p * profile.n, q)
+        dominates = total * profile.n * profile.unit * p >= integral * unit * count
+        yield SuperlevelAudit(t, level, dominates, above <= count and count * q <= p * n)
 
 
 def _weak_type_failure(a: WeightAnalysis) -> Fraction | None:
@@ -578,10 +562,10 @@ def fuzz_campaign(
 ) -> CampaignSummary:
     """Run the selected checks over seeded random weights (or every grid weight).
 
-    Per-trial seeds are derived once from ``seed``, so results do not depend
-    on ``threads``; the rearrangement bound itself is always checked.  The
-    first failing trial (lowest index) aborts the campaign by raising
-    ViolationError with the serialized weight.
+    Per-trial seeds are derived once from ``seed``, a non-negative int, so
+    results do not depend on ``threads``; the rearrangement bound itself is
+    always checked.  The first failing trial (lowest index) aborts the
+    campaign by raising ViolationError with the serialized weight.
 
     A random campaign starts at most ``threads`` worker processes, and no
     more than the CPUs or the trials, but none for less than
@@ -598,6 +582,7 @@ def fuzz_campaign(
         raise ParameterError(f"trials must be at most {MAX_WEIGHTS}, got {trials}")
     if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
         raise ParameterError(f"threads must be a positive integer, got {threads!r}")
+    _check_seed(seed)
 
     if exhaustive:
         g, n = len(grid_values), shape.leaf_count

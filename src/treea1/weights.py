@@ -96,11 +96,19 @@ def refine(w: StepWeight, levels: int = 1) -> StepWeight:
 def random_weight(shape: TreeShape, seed: int, grid: Iterable) -> StepWeight:
     """Draw each leaf value independently and uniformly from a finite grid.
 
-    The generator is Python's Mersenne Twister seeded with ``seed``; the grid
-    is canonicalized (deduplicated, sorted) so the draw depends only on the
-    set of values, not on iteration order.  Equal seeds give equal weights.
+    The generator is Python's Mersenne Twister seeded with ``seed``, a
+    non-negative int; the grid is canonicalized (deduplicated, sorted) so the
+    draw depends only on the set of values, not on iteration order.  Equal
+    seeds give equal weights.
     """
-    return _draw(shape, seed, _canonical_grid(grid))
+    return _draw(shape, _check_seed(seed), _canonical_grid(grid))
+
+
+def _check_seed(seed) -> int:
+    """The seed if it is a non-negative int: ``random.Random`` seeds with ``abs(seed)``, so -s would alias s."""
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def _canonical_grid(grid: Iterable) -> list[Fraction]:
@@ -177,10 +185,10 @@ class ExtremalParams:
         return int(self.delta * self.k**self.depth)
 
     @classmethod
-    def from_constant(cls, k: int, c, delta, depth: int, eps=1) -> "ExtremalParams":
+    def from_constant(cls, k: int, c, delta, depth: int) -> "ExtremalParams":
+        """The parameters for target constant c, with eps normalized to 1 and so alpha = k*c - k + 1."""
         c = as_fraction(c)
-        eps = as_fraction(eps)
-        return cls(k=k, c=c, eps=eps, alpha=(k * c - k + 1) * eps, delta=as_fraction(delta), depth=depth)
+        return cls(k=k, c=c, eps=Fraction(1), alpha=k * c - k + 1, delta=as_fraction(delta), depth=depth)
 
     @classmethod
     def from_alpha(cls, k: int, alpha, eps, delta, depth: int) -> "ExtremalParams":

@@ -62,6 +62,8 @@ def test_verify_usage_errors(tmp_path):
     assert run_cli(["verify", "--k", "1", "--depth", "2", "--out", str(tmp_path / "x")]) == 2
     assert run_cli(["verify", "--k", "2", "--depth", "2", "--grid", "1,zebra",
                     "--out", str(tmp_path / "y")]) == 2
+    assert run_cli(["verify", "--k", "2", "--depth", "2", "--grid", ",", "--out", str(tmp_path / "g")]) == 2
+    assert not (tmp_path / "g").exists()
     assert run_cli(["verify"]) == 2  # missing required flags
 
 
@@ -151,6 +153,20 @@ def test_refused_runs_leave_no_directory_they_created(tmp_path, capsys):
     assert len(err) == 6 and all(line.startswith("error: ") for line in err)
 
 
+def test_negative_seeds_exit_2_and_leave_no_directory(tmp_path, capsys):
+    # random.Random seeds with abs(seed): -7 would write the report of 7 under another manifest seed
+    refused = [
+        ["verify", "--k", "2", "--depth", "3", "--trials", "5", "--seed", "-7"],
+        ["search", "--k", "2", "--depth", "2", "--iters", "5", "--restarts", "1", "--seed", "-3"],
+    ]
+    for argv in refused:
+        assert run_cli(argv + ["--out", str(tmp_path / "run")]) == 2
+        assert not (tmp_path / "run").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: seed must be a non-negative integer, got -7",
+                   "error: seed must be a non-negative integer, got -3"]
+
+
 def test_verify_reports_values_outside_the_floats(tmp_path):
     # 1e-400 underflows a float to 0.0 and c = (1 + 1e-400) / (2 * 1e-400) overflows one
     out = tmp_path / "run"
@@ -232,6 +248,10 @@ def test_extremal_usage_errors(tmp_path, capsys):
     ) == 2
     assert run_cli(["extremal", "--k", "2", "--c", "2", "--mode", "bogus",
                     "--out", str(tmp_path / "z")]) == 2
+    assert run_cli(["extremal", "--k", "2", "--c", "2", "--mode", "paper", "--depths", "4,x",
+                    "--out", str(tmp_path / "d")]) == 2
+    assert "error: expected a comma-separated list of integers, got '4,x'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_search_command(tmp_path):

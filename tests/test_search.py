@@ -231,6 +231,13 @@ def test_config_refuses_bools_as_counts():
         SearchConfig(shape=shape, iterations=1, restarts=True, seed=0)
 
 
+def test_config_refuses_a_seed_that_is_not_a_non_negative_int():
+    shape = make_shape(2, 2)
+    for seed in (-3, True, None, 1.0, "3"):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            SearchConfig(shape=shape, iterations=1, restarts=1, seed=seed)
+
+
 def test_hill_climb_minimal_budget():
     result = hill_climb(SearchConfig(shape=make_shape(2, 2), iterations=1, restarts=1, seed=0))
     assert len(result.trace) == 1

@@ -340,6 +340,23 @@ def test_audits_neither_check_t_nor_bisect_per_grid_point(monkeypatch):
     assert all(piece == report.profile._piece_index(t) for piece, t in seen)
 
 
+@pytest.mark.parametrize("w", [
+    make_step_weight(make_shape(2, 3), [5, 1, 2, 2, 7, 1, 3, 1]),
+    extremal_family(ExtremalParams.from_constant(3, 2, default_family_delta(3, 3), 3)),
+    random_weight(make_shape(2, 6), 5, [1, 2, 3, 5, 10, 100]),
+])
+def test_single_t_audits_walk_to_their_piece_without_a_bisect(w, monkeypatch):
+    report = check_rearrangement_bound(w, with_audits=True)
+    expected = [_all_fields(audit) for audit in report.audits]
+
+    def refuse(*args):
+        raise AssertionError("a single-t audit walks the pieces like the grid does")
+
+    monkeypatch.setattr(treea1.rearrangement, "bisect_left", refuse)
+    # by name: LevelAudit compares by identity
+    assert [_all_fields(audit_superlevel(report, t)) for t in audit_grid(w)] == expected
+
+
 def test_growth_bound_examples():
     assert check_growth_bound(make_step_weight(make_shape(2, 1), [3, 3])).ok  # vacuous
     result = check_growth_bound(extremal_exact(2, 2))
@@ -641,6 +658,14 @@ def test_fuzz_campaign_refuses_bools_as_counts():
         fuzz_campaign(2, 2, 2, seed=0, grid=[1, 2], threads=True)
 
 
+@pytest.mark.parametrize("exhaustive", [False, True])
+def test_fuzz_campaign_refuses_a_seed_that_is_not_a_non_negative_int(exhaustive):
+    # random.Random seeds with abs(seed), so -7 would run the campaign of 7
+    for seed in (-7, True, None, 1.0, "7"):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            fuzz_campaign(2, 2, 3, seed=seed, grid=[1, 2], exhaustive=exhaustive)
+
+
 def test_fuzz_campaign_aborts_on_violation(monkeypatch):
     monkeypatch.setattr(treea1.verify, "check_decomposition", lambda w: False)
     with pytest.raises(ViolationError) as err:
@@ -716,6 +741,9 @@ def test_sharpness_sweep_rejects_misaligned_delta():
         sharpness_sweep(2, 2, [4], [Fraction(1, 3)])
     with pytest.raises(ParameterError):
         sharpness_sweep(2, 2, [])
+    for depth in (1, True):
+        with pytest.raises(ParameterError, match="family depth must be an integer >= 2"):
+            sharpness_sweep(2, 2, [depth])
 
 
 def test_default_family_delta():

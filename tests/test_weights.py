@@ -178,6 +178,13 @@ def test_random_weight_rejects_bad_grid():
         random_weight(shape, 0, [1, 0])
 
 
+def test_random_weight_refuses_a_seed_that_is_not_a_non_negative_int():
+    shape = make_shape(2, 2)
+    for seed in (-1, True, None, 1.0, "1"):
+        with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+            random_weight(shape, seed, [1, 2, 3])
+
+
 def test_extremal_exact_depth2_values():
     assert extremal_exact(2, 2).leaf_values == (3, 1, 3, 1)
     assert extremal_exact(2, 1).leaf_values == (1, 1, 1, 1)
@@ -222,6 +229,11 @@ def test_extremal_params_validation():
         ExtremalParams.from_alpha(2, 3, 1, Fraction(1, 4), 1)
     with pytest.raises(ParameterError):
         ExtremalParams.from_constant(2, Fraction(1, 2), Fraction(1, 4), 2)
+    for alpha, eps in ((0, 0), (-3, -1), (0, 1), (3, 0)):
+        with pytest.raises(ParameterError, match="alpha and eps must be positive"):
+            ExtremalParams(k=2, c=2, eps=eps, alpha=alpha, delta=Fraction(1, 4), depth=2)
+    with pytest.raises(ParameterError, match="eps must be positive"):  # refused before alpha / eps is formed
+        ExtremalParams.from_alpha(2, 3, 0, Fraction(1, 4), 2)
 
 
 def test_family_constant_formula_values():
@@ -231,6 +243,8 @@ def test_family_constant_formula_values():
     assert family_constant_formula(3, 2, 2, Fraction(1, 27)) == 1  # alpha == eps
     with pytest.raises(ParameterError):
         family_constant_formula(2, 3, 1, 0)
+    with pytest.raises(ParameterError, match="homogeneity k"):
+        family_constant_formula(1, 3, 1, Fraction(1, 4))
 
 
 @given(c=st.fractions(min_value=1, max_value=9, max_denominator=8), k=st.sampled_from((2, 3, 4)))
