@@ -30,8 +30,8 @@ from .rearrangement import (
 )
 from .tree import ROOT, NodeId, TreeShape, make_shape
 from .weights import (
-    ExtremalParams, StepWeight, _canonical_grid, _check_seed, _draw, extremal_family, family_constant_formula,
-    weight_hash, weight_to_text,
+    ExtremalParams, StepWeight, _canonical_grid, _check_seed, _draw, _from_grid, extremal_family,
+    family_constant_formula, weight_hash, weight_to_text,
 )
 
 ALL_CHECKS = ("stopping", "growth", "weak_type", "decomposition", "oracle", "kadic")
@@ -506,11 +506,11 @@ def _campaign_weight(
     """
     if seeds is not None:
         return _draw(shape, seeds[index], grid)
-    values = []
+    digits = []
     for _ in range(shape.leaf_count):
         index, digit = divmod(index, len(grid))
-        values.append(grid[digit])
-    return StepWeight(shape, tuple(reversed(values)))
+        digits.append(digit)
+    return _from_grid(shape, grid, digits[::-1])
 
 
 def _scan(

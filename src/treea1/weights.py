@@ -11,15 +11,23 @@ random draw and a parsed weight file share one object per distinct value.  A
 :class:`StepWeight` therefore keeps them once, as its ``palette``, with each
 leaf's int index into it, its ``codes``; the fast readers (``analyze``,
 :func:`weight_to_text`, :func:`scale`) work once per palette value and only
-look up ints per leaf.
+look up ints per leaf.  The builders here that already know each leaf's code
+(a random draw, a campaign's grid enumeration, a parsed weight file,
+:func:`scale` and :func:`refine`) hand the palette and codes to the weight
+directly; only values from outside (``StepWeight(...)``,
+:func:`make_step_weight`) go through the constructor's identity pass.  A
+random draw reads all of a weight's Mersenne Twister words from one
+``getrandbits`` call (see :func:`random_weight`).
 """
 from __future__ import annotations
 
 import hashlib
 import operator
 import random
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
@@ -37,7 +45,11 @@ class StepWeight:
     order of first appearance, and ``codes``, each leaf's index into
     ``palette``: ``leaf_values[i] is palette[codes[i]]``.  Equal values held in
     distinct objects get distinct palette entries.  The two are derived, not
-    fields, so they take no part in ``==``, ``hash`` or ``repr``.
+    fields, so they take no part in ``==``, ``hash`` or ``repr``.  A builder
+    that already knows the codes skips the identity pass (``_coded``) and
+    gives a weight equal to ``StepWeight(shape, leaf_values)`` in every
+    attribute, down to the palette's objects and their order; both paths end
+    in ``_fill``.
     """
 
     shape: TreeShape
@@ -57,13 +69,33 @@ class StepWeight:
         codes = tuple(map(code_of.__getitem__, ids))
         # a Fraction is kept as it is; only other types go through the slower as_fraction
         palette = tuple([v if type(v) is Fraction else as_fraction(v) for v in objects.values()])
-        for code, v in enumerate(palette):
-            if v.numerator <= 0:
-                # the palette is in order of first appearance, so this is the first bad leaf
-                raise ParameterError(f"leaf value at position {codes.index(code)} must be positive, got {v}")
         if any(map(operator.is_not, palette, objects.values())):  # some value was coerced
             values = tuple(map(palette.__getitem__, codes))
-        self.__dict__.update(leaf_values=values, palette=palette, codes=codes)
+        _fill(self, self.shape, values, palette, codes)
+
+
+def _coded(shape: TreeShape, palette: tuple[Fraction, ...], codes: tuple[int, ...]) -> StepWeight:
+    """The weight whose leaf i holds ``palette[codes[i]]``, built without the identity pass.
+
+    For builders that already know their codes.  ``palette`` must hold
+    distinct ``Fraction`` objects in order of first appearance in ``codes``,
+    and ``codes`` one code per leaf of ``shape``; the result then equals
+    ``StepWeight(shape, leaf_values)`` in every attribute.
+    """
+    # itemgetter of two or more codes returns a tuple, and every shape has at least two leaves
+    return _fill(object.__new__(StepWeight), shape, operator.itemgetter(*codes)(palette), palette, codes)
+
+
+def _fill(
+    w: StepWeight, shape: TreeShape, values: tuple, palette: tuple[Fraction, ...], codes: tuple[int, ...]
+) -> StepWeight:
+    """Refuse a non-positive palette value and set the weight's four attributes: both construction paths end here."""
+    for code, v in enumerate(palette):
+        if v.numerator <= 0:
+            # the palette is in order of first appearance, so this is the first bad leaf
+            raise ParameterError(f"leaf value at position {codes.index(code)} must be positive, got {v}")
+    w.__dict__.update(shape=shape, leaf_values=values, palette=palette, codes=codes)
+    return w
 
 
 def make_step_weight(shape: TreeShape, values: Sequence) -> StepWeight:
@@ -76,8 +108,7 @@ def scale(w: StepWeight, factor) -> StepWeight:
     s = as_fraction(factor)
     if s <= 0:
         raise ParameterError(f"scale factor must be positive, got {s}")
-    scaled = [v * s for v in w.palette]
-    return StepWeight(w.shape, tuple(map(scaled.__getitem__, w.codes)))
+    return _coded(w.shape, tuple([v * s for v in w.palette]), w.codes)
 
 
 def refine(w: StepWeight, levels: int = 1) -> StepWeight:
@@ -89,8 +120,8 @@ def refine(w: StepWeight, levels: int = 1) -> StepWeight:
     if not isinstance(levels, int) or isinstance(levels, bool) or levels < 1:
         raise ParameterError(f"refinement levels must be a positive integer, got {levels!r}")
     shape = make_shape(w.shape.k, w.shape.m + levels)  # refuses too many leaves before k**levels is formed
-    repeat = w.shape.k**levels
-    return StepWeight(shape, tuple(v for v in w.leaf_values for _ in range(repeat)))
+    copies = w.shape.k**levels
+    return _coded(shape, w.palette, tuple(chain.from_iterable((code,) * copies for code in w.codes)))
 
 
 def random_weight(shape: TreeShape, seed: int, grid: Iterable) -> StepWeight:
@@ -99,7 +130,11 @@ def random_weight(shape: TreeShape, seed: int, grid: Iterable) -> StepWeight:
     The generator is Python's Mersenne Twister seeded with ``seed``, a
     non-negative int; the grid is canonicalized (deduplicated, sorted) so the
     draw depends only on the set of values, not on iteration order.  Equal
-    seeds give equal weights.
+    seeds give equal weights.  Leaf i holds ``grid[rng.randrange(len(grid))]``
+    of the i-th call, bit for bit, though the words are read in bulk: for
+    ``b <= 32``, ``getrandbits(b)`` is the top ``b`` bits of the generator's
+    next 32-bit word, and ``getrandbits(32 * W)`` holds the next W words, the
+    first in its least significant 32 bits.
     """
     return _draw(shape, _check_seed(seed), _canonical_grid(grid))
 
@@ -121,20 +156,53 @@ def _canonical_grid(grid: Iterable) -> list[Fraction]:
     return values
 
 
+_SHIFTED = tuple(bytes(b >> shift for b in range(256)) for shift in range(8))  # translate tables: b -> b >> shift
+
+
 def _draw(shape: TreeShape, seed: int, values: Sequence[Fraction]) -> StepWeight:
-    """The draw of :func:`random_weight` from a grid :func:`_canonical_grid` has already made."""
-    # rng.randrange(n), unrolled: draw n.bit_length() bits until the draw is
-    # below n, so the weights are those of a randrange draw, bit for bit
-    getrandbits = random.Random(seed).getrandbits
+    """The draw of :func:`random_weight` from a grid :func:`_canonical_grid` has already made.
+
+    ``randrange(n)`` takes the top ``bits = n.bit_length()`` bits of the next
+    32-bit word and takes another word while that is n or more.
+    ``getrandbits(32 * words)`` holds the next ``words`` words, the first in
+    its least significant 32 bits, so one call reads them all: a grid of up
+    to 255 values draws from each word's top byte, a larger grid from the
+    whole word.  When rejection leaves too few draws, the next words of the
+    same generator fill the rest.
+    """
     n = len(values)
     bits = n.bit_length()
-    picks = []
-    for _ in range(shape.leaf_count):
-        r = getrandbits(bits)
-        while r >= n:
-            r = getrandbits(bits)
-        picks.append(values[r])
-    return StepWeight(shape, tuple(picks))
+    getrandbits = random.Random(seed).getrandbits
+    drawn = b"" if bits <= 8 else []
+    while len(drawn) < shape.leaf_count:
+        words = -(-((shape.leaf_count - len(drawn)) << bits) // n)  # as many as the missing draws need, on average
+        raw = getrandbits(32 * words).to_bytes(4 * words, "little")
+        if bits <= 8:
+            # a top byte b draws b >> (8 - bits), and the bytes whose draw is n or more are dropped
+            drawn += raw[3::4].translate(_SHIFTED[8 - bits], bytes(range(n << (8 - bits), 256)))
+        else:
+            drawn += filter(n.__gt__, map(operator.rshift, struct.unpack(f"<{words}I", raw), repeat(32 - bits)))
+    return _from_grid(shape, values, drawn[: shape.leaf_count])
+
+
+def _from_grid(shape: TreeShape, grid: Sequence[Fraction], drawn: bytes | list[int]) -> StepWeight:
+    """The weight whose leaf i holds ``grid[drawn[i]]``, for a grid of distinct ``Fraction``s.
+
+    The palette is the grid values in order of first appearance, and the
+    grid codes are renumbered into it: by one ``bytes.translate`` for codes
+    held in bytes, by a dict for a list.
+    """
+    if isinstance(drawn, bytes):
+        # bytes.find, a C-level scan, gives each grid code's first position (-1 if it was not drawn)
+        order = [g for first, g in sorted((drawn.find(g), g) for g in range(len(grid))) if first >= 0]
+        table = bytearray(256)
+        for code, g in enumerate(order):
+            table[g] = code
+        codes = drawn.translate(table)
+    else:
+        order = list(dict.fromkeys(drawn))
+        codes = map({g: code for code, g in enumerate(order)}.__getitem__, drawn)
+    return _coded(shape, tuple(map(grid.__getitem__, order)), tuple(codes))
 
 
 @dataclass(frozen=True)
@@ -270,7 +338,8 @@ def weight_from_text(text: str) -> StepWeight:
     # a weight file repeats few distinct tokens: each is parsed once, in order of first appearance,
     # so the first bad token is still the one reported
     parsed = {token: as_fraction(token) for token in dict.fromkeys(values)}
-    return StepWeight(shape, tuple(map(parsed.__getitem__, values)))
+    code_of = {token: code for code, token in enumerate(parsed)}
+    return _coded(shape, tuple(parsed.values()), tuple(map(code_of.__getitem__, values)))
 
 
 def weight_hash(w: StepWeight) -> str:

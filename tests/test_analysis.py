@@ -6,7 +6,6 @@ from hypothesis import given
 
 from conftest import step_weights
 from treea1 import (
-    StepWeight,
     StoppingFamily,
     WeightAnalysis,
     a1_constant,
@@ -27,6 +26,7 @@ from treea1 import (
     stopping_family,
     superlevel_set,
 )
+import treea1.weights
 
 
 def _family_fields(fam):
@@ -84,14 +84,21 @@ def test_bound_and_kadic_checks_build_no_family(monkeypatch):
 
 def test_a_kadic_campaign_builds_one_weight_and_one_analysis_per_weight(monkeypatch):
     built = Counter()
-    for cls in (StepWeight, WeightAnalysis):
-        original = cls.__init__
+    original = WeightAnalysis.__init__
 
-        def counted(self, *args, _original=original, _name=cls.__name__, **kwargs):
-            built[_name] += 1
-            _original(self, *args, **kwargs)
+    def counted(self, *args, **kwargs):
+        built["WeightAnalysis"] += 1
+        original(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counted)
+    monkeypatch.setattr(WeightAnalysis, "__init__", counted)
+    # a weight built from its codes skips __init__; both construction paths end in weights._fill
+    fill = treea1.weights._fill
+
+    def filled(w, *args):
+        built[type(w).__name__] += 1
+        return fill(w, *args)
+
+    monkeypatch.setattr(treea1.weights, "_fill", filled)
     summary = fuzz_campaign(2, 3, 6, seed=3, grid=[1, Fraction(5, 3), 4], checks=("kadic",))
     assert len(summary.rows) == 6 and all(row.kadic_ok for row in summary.rows)
     assert built == {"StepWeight": 6, "WeightAnalysis": 6}

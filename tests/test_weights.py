@@ -1,5 +1,7 @@
+import operator
 import random
 import sys
+import types
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,7 @@ from treea1 import (
     ROOT,
     ExtremalParams,
     ParameterError,
+    StepWeight,
     a1_constant,
     analyze,
     as_fraction,
@@ -31,6 +34,8 @@ from treea1 import (
     weight_to_text,
 )
 from treea1.rationals import _exact_decimal_string
+import treea1.verify
+import treea1.weights
 
 
 def test_make_step_weight_accepts_rationals():
@@ -110,6 +115,42 @@ def test_a_weight_is_the_same_from_shared_fresh_or_uncoerced_values(km, distinct
         assert all(v is w.palette[code] for v, code in zip(w.leaf_values, w.codes))
 
 
+@given(
+    st.sampled_from(((2, 1), (2, 3), (3, 2), (2, 4))),
+    st.lists(st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30), min_size=1, max_size=6,
+             unique=True),
+    st.integers(0, 2**64),
+    st.fractions(min_value=Fraction(1, 30), max_value=30, max_denominator=30).filter(bool),
+    st.data(),
+)
+def test_a_weight_built_from_its_codes_equals_the_identity_pass(km, distinct, seed, factor, data):
+    """Drawn, enumerated, parsed, scaled and refined weights, built from their codes, equal the identity pass's."""
+    shape = make_shape(*km)
+    grid = treea1.weights._canonical_grid(distinct)
+    drawn = random_weight(shape, seed, grid)
+    index = data.draw(st.integers(0, len(grid) ** shape.leaf_count - 1))
+    built = (
+        drawn,
+        random_weight(shape, seed, range(1, 300)),  # a grid past 255 values draws whole words
+        treea1.verify._campaign_weight(shape, grid, None, index),
+        weight_from_text(weight_to_text(drawn)),
+        weight_from_text(" ".join([str(km[0]), str(km[1]), *(f"{2 * v.numerator}/{2 * v.denominator}"
+                                                           for v in drawn.leaf_values)])),
+        scale(drawn, factor),
+        refine(drawn, data.draw(st.integers(1, 2))),
+    )
+    for w in built:
+        rebuilt = StepWeight(w.shape, w.leaf_values)
+        assert len(w.palette) == len(rebuilt.palette)
+        assert all(map(operator.is_, w.palette, rebuilt.palette))
+        assert w.codes == rebuilt.codes and type(w.codes) is tuple
+        assert w.leaf_values == rebuilt.leaf_values and type(w.leaf_values) is tuple
+        a, b = analyze(w), analyze(rebuilt)
+        assert (a.unit, a.scaled_averages, a.scaled_maximal, a.c) == (b.unit, b.scaled_averages, b.scaled_maximal, b.c)
+        assert weight_to_text(w) == weight_to_text(rebuilt)
+        assert weight_hash(w) == weight_hash(rebuilt)
+
+
 def test_decimal_string_rounds_values_outside_the_normal_floats_exactly():
     assert decimal_string(Fraction(10) ** 400) == "1e+400"
     assert decimal_string(Fraction(1, 10**400)) == "1e-400"
@@ -159,15 +200,35 @@ def test_random_weight_single_value_grid_is_constant():
     assert w.leaf_values == (Fraction(1),) * 4
 
 
-def test_random_weight_draws_the_values_of_randrange():
-    """The unrolled draw must give every seeded weight, report and digest of a randrange draw."""
-    shape = make_shape(2, 10)
-    for size in (*range(1, 9), 100):
-        grid = list(range(1, size + 1))
-        for seed in (0, 1, 7, 2**63 - 1):
-            rng = random.Random(seed)
-            expected = tuple(Fraction(grid[rng.randrange(size)]) for _ in range(shape.leaf_count))
-            assert random_weight(shape, seed, grid).leaf_values == expected
+def test_random_weight_draws_the_values_of_randrange(monkeypatch):
+    """The bulk draw must give every seeded weight, report and digest of a randrange draw."""
+    calls = []
+
+    class Counted(random.Random):  # counts a draw's getrandbits calls: every call after the first is a refill
+        def getrandbits(self, k):
+            calls[-1] += 1
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(treea1.weights, "random", types.SimpleNamespace(Random=Counted))
+    refilled = set()
+    # grids on both sides of 256 values, where the draw moves from a word's top byte to the whole word
+    for km, sizes, seeds in (
+        ((2, 10), (*range(1, 9), 100, 129, 255, 256, 257, 1000), (0, 1, 7, 2**63 - 1)),
+        ((3, 6), (6, 129, 257), (0, 5)),
+        ((2, 16), (6, 300), (0,)),
+    ):
+        shape = make_shape(*km)
+        for size in sizes:
+            grid = list(range(1, size + 1))
+            for seed in seeds:
+                rng = random.Random(seed)
+                expected = tuple(Fraction(grid[rng.randrange(size)]) for _ in range(shape.leaf_count))
+                calls.append(0)
+                assert random_weight(shape, seed, grid).leaf_values == expected
+                if calls[-1] > 1:
+                    refilled.add(size)
+    # a grid of 129 (or 257) values rejects about half the draws, so some first calls fall short
+    assert {129, 257} <= refilled
 
 
 def test_random_weight_rejects_bad_grid():
