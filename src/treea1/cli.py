@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -25,7 +26,7 @@ from .verify import (
     ALL_CHECKS, MIN_LEAVES_PER_WORKER, _FLAG_FIELDS, _require, audit_superlevel, check_rearrangement_bound,
     fuzz_campaign, sharpness_sweep
 )
-from .weights import weight_from_text, weight_to_text
+from .weights import _per_leaf, weight_from_text, weight_to_text
 
 MANIFEST_NAME = "manifest.json"
 # Data-file columns, in file order; each name is also the field it reads.
@@ -69,6 +70,20 @@ def _write_file(path: Path, text: str) -> None:
         path.write_text(text)
     except OSError as exc:
         raise ParameterError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _emit(stream, *lines: str) -> None:
+    """Write a command's closing lines to ``stream`` and flush it; a closed reader does not change the exit code.
+
+    On BrokenPipeError the stream's descriptor is pointed at ``os.devnull``, as
+    Python's ``signal`` docs advise, so the interpreter's final flush cannot fail.
+    """
+    try:
+        stream.write("".join(f"{line}\n" for line in lines))
+        stream.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), stream.fileno())
 
 
 def _csv(header: list[str], rows: list[list[str]]) -> str:
@@ -123,8 +138,7 @@ def _run(args, command: str, parameters: dict, seed, job) -> int:
             except OSError:  # not empty, or never made
                 break
         raise
-    for line in lines:
-        print(line, file=stream)
+    _emit(stream, *lines)
     return code
 
 
@@ -264,7 +278,7 @@ def _cmd_inspect(args) -> int:
     payload = {
         "k": w.shape.k,
         "depth": w.shape.m,
-        "leaf_values": list(map(texts.__getitem__, w.codes)),
+        "leaf_values": list(_per_leaf(w.codes, texts)),
         "a1_constant": str(report.c),
         "bound": str(report.bound),
         "maximal_function": [str(v) for v in maximal_function(a)],
@@ -284,7 +298,7 @@ def _cmd_inspect(args) -> int:
     }
     if audit is not None:
         payload["audit"] = _audit_json(audit)
-    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else "\n".join(_inspect_lines(payload)))
+    _emit(sys.stdout, *([json.dumps(payload, sort_keys=True, indent=2)] if args.json else _inspect_lines(payload)))
     return 0
 
 
@@ -348,11 +362,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except ParameterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _emit(sys.stderr, f"error: {exc}")
         return 2
     except ViolationError as exc:
         # _run writes the counterexample of every command with --out;
         # inspect has none, so its failed check reports the weight here
-        print(f"violation: {exc}", file=sys.stderr)
-        print(exc.weight_text, file=sys.stderr, end="")
+        _emit(sys.stderr, f"violation: {exc}", *exc.weight_text.splitlines())
         return 1

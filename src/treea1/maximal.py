@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .rationals import as_fraction
 from .tree import ROOT, NodeId, check_node, leaves_under
-from .weights import StepWeight
+from .weights import StepWeight, _per_leaf
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,10 +122,10 @@ def analyze(w: StepWeight | WeightAnalysis) -> WeightAnalysis:
     unit = lcm(*denominators) * k**m
     multiplier = {d: unit // d for d in denominators}
     scaled = [v.numerator * multiplier[v.denominator] for v in w.palette]
-    return WeightAnalysis(w, unit, *_sweep(list(map(scaled.__getitem__, w.codes)), k, m))
+    return WeightAnalysis(w, unit, *_sweep(_per_leaf(w.codes, scaled), k, m))
 
 
-def _sweep(row: list[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], Fraction]:
+def _sweep(row: Sequence[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], Fraction]:
     """Scaled node averages (root level first), scaled maximal function and c of an int leaf row.
 
     The row is the k**m leaf values times one unit that clears their

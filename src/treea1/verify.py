@@ -8,11 +8,11 @@ implementation bug (or a genuine counterexample, which would be news).
 """
 from __future__ import annotations
 
-import itertools
 import os
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParameterError, ViolationError
@@ -466,25 +466,6 @@ class CampaignSummary:
     workers: int  # processes that examined weights; 1 for a run in this process
 
 
-def _examine(index: int, w: StepWeight, checks: tuple[str, ...]) -> WeightRow:
-    """Run the bound check plus the requested structural checks on one weight.
-
-    Raises ViolationError, carrying the serialized weight, on the first failure.
-    """
-    report = check_rearrangement_bound(w)
-    _require(("bound",) + checks, report)
-    return WeightRow(
-        index=index,
-        weight_hash=weight_hash(w),
-        c=report.c,
-        bound=report.bound,
-        sup_ratio=report.sup_ratio,
-        margin=report.margin,
-        bound_holds=True,
-        **{field: True if name in checks else None for name, field in _FLAG_FIELDS.items()},
-    )
-
-
 def _require(names: Iterable[str], report: VerificationReport) -> None:
     """Raise ViolationError, carrying the serialized weight, on the first named check that fails."""
     for name in names:
@@ -494,18 +475,16 @@ def _require(names: Iterable[str], report: VerificationReport) -> None:
             raise ViolationError(f"check '{name}' failed: {detail}", weight_text=text, check=name, detail=detail)
 
 
-def _campaign_weight(
-    shape: TreeShape, grid: Sequence[Fraction], seeds: Sequence[int] | None, index: int
-) -> StepWeight:
+def _campaign_weight(shape: TreeShape, grid: Sequence[Fraction], seed: int | None, index: int) -> StepWeight:
     """Weight number ``index`` of a campaign.
 
-    With seeds it is the trial's draw ``random_weight(shape, seeds[index], grid)``,
-    made without canonicalizing ``grid`` again.
-    Without, it is the index-th grid weight in :func:`itertools.product` order:
+    With a seed, the trial's own, it is the draw ``random_weight(shape, seed, grid)``,
+    made without canonicalizing ``grid`` again, and ``index`` is not read.
+    With None, it is the index-th grid weight in :func:`itertools.product` order:
     ``index`` read in base ``len(grid)``, the first leaf the most significant digit.
     """
-    if seeds is not None:
-        return _draw(shape, seeds[index], grid)
+    if seed is not None:
+        return _draw(shape, seed, grid)
     digits = []
     for _ in range(shape.leaf_count):
         index, digit = divmod(index, len(grid))
@@ -517,26 +496,31 @@ def _scan(
     shape: TreeShape, grid: Sequence[Fraction], seeds: Sequence[int] | None, indices: range,
     checks: tuple[str, ...],
 ) -> tuple[list[WeightRow], tuple[Fraction, StepWeight] | None, tuple | None]:
-    """Examine the campaign weights numbered by ``indices``, in order.
+    """Check one chunk of a campaign: the weights numbered by ``indices``, in order.
 
     ``seeds`` holds the seeds of ``indices`` alone (None for a grid
     enumeration), so a worker is sent its index range and seed slice, never a
-    weight.  Returns the rows, the first (margin, weight) of smallest margin,
-    and a violation, which stops the scan and is returned (not raised) as
+    weight.  Each weight gets one report, on which :func:`_failure` runs the
+    bound and then each of ``checks``.  Returns the rows, the first (margin,
+    weight) of smallest margin, and the first failure, which ends the chunk, as
     (index, check, detail, weight_text) so the merge step can pick the lowest
     index deterministically across worker processes.
     """
+    names = ("bound",) + checks
+    flags = {field: True if name in checks else None for name, field in _FLAG_FIELDS.items()}
     rows: list[WeightRow] = []
     worst: tuple[Fraction, StepWeight] | None = None
-    for index in indices:
-        w = _campaign_weight(shape, grid, seeds, index if seeds is None else index - indices.start)
-        try:
-            row = _examine(index, w, checks)
-        except ViolationError as exc:
-            return rows, worst, (index, exc.check, exc.detail, exc.weight_text)
-        rows.append(row)
-        if worst is None or row.margin < worst[0]:
-            worst = (row.margin, w)
+    for index, seed in zip(indices, repeat(None) if seeds is None else seeds):
+        w = _campaign_weight(shape, grid, seed, index)
+        report = check_rearrangement_bound(w)
+        for name in names:
+            detail = _failure(name, report)
+            if detail is not None:
+                return rows, worst, (index, name, detail, weight_to_text(w))
+        rows.append(WeightRow(index, weight_hash(w), report.c, report.bound, report.sup_ratio, report.margin,
+                              bound_holds=True, **flags))
+        if worst is None or report.margin < worst[0]:
+            worst = (report.margin, w)
     return rows, worst, None
 
 
@@ -571,7 +555,10 @@ def fuzz_campaign(
     more than the CPUs or the trials, but none for less than
     ``MIN_LEAVES_PER_WORKER`` (8,192) leaves of work each, counted as
     ``trials * k**m``; below that, and for an exhaustive campaign, it runs in
-    this process.  ``CampaignSummary.workers`` says how many it used.
+    this process.  ``CampaignSummary.workers`` says how many it used.  Each
+    worker's chunk of consecutive trials goes to :func:`_scan`, by the builtin
+    ``map`` or the pool's with the same arguments; each trial is drawn from
+    its own seed and checked bound first, and its first failure ends the chunk.
     """
     shape = make_shape(k, m)
     grid_values = _canonical_grid(grid)
@@ -604,24 +591,18 @@ def fuzz_campaign(
     workers = 1 if exhaustive else max(1, min(
         threads, os.cpu_count() or 1, trials, trials * shape.leaf_count // MIN_LEAVES_PER_WORKER
     ))
+    step = max(1, -(-total // workers))  # one chunk per worker; no trials make none, and range() refuses a step of 0
+    starts = range(0, total, step)
+    workers = max(1, len(starts))
+    chunks = (repeat(shape), repeat(grid_values), [None if seeds is None else seeds[i : i + step] for i in starts],
+              [range(i, min(i + step, total)) for i in starts], repeat(selected))
     if workers == 1:
-        batches = [_scan(shape, grid_values, seeds, range(total), selected)]
+        batches = list(map(_scan, *chunks))
     else:
-        step = -(-total // workers)
-        starts = range(0, total, step)
-        workers = len(starts)
         # imported only when a pool is started: multiprocessing adds its memory to every process importing it
         from concurrent.futures import ProcessPoolExecutor
-
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(
-                _scan,
-                itertools.repeat(shape),
-                itertools.repeat(grid_values),
-                [seeds[i : i + step] for i in starts],
-                [range(i, min(i + step, total)) for i in starts],
-                itertools.repeat(selected),
-            ))
+            batches = list(pool.map(_scan, *chunks))
 
     violations = [violation for _, _, violation in batches if violation is not None]
     if violations:

@@ -70,7 +70,7 @@ class StepWeight:
         # a Fraction is kept as it is; only other types go through the slower as_fraction
         palette = tuple([v if type(v) is Fraction else as_fraction(v) for v in objects.values()])
         if any(map(operator.is_not, palette, objects.values())):  # some value was coerced
-            values = tuple(map(palette.__getitem__, codes))
+            values = _per_leaf(codes, palette)
         _fill(self, self.shape, values, palette, codes)
 
 
@@ -82,8 +82,13 @@ def _coded(shape: TreeShape, palette: tuple[Fraction, ...], codes: tuple[int, ..
     and ``codes`` one code per leaf of ``shape``; the result then equals
     ``StepWeight(shape, leaf_values)`` in every attribute.
     """
+    return _fill(object.__new__(StepWeight), shape, _per_leaf(codes, palette), palette, codes)
+
+
+def _per_leaf(codes: Sequence[int], by_code: Sequence) -> tuple:
+    """``by_code[code]`` for each leaf's code, in leaf order: the one per-leaf read of a weight."""
     # itemgetter of two or more codes returns a tuple, and every shape has at least two leaves
-    return _fill(object.__new__(StepWeight), shape, operator.itemgetter(*codes)(palette), palette, codes)
+    return operator.itemgetter(*codes)(by_code)
 
 
 def _fill(
@@ -317,7 +322,7 @@ def family_constant_formula(k: int, alpha, eps, delta) -> Fraction:
 def weight_to_text(w: StepWeight) -> str:
     """Serialize as ``k m v_0 ... v_{k^m-1}`` with rationals as p/q, newline-terminated."""
     texts = list(map(str, w.palette))  # one str() per distinct value, then a lookup per leaf
-    return " ".join([str(w.shape.k), str(w.shape.m), *map(texts.__getitem__, w.codes)]) + "\n"
+    return " ".join([str(w.shape.k), str(w.shape.m), *_per_leaf(w.codes, texts)]) + "\n"
 
 
 def weight_from_text(text: str) -> StepWeight:

@@ -1,13 +1,19 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import treea1.cli
 import treea1.rationals
 import treea1.search
 import treea1.verify
-from treea1 import MAX_DECIMAL_EXPONENT, MAX_MOVES, MAX_WEIGHTS, extremal_exact, weight_from_text, weight_to_text
+from treea1 import (
+    MAX_DECIMAL_EXPONENT, MAX_MOVES, MAX_WEIGHTS, extremal_exact, make_shape, random_weight, weight_from_text,
+    weight_to_text,
+)
 from treea1.cli import main
 
 
@@ -424,6 +430,22 @@ def test_inspect_exits_1_when_the_superlevel_set_is_lost(tmp_path, monkeypatch, 
         assert captured.out == ""
         assert captured.err.startswith("violation: superlevel audit at t=3/4 failed: average_bounded")
         assert captured.err.endswith(weight_to_text(extremal_exact(2, 2)))
+
+
+def test_a_reader_that_closes_stdout_does_not_change_the_exit_code(tmp_path):
+    # the reader closes the pipe before the command writes: inspect's JSON of 4,096 leaves is larger
+    # than a pipe buffer, and verify prints its summary after writing report.csv
+    weight = tmp_path / "weight-4096.txt"
+    weight.write_text(weight_to_text(random_weight(make_shape(2, 12), 0, "1,2,3,5,10,100".split(","))))
+    src = Path(treea1.cli.__file__).parents[1]
+    for argv in (["inspect", "--weight", str(weight), "--json"],
+                 ["verify", "--k", "2", "--depth", "2", "--trials", "3", "--out", str(tmp_path / "run")]):
+        proc = subprocess.Popen([sys.executable, "-m", "treea1", *argv], stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": str(src)})
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err.decode()) == (0, "")
+    assert (tmp_path / "run" / "report.csv").exists() and not (tmp_path / "run" / "counterexample.txt").exists()
 
 
 def test_inspect_unreadable_file(tmp_path):

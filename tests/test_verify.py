@@ -470,9 +470,11 @@ def test_every_check_runs_at_the_largest_benchmark_shapes(k, m):
 
 
 def test_fuzz_campaign_empty():
-    summary = fuzz_campaign(2, 2, 0, seed=0, grid=[1, 2])
-    assert summary.rows == ()
-    assert summary.worst_margin is None and summary.worst_weight_text is None
+    # with threads=2 too: no trials make no chunks, and the campaign runs in this process
+    for threads in (1, 2):
+        summary = fuzz_campaign(2, 2, 0, seed=0, grid=[1, 2], threads=threads)
+        assert summary.rows == () and summary.workers == 1
+        assert summary.worst_margin is None and summary.worst_weight_text is None
 
 
 def test_fuzz_campaign_small_run_all_checks():
@@ -586,7 +588,7 @@ def test_campaign_weight_with_seeds_is_the_seeded_draw():
     shape, grid = make_shape(3, 2), [Fraction(1), Fraction(5, 2), Fraction(7)]
     seeds = [0, 12345, 2**63 - 1]
     for i, trial_seed in enumerate(seeds):
-        drawn = treea1.verify._campaign_weight(shape, grid, seeds, i)
+        drawn = treea1.verify._campaign_weight(shape, grid, seeds[i], i)
         assert drawn.leaf_values == random_weight(shape, trial_seed, grid).leaf_values
 
 
