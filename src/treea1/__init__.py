@@ -31,9 +31,7 @@ from .maximal import (
     WeightAnalysis,
     a1_constant,
     analyze,
-    average,
     maximal_function,
-    maximal_function_bruteforce,
     stopping_family,
     superlevel_set,
 )
@@ -42,12 +40,10 @@ from .rearrangement import (
     RearrangedProfile,
     kadic_constant,
     prefix_average,
-    profile_from_text,
-    profile_to_text,
     rearrange,
-    rearrange_oracle,
     sup_ratio,
 )
+from .oracles import average, maximal_function_bruteforce, rearrange_oracle
 from .verify import (
     ALL_CHECKS,
     MAX_WEIGHTS,

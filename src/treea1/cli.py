@@ -358,7 +358,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit:  # --help and --version have printed to stdout, which a closed reader must not fail
+        _emit(sys.stdout)
+        raise
     try:
         return args.func(args)
     except ParameterError as exc:

@@ -5,13 +5,7 @@ denominators of the weight's ``palette``, its distinct values, once per value,
 reads the leaf row off them by the weight's int leaf ``codes``, sums leaves
 bottom-up and sweeps the tree top-down once per weight, all in Python ints;
 every other fast function reads its result, and only reported values become
-``Fraction``s.  Two oracles for the fast path take and return ``Fraction``s,
-read ``leaf_values`` and never the palette, and share no code with it:
-:func:`average` sums a node's leaves straight from the definition, and
-:func:`maximal_function_bruteforce` clears the leaf denominators at its own
-scale, leaf by leaf, reads every node's int sum off one pass of cumulative
-leaf sums and carries the running maximum down the tree, one cross-multiplied
-int comparison per node and per leaf.
+``Fraction``s.
 """
 from __future__ import annotations
 
@@ -24,8 +18,10 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .rationals import as_fraction
-from .tree import ROOT, NodeId, check_node, leaves_under
+from .tree import ROOT, NodeId
 from .weights import StepWeight, _per_leaf
+# not used here: perfbench's tracer finds the oracle on this module to time it
+from .oracles import maximal_function_bruteforce  # noqa: F401
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +34,7 @@ class StoppingFamily:
     ``star`` links each non-root member to the smallest member strictly
     containing it.  The family holds nodes only: a member's average is
     ``Fraction(scaled_averages[level][index], unit)`` of the analysis it was
-    read from, or :func:`average` of the weight.
+    read from, or :func:`~treea1.oracles.average` of the weight.
     """
 
     members: tuple[NodeId, ...]
@@ -68,7 +64,7 @@ class WeightAnalysis:
     needs only c never pays for it; it holds nodes only, and a member's
     average is read from ``scaled_averages`` like any other node's.  Every
     function here and in ``verify`` that reads these tables accepts a weight
-    or its analysis; the oracles take weights only.
+    or its analysis; the oracles in ``oracles`` take weights only.
     """
 
     weight: StepWeight
@@ -156,54 +152,12 @@ def _sweep(row: Sequence[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], .
     return tuple(map(tuple, table)), tuple(running), Fraction(best_mf, best_leaf)
 
 
-def average(w: StepWeight, node: NodeId) -> Fraction:
-    """Mean of the weight over a node, straight from the definition."""
-    node = check_node(w.shape, node)
-    block = leaves_under(w.shape, node)
-    return Fraction(sum(w.leaf_values[i] for i in block), len(block))
-
-
 def maximal_function(w: StepWeight | WeightAnalysis) -> tuple[Fraction, ...]:
     """Per-leaf maximum of node averages over the leaf's ancestor chain."""
     a = analyze(w)
     # one Fraction per distinct value: a maximal function repeats its node averages
     view = {x: Fraction(x, a.unit) for x in set(a.scaled_maximal)}
     return tuple(map(view.__getitem__, a.scaled_maximal))
-
-
-def maximal_function_bruteforce(w: StepWeight) -> tuple[Fraction, ...]:
-    """Prefix-sum oracle: every block sum from cumulative leaf sums, compared in ints.
-
-    ``Fraction`` leaf values in, ``Fraction`` maximal values out; inside, the
-    leaf values are cleared by the lcm of their denominators, the oracle's own
-    scale, and summed left to right once.  A node at ``level`` is a block of
-    ``width = k**(m - level)`` consecutive leaves starting at ``start``, so
-    its sum is ``prefix[start + width] - prefix[start]``.  Going down from the
-    root, a node's best is a ``(sum, width)`` pair, its own or its parent's
-    best ``(bs, bw)``, whichever average is larger: the node's sum ``s`` wins
-    only if ``s * bw > bs * width``.  A leaf is a block of width 1 against its
-    parent's best.  ``Fraction``s are built only for the result: one per distinct best
-    node, and a leaf that is its own maximum returns its own value.  Nothing
-    is shared with the fast path, which sums levels bottom-up in ints at a
-    scale that also clears ``k**m``.
-    """
-    k, m = w.shape.k, w.shape.m
-    values = w.leaf_values
-    n = len(values)
-    denominators = {v.denominator for v in values}
-    common = lcm(*denominators)
-    factor = {d: common // d for d in denominators}
-    cleared = [v.numerator * factor[v.denominator] for v in values]
-    prefix = [0, *itertools.accumulate(cleared)]
-    best = [(prefix[n], n)]  # the root block
-    for level in range(1, m):
-        width = k ** (m - level)
-        blocks = map(operator.sub, prefix[width::width], prefix[:n:width])
-        parents = (top for top in best for _ in range(k))
-        best = [(s, width) if s * bw > bs * width else (bs, bw) for s, (bs, bw) in zip(blocks, parents)]
-    parents = [top for top in best for _ in range(k)]
-    view = {top: Fraction(top[0], top[1] * common) for top in set(parents)}
-    return tuple(v if x * bw > bs else view[bs, bw] for v, x, (bs, bw) in zip(values, cleared, parents))
 
 
 def a1_constant(w: StepWeight | WeightAnalysis) -> Fraction:

@@ -42,6 +42,13 @@ def as_fraction(value) -> Fraction:
         raise ParameterError(f"not a rational value: {value!r}") from exc
 
 
+def _check_t(t) -> Fraction:
+    t = as_fraction(t)
+    if not (0 < t <= 1):
+        raise ParameterError(f"t must lie in (0, 1], got {t}")
+    return t
+
+
 def decimal_string(value: Fraction) -> str:
     """Lossy decimal rendering for human-readable report columns, in ``.12g`` style.
 

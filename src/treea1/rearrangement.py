@@ -7,8 +7,6 @@ in one format, int tables at one reduced scale, which :func:`rearrange` takes
 from ``analyze(w)`` as they are.  Prefix averages and the sup of (prefix
 average)/(value) are evaluated on those ints at piece boundaries, so the
 supremum is exact even when it is a one-sided limit that no single t attains.
-:func:`rearrange_oracle` stays in ``Fraction`` arithmetic and shares no code
-with :func:`rearrange`.
 """
 from __future__ import annotations
 
@@ -18,11 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .errors import ParameterError
-from .rationals import as_fraction
+from .rationals import _check_t
 from .tree import make_shape
 from .weights import StepWeight
 from .maximal import WeightAnalysis, analyze
@@ -89,13 +87,6 @@ class RearrangedProfile:
         return Fraction(self.scaled_values[self._piece_index(t)], self.unit)
 
 
-def _check_t(t) -> Fraction:
-    t = as_fraction(t)
-    if not (0 < t <= 1):
-        raise ParameterError(f"t must lie in (0, 1], got {t}")
-    return t
-
-
 def rearrange(w: StepWeight | WeightAnalysis) -> RearrangedProfile:
     """Sort leaf values in non-increasing order and coalesce equal runs.
 
@@ -108,26 +99,6 @@ def rearrange(w: StepWeight | WeightAnalysis) -> RearrangedProfile:
     counts = Counter(a.scaled_averages[-1])
     values = sorted(counts, reverse=True)
     return RearrangedProfile(a.weight.shape.leaf_count, a.unit, tuple(counts[x] for x in values), tuple(values))
-
-
-def rearrange_oracle(w: StepWeight, t) -> Fraction:
-    """Independent evaluation of the rearrangement at t.
-
-    Scans the distinct leaf values in decreasing order and returns the largest
-    value v whose superlevel set {w >= v} has measure at least t.  Shares no
-    code with the profile construction; used to cross-check it.
-    """
-    t = _check_t(t)
-    n = w.shape.leaf_count
-    counts: dict[Fraction, int] = {}
-    for v in w.leaf_values:
-        counts[v] = counts.get(v, 0) + 1
-    cumulative = 0
-    for v in sorted(counts, reverse=True):
-        cumulative += counts[v]
-        if Fraction(cumulative, n) >= t:
-            return v
-    raise AssertionError("unreachable: total measure is 1 >= t")
 
 
 def prefix_average(profile: RearrangedProfile, t) -> Fraction:
@@ -164,29 +135,6 @@ def sup_ratio(profile: RearrangedProfile) -> tuple[Fraction, Fraction]:
         if num * best_den > best_num * den:
             best_num, best_den, witness = num, den, cumulative[i - 1]
     return Fraction(best_num, best_den), Fraction(witness, profile.n)
-
-
-def profile_to_text(profile: RearrangedProfile) -> str:
-    """Serialize as one ``measure value`` pair per line, rationals as p/q."""
-    return "".join(f"{piece.measure} {piece.value}\n" for piece in profile.pieces)
-
-
-def profile_from_text(text: str) -> RearrangedProfile:
-    """Parse the serialization of :func:`profile_to_text` (exact round-trip), clearing denominators by their lcm."""
-    pieces = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParameterError(f"profile line must be 'measure value', got {line!r}")
-        pieces.append((as_fraction(parts[0]), as_fraction(parts[1])))
-    if not pieces:
-        raise ParameterError("profile record contains no pieces")
-    measures, values = zip(*pieces)
-    n, unit = lcm(*(x.denominator for x in measures)), lcm(*(x.denominator for x in values))
-    return RearrangedProfile(n, unit, tuple(int(x * n) for x in measures), tuple(int(x * unit) for x in values))
 
 
 def kadic_constant(profile: RearrangedProfile, k: int, depth: int) -> Fraction:

@@ -16,18 +16,10 @@ from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParameterError, ViolationError
-from .maximal import (
-    WeightAnalysis,
-    a1_constant,
-    analyze,
-    maximal_function_bruteforce,
-    stopping_family,
-    superlevel_set,
-)
-from .rationals import as_fraction
-from .rearrangement import (
-    RearrangedProfile, _check_t, _scaled_integral, kadic_constant, prefix_average, rearrange, sup_ratio
-)
+from .maximal import WeightAnalysis, a1_constant, analyze, stopping_family, superlevel_set
+from .oracles import maximal_function_bruteforce
+from .rationals import _check_t, as_fraction
+from .rearrangement import RearrangedProfile, _scaled_integral, kadic_constant, prefix_average, rearrange, sup_ratio
 from .tree import ROOT, NodeId, TreeShape, make_shape
 from .weights import (
     ExtremalParams, StepWeight, _canonical_grid, _check_seed, _draw, _from_grid, extremal_family,
@@ -201,7 +193,7 @@ def check_decomposition(w: StepWeight | WeightAnalysis) -> bool:
 
 
 def check_oracle_equality(w: StepWeight | WeightAnalysis) -> bool:
-    """Fast maximal function agrees with :func:`~treea1.maximal.maximal_function_bruteforce`.
+    """Fast maximal function agrees with :func:`~treea1.oracles.maximal_function_bruteforce`.
 
     The oracle takes and returns ``Fraction``s; inside, it recomputes every
     node's sum from prefix sums of the leaf values in ints at its own scale,

@@ -439,7 +439,8 @@ def test_a_reader_that_closes_stdout_does_not_change_the_exit_code(tmp_path):
     weight.write_text(weight_to_text(random_weight(make_shape(2, 12), 0, "1,2,3,5,10,100".split(","))))
     src = Path(treea1.cli.__file__).parents[1]
     for argv in (["inspect", "--weight", str(weight), "--json"],
-                 ["verify", "--k", "2", "--depth", "2", "--trials", "3", "--out", str(tmp_path / "run")]):
+                 ["verify", "--k", "2", "--depth", "2", "--trials", "3", "--out", str(tmp_path / "run")],
+                 ["--version"], ["--help"], ["verify", "--help"]):
         proc = subprocess.Popen([sys.executable, "-m", "treea1", *argv], stdin=subprocess.DEVNULL,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={"PYTHONPATH": str(src)})
         proc.stdout.close()

@@ -3,18 +3,23 @@ import ast
 import dataclasses
 import inspect
 import random
+import sys
 import textwrap
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
 import treea1.maximal
+import treea1.oracles
 import treea1.rearrangement
 from treea1 import (
     MAX_LEAVES,
     NodeId,
+    RearrangedProfile,
     StepWeight,
     WeightAnalysis,
     a1_constant,
@@ -28,7 +33,6 @@ from treea1 import (
     maximal_function,
     maximal_function_bruteforce,
     prefix_average,
-    profile_from_text,
     rearrange,
     rearrange_oracle,
     scale,
@@ -63,13 +67,14 @@ def wide_weights(draw):
 
 @st.composite
 def aligned_profiles(draw):
-    """A profile read from text, aligned to k**-depth, with value denominators unrelated to k."""
+    """A profile aligned to k**-depth, with value denominators unrelated to k, built from its int tables."""
     k, depth = draw(st.sampled_from(SHAPES))
     n = k**depth
     cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1), max_size=min(n - 1, 6))))
     counts = [b - a for a, b in zip([0] + cuts, cuts + [n])]
     values = sorted(draw(st.sets(wide_values, min_size=len(counts), max_size=len(counts))), reverse=True)
-    return profile_from_text("".join(f"{Fraction(c, n)} {v}\n" for c, v in zip(counts, values))), k, depth
+    unit = lcm(*(v.denominator for v in values))
+    return RearrangedProfile(n, unit, tuple(counts), tuple(int(v * unit) for v in values)), k, depth
 
 
 def kadic_oracle(profile, k, depth):
@@ -129,14 +134,14 @@ def test_kadic_constant_matches_the_expanded_weight_when_every_leaf_is_its_own_p
 
 def test_kadic_constant_when_only_the_root_straddles_a_boundary():
     # both boundaries, 1/4 and 3/4, are edges of level-1 nodes, so every other node lies in one piece
-    profile = profile_from_text("1/4 7\n1/2 2\n1/4 1\n")
+    profile = RearrangedProfile(4, 1, (1, 2, 1), (7, 2, 1))  # 7, 2 and 1 on 1/4, 1/2 and 1/4
     for depth in (1, 2, 3):
         # the root average (7 + 2*2 + 1)/4 over the last value 1
         assert kadic_constant(profile, 4, depth) == 3 == kadic_oracle(profile, 4, depth)
 
 
 def test_kadic_constant_builds_no_leaf_row(monkeypatch):
-    profile = profile_from_text("1/2 3\n1/2 1\n")
+    profile = RearrangedProfile(2, 1, (1, 1), (3, 1))
 
     def refuse(*args):
         raise AssertionError("kadic_constant must not sweep a leaf row")
@@ -146,7 +151,7 @@ def test_kadic_constant_builds_no_leaf_row(monkeypatch):
     assert not hasattr(treea1.rearrangement, "_sweep")
     assert 2**20 == MAX_LEAVES
     assert kadic_constant(profile, 2, 20) == 2
-    assert kadic_constant(profile_from_text("1/4 7\n1/2 2\n1/4 1\n"), 4, 10) == 3
+    assert kadic_constant(RearrangedProfile(4, 1, (1, 2, 1), (7, 2, 1)), 4, 10) == 3
 
 
 def _fraction_c_and_sup_ratio(w):
@@ -205,7 +210,13 @@ def test_oracles_share_no_code_with_the_kernel():
     derived = set(vars(make_step_weight(make_shape(2, 1), [1, 2]))) - {f.name for f in dataclasses.fields(StepWeight)}
     assert derived == {"palette", "codes"}
     kernel |= derived
-    for oracle in (maximal_function_bruteforce, rearrange_oracle, average):
+    oracles = [
+        obj
+        for obj in vars(treea1.oracles).values()
+        if inspect.isfunction(obj) and obj.__module__ == treea1.oracles.__name__
+    ]
+    assert {maximal_function_bruteforce, rearrange_oracle, average} <= set(oracles)
+    for oracle in oracles:
         tree = ast.parse(textwrap.dedent(inspect.getsource(oracle)))
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
@@ -218,6 +229,47 @@ def test_oracles_share_no_code_with_the_kernel():
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert "scaled_values" in names  # the walk sees the body
         assert not names & kernel, f"{check.__name__} uses {sorted(names & kernel)}"
+
+
+def _imports(path):
+    """Every import in a source file, at any depth: (module, level, names, whether under ``if TYPE_CHECKING:``)."""
+    tree = ast.parse(path.read_text())
+    guarded = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+        for statement in block.body
+        for node in ast.walk(statement)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, 0, (), id(node) in guarded
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module, node.level, tuple(alias.name for alias in node.names), id(node) in guarded
+
+
+def test_oracles_import_only_the_stdlib_and_the_input_layers():
+    """The oracles read the stdlib, trees, rationals and errors; a weight's class only for annotations."""
+    imports = list(_imports(Path(treea1.oracles.__file__)))
+    assert ("tree", 1) in {(module, level) for module, level, *_ in imports}  # the walk sees them
+    for module, level, names, guarded in imports:
+        where = f"{'.' * level}{module or ''} {names}"
+        if level == 0:
+            assert module.partition(".")[0] in sys.stdlib_module_names, where
+        elif guarded and (level, module) == (1, "weights"):
+            assert names == ("StepWeight",), where
+        else:
+            assert (level, module) in {(1, "tree"), (1, "rationals"), (1, "errors")}, where
+
+
+def test_the_package_imports_only_the_stdlib():
+    sources = sorted(Path(treea1.oracles.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        for module, level, *_ in _imports(path):
+            if level == 0:
+                assert module.partition(".")[0] in sys.stdlib_module_names, f"{path.name} imports {module}"
 
 
 def prefix_average_oracle(profile, t):

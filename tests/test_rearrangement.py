@@ -20,8 +20,6 @@ from treea1 import (
     make_shape,
     make_step_weight,
     prefix_average,
-    profile_from_text,
-    profile_to_text,
     rearrange,
     rearrange_oracle,
     scale,
@@ -40,21 +38,18 @@ def test_rearrange_examples():
 
 
 def test_profile_validation():
-    # each refusal through the int constructor and through text, with the same message
     cases = [
-        ((1, 1, (), ()), "", "needs at least one piece|contains no pieces"),
-        ((4, 1, (2, 1), (2, 1)), "1/2 2\n1/4 1", "sum exactly to 1"),
-        ((2, 1, (1, 1), (1, 2)), "1/2 1\n1/2 2", "strictly decreasing"),
-        ((2, 1, (1, 1), (2, 2)), "1/2 2\n1/2 2", "strictly decreasing"),  # not coalesced
-        ((1, 1, (1,), (0,)), "1 0", "values must be positive, got 0"),
-        ((2, 1, (3, -1), (2, 1)), "3/2 2\n-1/2 1", "measures must be positive, got -1/2"),  # sums to 1
-        ((2, 1, (1, 1), (2, 0)), "1/2 2\n1/2 0", "values must be positive, got 0"),  # decreasing down to 0
+        ((1, 1, (), ()), "needs at least one piece"),
+        ((4, 1, (2, 1), (2, 1)), "sum exactly to 1"),
+        ((2, 1, (1, 1), (1, 2)), "strictly decreasing"),
+        ((2, 1, (1, 1), (2, 2)), "strictly decreasing"),  # not coalesced
+        ((1, 1, (1,), (0,)), "values must be positive, got 0"),
+        ((2, 1, (3, -1), (2, 1)), "measures must be positive, got -1/2"),  # sums to 1
+        ((2, 1, (1, 1), (2, 0)), "values must be positive, got 0"),  # decreasing down to 0
     ]
-    for args, text, message in cases:
+    for args, message in cases:
         with pytest.raises(ParameterError, match=message):
             RearrangedProfile(*args)
-        with pytest.raises(ParameterError, match=message):
-            profile_from_text(text)
     # the int tables themselves: ints only, a positive scale, one value per cell count
     for args in ((2, 1, (1.0, 1.0), (3, 1)), (2, 1, (1, 1), (Fraction(3), 1)), (True, 1, (1,), (1,)),
                  (0, 1, (0,), (1,)), (1, 0, (1,), (1,)), (1, -1, (1,), (1,)), (2, 1, (1, 1), (3,))):
@@ -78,18 +73,6 @@ def test_profile_pieces_are_a_view_the_checks_do_not_build():
     assert all(type(x) is Fraction for piece in profile.pieces for x in piece)
     const = rearrange(make_step_weight(make_shape(2, 2), [4] * 4))
     assert (const.n, const.unit, const.cells, const.scaled_values) == (1, 1, (1,), (4,))
-
-
-def test_profile_coerces_ints_and_strings_through_as_fraction():
-    # text is the one way in for rationals; floats are refused by the int constructor above
-    profile = profile_from_text("1/2 3\n0.5 1.0\n")
-    assert profile == rearrange(extremal_exact(2, 2))
-    assert (profile.n, profile.unit, profile.scaled_values) == (2, 1, (3, 1))
-    assert profile_from_text("1 7/3\n").scaled_values == (7,)
-    assert profile_from_text("1 7/3\n").unit == 3
-    for bad in ("1/2 3\n1/2 one\n", "1/0 1\n", "1 1e2000\n"):
-        with pytest.raises(ParameterError):
-            profile_from_text(bad)
 
 
 @given(step_weights())
@@ -196,26 +179,6 @@ def test_sup_ratio_dominates_sampled_ratios(w):
     for j in range(1, 2 * n + 1):
         t = Fraction(j, 2 * n)
         assert prefix_average(profile, t) / profile.value_at(t) <= ratio
-
-
-def test_profile_serialization_format():
-    profile = rearrange(extremal_exact(2, 2))
-    assert profile_to_text(profile) == "1/2 3\n1/2 1\n"
-
-
-@given(step_weights())
-def test_profile_serialization_round_trip(w):
-    profile = rearrange(w)
-    assert profile_from_text(profile_to_text(profile)) == profile
-
-
-def test_profile_parse_errors():
-    with pytest.raises(ParameterError):
-        profile_from_text("")
-    with pytest.raises(ParameterError):
-        profile_from_text("1/2 3 7\n")
-    with pytest.raises(ParameterError):
-        profile_from_text("1/2 3\n1/2 5\n")  # increasing values
 
 
 def test_kadic_constant_examples():

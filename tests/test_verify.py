@@ -17,8 +17,10 @@ from treea1 import (
     GrowthCheck,
     LevelAudit,
     NodeId,
+    ROOT,
     ParameterError,
     StepWeight,
+    StoppingFamily,
     SuperlevelAudit,
     ViolationError,
     WeightAnalysis,
@@ -397,6 +399,31 @@ def test_growth_check_compares_the_scaled_averages(monkeypatch):
     with pytest.raises(ViolationError) as err:
         fuzz_campaign(2, 3, 5, seed=1, grid=[1, 2, 3], checks=("growth",))
     assert err.value.check == "growth"
+
+
+def _flat_member(monkeypatch):
+    """Make the child (1, 0) of a constant k=2 m=1 weight a member whose star, the root, has an equal average.
+
+    The stopping check still passes, since the assignment's image is the members; only Av(I) < Av(J) fails.
+    """
+    child = NodeId(1, 0)
+    family = StoppingFamily(members=(ROOT, child), star={child: ROOT}, assignment=(child, ROOT))
+    monkeypatch.setattr(treea1.verify, "stopping_family", lambda w: family)
+    assert check_stopping_consistency(make_step_weight(make_shape(2, 1), [1, 1]))
+
+
+def test_growth_check_refuses_a_member_no_larger_than_its_star(monkeypatch):
+    _flat_member(monkeypatch)
+    result = check_growth_bound(make_step_weight(make_shape(2, 1), [1, 1]))
+    assert not result.ok
+    assert result.violation == (NodeId(1, 0), ROOT, 1, 1, 1)
+
+
+def test_verify_exits_1_on_a_member_no_larger_than_its_star(tmp_path, monkeypatch):
+    _flat_member(monkeypatch)
+    out = tmp_path / "run"
+    assert main(["verify", "--k", "2", "--depth", "1", "--exhaustive", "--grid", "1", "--out", str(out)]) == 1
+    assert "check: growth" in (out / "counterexample.txt").read_text()
 
 
 @given(step_weights())
