@@ -11,7 +11,6 @@ supremum is exact even when it is a one-sided limit that no single t attains.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -92,11 +91,12 @@ def rearrange(w: StepWeight | WeightAnalysis) -> RearrangedProfile:
 
     Each leaf carries measure k**(-m); the resulting profile is equimeasurable
     with the weight and has the same total integral.  The leaves are read as
-    the ints of ``analyze(w)``: equal values are counted and sorted as ints and
-    the profile gets them as they are, counts over n leaves and values over unit.
+    the ints of ``analyze(w)``: equal values are counted once, in the
+    analysis's ``leaf_counts``, and sorted as ints, and the profile gets them
+    as they are, counts over n leaves and values over unit.
     """
     a = analyze(w)
-    counts = Counter(a.scaled_averages[-1])
+    counts = a.leaf_counts
     values = sorted(counts, reverse=True)
     return RearrangedProfile(a.weight.shape.leaf_count, a.unit, tuple(counts[x] for x in values), tuple(values))
 

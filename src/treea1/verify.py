@@ -48,6 +48,9 @@ MAX_WEIGHTS = 500_000
 # worker, about the 25 ms start-up; a campaign with less work runs in this
 # process.
 MIN_LEAVES_PER_WORKER = 8192
+# Most leaf histograms one campaign chunk keeps a profile for: a chunk whose
+# histograms never repeat, such as a long fuzz campaign, holds no more.
+MAX_CHUNK_PROFILES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,10 +251,17 @@ def audit_grid(w: StepWeight) -> tuple[Fraction, ...]:
 
 
 def check_rearrangement_bound(
-    w: StepWeight | WeightAnalysis, properties: bool = False, with_audits: bool = False
+    w: StepWeight | WeightAnalysis, properties: bool = False, with_audits: bool = False, *,
+    _side: _Rearranged | None = None,
 ) -> VerificationReport:
     """Exact comparison of sup_ratio(w*) against k*c - k + 1 for the weight.
 
+    This is the one path that forms c, the bound, w*, the sup-ratio, its
+    witness and the margin.  With c = p/q the bound is the one ``Fraction``
+    ``(k*p - (k-1)*q) / q``, and the margin is formed from it per weight.
+    w*, the sup-ratio and the witness come from a :class:`_Rearranged` of
+    the weight's leaf histogram, built here unless a campaign chunk passes
+    the one it shares between the weights of that histogram as ``_side``.
     With ``properties=True`` the report also runs the structural checks
     (stopping consistency, member growth, weak type at every node-average
     threshold, decomposition identity); with ``with_audits=True`` it carries
@@ -259,20 +269,19 @@ def check_rearrangement_bound(
     order, from one walk of :func:`_audits`.  Omitted parts stay None.
     """
     a = analyze(w)
+    side = _side or _Rearranged(a)
     c = a1_constant(a)
-    k = a.weight.shape.k
-    bound = k * c - k + 1
-    profile = rearrange(a)
-    ratio, witness = sup_ratio(profile)
-    margin = bound - ratio
+    k, p, q = a.weight.shape.k, c.numerator, c.denominator
+    bound = Fraction(k * p - (k - 1) * q, q)
+    margin = bound - side.ratio
     report = VerificationReport(
         c=c,
         bound=bound,
-        sup_ratio=ratio,
+        sup_ratio=side.ratio,
         margin=margin,
-        witness=witness,
+        witness=side.witness,
         holds=margin >= 0,
-        profile=profile,
+        profile=side.profile,
         analysis=a,
     )
     if properties:
@@ -285,14 +294,55 @@ def check_rearrangement_bound(
     return report
 
 
-def _failure(name: str, report: VerificationReport) -> str | None:
+class _Rearranged:
+    """What a report takes from the leaf histogram alone: w*, its sup-ratio and witness, and the k-adic constant.
+
+    ``rearrange``, ``sup_ratio`` and ``kadic_constant`` are looked up on this
+    module when called, so a replaced one reaches every campaign.  The k-adic
+    constant is formed on the first call of :meth:`kadic`.
+    """
+
+    __slots__ = ("profile", "ratio", "witness", "_kadic")
+
+    def __init__(self, a: WeightAnalysis):
+        self.profile = rearrange(a)
+        self.ratio, self.witness = sup_ratio(self.profile)
+        self._kadic: Fraction | None = None
+
+    def kadic(self, k: int, m: int) -> Fraction:
+        if self._kadic is None:
+            self._kadic = kadic_constant(self.profile, k, m)
+        return self._kadic
+
+
+def _shared_side(a: WeightAnalysis, profiles: dict) -> _Rearranged:
+    """The :class:`_Rearranged` of the analysis's leaf histogram, from a campaign chunk's ``profiles``.
+
+    The key is ints that fix w* for the chunk's one shape: the ``unit`` and
+    the sorted (scaled leaf value, count) pairs of ``leaf_counts``, the same
+    count :func:`rearrange` builds w* from on a miss.  At most
+    ``MAX_CHUNK_PROFILES`` sides are kept; past that, a new histogram's side
+    serves its own weight alone.
+    """
+    key = (a.unit, *sorted(a.leaf_counts.items()))
+    side = profiles.get(key)
+    if side is None:
+        side = _Rearranged(a)
+        if len(profiles) < MAX_CHUNK_PROFILES:
+            profiles[key] = side
+    return side
+
+
+def _failure(name: str, report: VerificationReport, side: _Rearranged | None = None) -> str | None:
     """Detail of how the named check fails on the report's analysis, or None when it holds.
 
     Checks are looked up by their module-level names at call time, so a
     replaced ``check_*`` function takes effect everywhere.  The exception is
     weak type: it does not go through :func:`check_weak_type` once per
     threshold but through one sorted sweep, :func:`_weak_type_failure`, which
-    names the smallest failing level.
+    names the smallest failing level.  The k-adic check compares this
+    weight's bound with the k-adic constant of ``side``, the histogram side
+    the report was built from, when one is given.
     """
     a = report.analysis
     if name == "bound":
@@ -316,7 +366,8 @@ def _failure(name: str, report: VerificationReport) -> str | None:
     if name == "oracle":
         return None if check_oracle_equality(a) else "fast maximal function disagrees with the prefix-sum oracle"
     # the remaining check, "kadic", reuses the report's profile
-    value = kadic_constant(report.profile, a.weight.shape.k, a.weight.shape.m)
+    k, m = a.weight.shape.k, a.weight.shape.m
+    value = kadic_constant(report.profile, k, m) if side is None else side.kadic(k, m)
     return None if value <= report.bound else f"k-adic constant {value} exceeds bound {report.bound}"
 
 
@@ -493,20 +544,27 @@ def _scan(
     ``seeds`` holds the seeds of ``indices`` alone (None for a grid
     enumeration), so a worker is sent its index range and seed slice, never a
     weight.  Each weight gets one report, on which :func:`_failure` runs the
-    bound and then each of ``checks``.  Returns the rows, the first (margin,
-    weight) of smallest margin, and the first failure, which ends the chunk, as
-    (index, check, detail, weight_text) so the merge step can pick the lowest
-    index deterministically across worker processes.
+    bound and then each of ``checks``.  The chunk shares the profile side
+    between weights of one leaf histogram: w*, its sup-ratio and witness, and
+    the k-adic constant are built once per histogram, by
+    :func:`_shared_side` in a dict local to this call, while c, the bound, the
+    margin and every check are formed per weight.  Returns the rows, the first
+    (margin, weight) of smallest margin, and the first failure, which ends the
+    chunk, as (index, check, detail, weight_text) so the merge step can pick
+    the lowest index deterministically across worker processes.
     """
     names = ("bound",) + checks
     flags = {field: True if name in checks else None for name, field in _FLAG_FIELDS.items()}
     rows: list[WeightRow] = []
     worst: tuple[Fraction, StepWeight] | None = None
+    profiles: dict = {}
     for index, seed in zip(indices, repeat(None) if seeds is None else seeds):
         w = _campaign_weight(shape, grid, seed, index)
-        report = check_rearrangement_bound(w)
+        a = analyze(w)
+        side = _shared_side(a, profiles)
+        report = check_rearrangement_bound(a, _side=side)
         for name in names:
-            detail = _failure(name, report)
+            detail = _failure(name, report, side)
             if detail is not None:
                 return rows, worst, (index, name, detail, weight_to_text(w))
         rows.append(WeightRow(index, weight_hash(w), report.c, report.bound, report.sup_ratio, report.margin,

@@ -6,6 +6,7 @@ from hypothesis import given
 
 from conftest import step_weights
 from treea1 import (
+    RearrangedProfile,
     StoppingFamily,
     WeightAnalysis,
     a1_constant,
@@ -26,6 +27,7 @@ from treea1 import (
     stopping_family,
     superlevel_set,
 )
+import treea1.verify
 import treea1.weights
 
 
@@ -102,6 +104,25 @@ def test_a_kadic_campaign_builds_one_weight_and_one_analysis_per_weight(monkeypa
     summary = fuzz_campaign(2, 3, 6, seed=3, grid=[1, Fraction(5, 3), 4], checks=("kadic",))
     assert len(summary.rows) == 6 and all(row.kadic_ok for row in summary.rows)
     assert built == {"StepWeight": 6, "WeightAnalysis": 6}
+
+
+def test_an_exhaustive_campaign_builds_one_profile_and_kadic_constant_per_leaf_histogram(monkeypatch):
+    """k=2 m=3 on grid 1,2: 256 weights, but only 9 histograms, one per count of leaves at 2."""
+    built = Counter()
+
+    def counting(label, original):
+        def counted(*args, **kwargs):
+            built[label] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(WeightAnalysis, "__init__", counting("WeightAnalysis", WeightAnalysis.__init__))
+    monkeypatch.setattr(RearrangedProfile, "__post_init__", counting("RearrangedProfile", RearrangedProfile.__post_init__))
+    monkeypatch.setattr(treea1.verify, "kadic_constant", counting("kadic_constant", treea1.verify.kadic_constant))
+    summary = fuzz_campaign(2, 3, 0, seed=0, grid=[1, 2], exhaustive=True)
+    assert len(summary.rows) == 256 and all(row.kadic_ok for row in summary.rows)
+    assert built == {"WeightAnalysis": 256, "RearrangedProfile": 9, "kadic_constant": 9}
 
 
 @given(step_weights(max_depth=2))

@@ -19,6 +19,7 @@ from treea1 import (
     NodeId,
     ROOT,
     ParameterError,
+    RearrangedProfile,
     StepWeight,
     StoppingFamily,
     SuperlevelAudit,
@@ -44,11 +45,13 @@ from treea1 import (
     node_measure,
     prefix_average,
     random_weight,
+    rearrange,
     refine,
     scale,
     sharpness_sweep,
     stopping_family,
     superlevel_set,
+    weight_hash,
     weight_to_text,
 )
 import treea1.rearrangement
@@ -668,6 +671,78 @@ def test_fuzz_campaign_exhaustive_covers_grid():
         and row.kadic_ok
         for row in summary.rows
     )
+
+
+@pytest.mark.parametrize("name", ["sup_ratio", "kadic_constant"])
+def test_a_replaced_profile_function_reaches_an_exhaustive_campaign(monkeypatch, name):
+    """The chunk's shared profile side calls these on the verify module, so a replacement is not bypassed."""
+    original = getattr(treea1.verify, name)
+    if name == "sup_ratio":
+        def replaced(profile):
+            ratio, witness = original(profile)
+            return ratio + 2, witness
+    else:
+        def replaced(profile, k, m):
+            return original(profile, k, m) + 2
+    monkeypatch.setattr(treea1.verify, name, replaced)
+    with pytest.raises(ViolationError) as err:
+        fuzz_campaign(2, 3, 0, seed=0, grid=[1, 2], exhaustive=True)
+    assert err.value.check == ("bound" if name == "sup_ratio" else "kadic")
+    assert err.value.detail.startswith("trial 0:")
+
+
+def _row_fields(rows):
+    return [dataclasses.astuple(row) for row in rows]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_shared_profile_rows_equal_the_unshared_computation(m):
+    """Grid 1/2,2/3,5: weights of different palettes have different units, and every row is checked."""
+    from test_kernel import _fraction_c_and_sup_ratio
+
+    shape, grid = make_shape(2, m), [Fraction(1, 2), Fraction(2, 3), Fraction(5)]
+    summary = fuzz_campaign(2, m, 0, seed=0, grid=grid, exhaustive=True, checks=("kadic",))
+    weights = [make_step_weight(shape, values) for values in itertools.product(grid, repeat=shape.leaf_count)]
+    assert len(summary.rows) == len(weights) == 3**shape.leaf_count
+    assert len({analyze(w).unit for w in weights}) > 1
+    for row, w in zip(summary.rows, weights):
+        assert row.weight_hash == weight_hash(w) and row.kadic_ok
+        report = check_rearrangement_bound(w)
+        assert (row.c, row.bound, row.sup_ratio, row.margin) == (report.c, report.bound, report.sup_ratio, report.margin)
+        assert (row.c, row.sup_ratio) == _fraction_c_and_sup_ratio(w)
+
+
+def test_shared_profiles_keep_each_weight_s_own_unit():
+    """Grid 1/2,1,2: leaves (1/2, 1) at unit 2*k**m and (1, 2) at unit k**m are the same scaled ints."""
+    shape, grid = make_shape(2, 2), [Fraction(1, 2), Fraction(1), Fraction(2)]
+    profiles, unscaled = {}, set()
+    for values in itertools.product(grid, repeat=shape.leaf_count):
+        w = make_step_weight(shape, values)
+        a = analyze(w)
+        unscaled.add(tuple(sorted(a.leaf_counts.items())))
+        shared = check_rearrangement_bound(a, _side=treea1.verify._shared_side(a, profiles))
+        assert shared.profile == rearrange(w) == check_rearrangement_bound(w).profile
+    assert len(unscaled) < len(profiles) < 3**shape.leaf_count
+
+
+def test_chunks_and_the_profile_cap_do_not_change_rows(monkeypatch):
+    """k=2 m=3 on grid 1,2 has 9 leaf histograms, so they repeat within and across chunks."""
+    serial = fuzz_campaign(2, 3, 60, seed=4, grid=[1, 2], checks=("kadic",))
+    _, calls = _inline_pool(monkeypatch, 2)
+    pooled = fuzz_campaign(2, 3, 60, seed=4, grid=[1, 2], checks=("kadic",), threads=2)
+    assert [args[3] for args in calls] == [range(0, 30), range(30, 60)]
+    assert _row_fields(pooled.rows) == _row_fields(serial.rows)
+
+    exhaustive = fuzz_campaign(2, 3, 0, seed=0, grid=[1, 2], exhaustive=True)
+    built = []
+    post_init = RearrangedProfile.__post_init__
+    monkeypatch.setattr(RearrangedProfile, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(treea1.verify, "MAX_CHUNK_PROFILES", 2)
+    capped = fuzz_campaign(2, 3, 0, seed=0, grid=[1, 2], exhaustive=True)
+    assert _row_fields(capped.rows) == _row_fields(exhaustive.rows)
+    assert capped.worst_weight_text == exhaustive.worst_weight_text
+    # only the first two histograms are kept: no 2 (weight 0 alone) and one 2 (8 weights, 7 of them hits)
+    assert len(built) == 256 - 7
 
 
 def test_fuzz_campaign_validates_parameters():
