@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,8 +62,7 @@ class WeightAnalysis:
     :func:`maximal_function`, build its ``Fraction``s from these tables;
     ``family``, the stopping family, is built on first read, so a caller that
     needs only c never pays for it; it holds nodes only, and a member's
-    average is read from ``scaled_averages`` like any other node's.
-    ``leaf_counts``, the leaf histogram, is also counted on first read.  Every
+    average is read from ``scaled_averages`` like any other node's.  Every
     function here and in ``verify`` that reads these tables accepts a weight
     or its analysis; the oracles in ``oracles`` take weights only.
     """
@@ -74,16 +72,6 @@ class WeightAnalysis:
     scaled_averages: tuple[tuple[int, ...], ...]
     scaled_maximal: tuple[int, ...]
     c: Fraction
-
-    @cached_property
-    def leaf_counts(self) -> Counter:
-        """Scaled leaf value -> number of leaves holding it.
-
-        The histogram fixes the decreasing rearrangement, so
-        :func:`~treea1.rearrangement.rearrange` builds w* from it and a
-        campaign chunk keys its profiles by it, from one count of the leaves.
-        """
-        return Counter(self.scaled_averages[-1])
 
     @cached_property
     def family(self) -> StoppingFamily:

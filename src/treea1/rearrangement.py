@@ -11,6 +11,7 @@ supremum is exact even when it is a one-sided limit that no single t attains.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -86,17 +87,18 @@ class RearrangedProfile:
         return Fraction(self.scaled_values[self._piece_index(t)], self.unit)
 
 
-def rearrange(w: StepWeight | WeightAnalysis) -> RearrangedProfile:
+def rearrange(w: StepWeight | WeightAnalysis, *, _counts: Counter | None = None) -> RearrangedProfile:
     """Sort leaf values in non-increasing order and coalesce equal runs.
 
     Each leaf carries measure k**(-m); the resulting profile is equimeasurable
     with the weight and has the same total integral.  The leaves are read as
-    the ints of ``analyze(w)``: equal values are counted once, in the
-    analysis's ``leaf_counts``, and sorted as ints, and the profile gets them
-    as they are, counts over n leaves and values over unit.
+    the ints of ``analyze(w)``: equal values are counted and sorted as ints and
+    the profile gets them as they are, counts over n leaves and values over unit.
+    A campaign chunk that has already counted the leaves passes that
+    ``Counter`` as ``_counts``.
     """
     a = analyze(w)
-    counts = a.leaf_counts
+    counts = Counter(a.scaled_averages[-1]) if _counts is None else _counts
     values = sorted(counts, reverse=True)
     return RearrangedProfile(a.weight.shape.leaf_count, a.unit, tuple(counts[x] for x in values), tuple(values))
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
@@ -48,9 +49,11 @@ MAX_WEIGHTS = 500_000
 # worker, about the 25 ms start-up; a campaign with less work runs in this
 # process.
 MIN_LEAVES_PER_WORKER = 8192
-# Most leaf histograms one campaign chunk keeps a profile for: a chunk whose
-# histograms never repeat, such as a long fuzz campaign, holds no more.
-MAX_CHUNK_PROFILES = 4096
+# Most distinct leaf values, summed over the histograms whose profiles one
+# campaign chunk keeps.  A kept profile and its key hold a few tuples as long as
+# its histogram, so this bounds the chunk's memory even when histograms never
+# repeat and each holds many values, as in a long fuzz campaign on a wide grid.
+MAX_CHUNK_PROFILE_VALUES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -304,8 +307,8 @@ class _Rearranged:
 
     __slots__ = ("profile", "ratio", "witness", "_kadic")
 
-    def __init__(self, a: WeightAnalysis):
-        self.profile = rearrange(a)
+    def __init__(self, a: WeightAnalysis, counts: Counter | None = None):
+        self.profile = rearrange(a, _counts=counts)
         self.ratio, self.witness = sup_ratio(self.profile)
         self._kadic: Fraction | None = None
 
@@ -315,22 +318,33 @@ class _Rearranged:
         return self._kadic
 
 
-def _shared_side(a: WeightAnalysis, profiles: dict) -> _Rearranged:
-    """The :class:`_Rearranged` of the analysis's leaf histogram, from a campaign chunk's ``profiles``.
+class _ChunkProfiles:
+    """The :class:`_Rearranged` sides one campaign chunk shares, by leaf histogram.
 
     The key is ints that fix w* for the chunk's one shape: the ``unit`` and
-    the sorted (scaled leaf value, count) pairs of ``leaf_counts``, the same
-    count :func:`rearrange` builds w* from on a miss.  At most
-    ``MAX_CHUNK_PROFILES`` sides are kept; past that, a new histogram's side
-    serves its own weight alone.
+    the sorted (scaled leaf value, count) pairs, from one count of the leaves
+    that :func:`rearrange` also builds w* from on a miss.  Sides are kept while
+    ``values``, the distinct values of their histograms, stays within
+    ``MAX_CHUNK_PROFILE_VALUES``; past that, a new histogram's side serves its
+    own weight alone.
     """
-    key = (a.unit, *sorted(a.leaf_counts.items()))
-    side = profiles.get(key)
-    if side is None:
-        side = _Rearranged(a)
-        if len(profiles) < MAX_CHUNK_PROFILES:
-            profiles[key] = side
-    return side
+
+    __slots__ = ("sides", "values")
+
+    def __init__(self):
+        self.sides: dict[tuple, _Rearranged] = {}
+        self.values = 0
+
+    def side(self, a: WeightAnalysis) -> _Rearranged:
+        counts = Counter(a.scaled_averages[-1])
+        key = (a.unit, *sorted(counts.items()))
+        side = self.sides.get(key)
+        if side is None:
+            side = _Rearranged(a, counts)
+            if self.values + len(counts) <= MAX_CHUNK_PROFILE_VALUES:
+                self.sides[key] = side
+                self.values += len(counts)
+        return side
 
 
 def _failure(name: str, report: VerificationReport, side: _Rearranged | None = None) -> str | None:
@@ -340,9 +354,9 @@ def _failure(name: str, report: VerificationReport, side: _Rearranged | None = N
     replaced ``check_*`` function takes effect everywhere.  The exception is
     weak type: it does not go through :func:`check_weak_type` once per
     threshold but through one sorted sweep, :func:`_weak_type_failure`, which
-    names the smallest failing level.  The k-adic check compares this
-    weight's bound with the k-adic constant of ``side``, the histogram side
-    the report was built from, when one is given.
+    names the smallest failing level.  The k-adic check, which only a
+    campaign chunk runs, compares this weight's bound with the k-adic
+    constant of ``side``, the histogram side the report was built from.
     """
     a = report.analysis
     if name == "bound":
@@ -365,9 +379,8 @@ def _failure(name: str, report: VerificationReport, side: _Rearranged | None = N
         return "member averages over the partition do not rebuild the maximal function"
     if name == "oracle":
         return None if check_oracle_equality(a) else "fast maximal function disagrees with the prefix-sum oracle"
-    # the remaining check, "kadic", reuses the report's profile
-    k, m = a.weight.shape.k, a.weight.shape.m
-    value = kadic_constant(report.profile, k, m) if side is None else side.kadic(k, m)
+    # the remaining check, "kadic", reads the side's k-adic constant
+    value = side.kadic(a.weight.shape.k, a.weight.shape.m)
     return None if value <= report.bound else f"k-adic constant {value} exceeds bound {report.bound}"
 
 
@@ -546,9 +559,9 @@ def _scan(
     weight.  Each weight gets one report, on which :func:`_failure` runs the
     bound and then each of ``checks``.  The chunk shares the profile side
     between weights of one leaf histogram: w*, its sup-ratio and witness, and
-    the k-adic constant are built once per histogram, by
-    :func:`_shared_side` in a dict local to this call, while c, the bound, the
-    margin and every check are formed per weight.  Returns the rows, the first
+    the k-adic constant are built once per histogram, in a
+    :class:`_ChunkProfiles` local to this call, while c, the bound, the margin
+    and every check are formed per weight.  Returns the rows, the first
     (margin, weight) of smallest margin, and the first failure, which ends the
     chunk, as (index, check, detail, weight_text) so the merge step can pick
     the lowest index deterministically across worker processes.
@@ -557,11 +570,11 @@ def _scan(
     flags = {field: True if name in checks else None for name, field in _FLAG_FIELDS.items()}
     rows: list[WeightRow] = []
     worst: tuple[Fraction, StepWeight] | None = None
-    profiles: dict = {}
+    profiles = _ChunkProfiles()
     for index, seed in zip(indices, repeat(None) if seeds is None else seeds):
         w = _campaign_weight(shape, grid, seed, index)
         a = analyze(w)
-        side = _shared_side(a, profiles)
+        side = profiles.side(a)
         report = check_rearrangement_bound(a, _side=side)
         for name in names:
             detail = _failure(name, report, side)

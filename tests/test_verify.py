@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -715,14 +716,14 @@ def test_shared_profile_rows_equal_the_unshared_computation(m):
 def test_shared_profiles_keep_each_weight_s_own_unit():
     """Grid 1/2,1,2: leaves (1/2, 1) at unit 2*k**m and (1, 2) at unit k**m are the same scaled ints."""
     shape, grid = make_shape(2, 2), [Fraction(1, 2), Fraction(1), Fraction(2)]
-    profiles, unscaled = {}, set()
+    profiles, unscaled = treea1.verify._ChunkProfiles(), set()
     for values in itertools.product(grid, repeat=shape.leaf_count):
         w = make_step_weight(shape, values)
         a = analyze(w)
-        unscaled.add(tuple(sorted(a.leaf_counts.items())))
-        shared = check_rearrangement_bound(a, _side=treea1.verify._shared_side(a, profiles))
+        unscaled.add(tuple(sorted(Counter(a.scaled_averages[-1]).items())))
+        shared = check_rearrangement_bound(a, _side=profiles.side(a))
         assert shared.profile == rearrange(w) == check_rearrangement_bound(w).profile
-    assert len(unscaled) < len(profiles) < 3**shape.leaf_count
+    assert len(unscaled) < len(profiles.sides) < 3**shape.leaf_count
 
 
 def test_chunks_and_the_profile_cap_do_not_change_rows(monkeypatch):
@@ -737,12 +738,35 @@ def test_chunks_and_the_profile_cap_do_not_change_rows(monkeypatch):
     built = []
     post_init = RearrangedProfile.__post_init__
     monkeypatch.setattr(RearrangedProfile, "__post_init__", lambda self: built.append(1) or post_init(self))
-    monkeypatch.setattr(treea1.verify, "MAX_CHUNK_PROFILES", 2)
+    monkeypatch.setattr(treea1.verify, "MAX_CHUNK_PROFILE_VALUES", 3)
     capped = fuzz_campaign(2, 3, 0, seed=0, grid=[1, 2], exhaustive=True)
     assert _row_fields(capped.rows) == _row_fields(exhaustive.rows)
     assert capped.worst_weight_text == exhaustive.worst_weight_text
-    # only the first two histograms are kept: no 2 (weight 0 alone) and one 2 (8 weights, 7 of them hits)
+    # only the first two histograms fit in 3 values: no 2 (weight 0 alone, 1 value) and
+    # one 2 (8 weights, 7 of them hits, 2 values)
     assert len(built) == 256 - 7
+
+
+@pytest.mark.parametrize("cap, kept", [(0, 0), (100, 2), (4096, 40)])
+def test_the_profile_cap_bounds_the_values_a_chunk_keeps(monkeypatch, cap, kept):
+    """Grid 1..64 at 64 leaves: histograms of dozens of values that never repeat, as in a long fuzz campaign."""
+    uncapped = fuzz_campaign(2, 6, 40, seed=3, grid=range(1, 65), checks=("kadic",))
+    held = []
+    side = treea1.verify._ChunkProfiles.side
+
+    def recorded(self, a):
+        result = side(self, a)
+        assert self.values == sum(len(key) - 1 for key in self.sides) <= cap
+        held.append((len(self.sides), self.values))
+        return result
+
+    monkeypatch.setattr(treea1.verify._ChunkProfiles, "side", recorded)
+    monkeypatch.setattr(treea1.verify, "MAX_CHUNK_PROFILE_VALUES", cap)
+    capped = fuzz_campaign(2, 6, 40, seed=3, grid=range(1, 65), checks=("kadic",))
+    assert len(held) == 40 and _row_fields(capped.rows) == _row_fields(uncapped.rows)
+    # each histogram holds 36 to 45 values: none fits in 0, two in 100, all 40 in 4,096
+    sides, values = held[-1]
+    assert sides == kept and values >= 36 * sides
 
 
 def test_fuzz_campaign_validates_parameters():
