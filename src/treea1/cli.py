@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ParameterError, ViolationError
 from .maximal import maximal_function
-from .rationals import as_fraction, decimal_string
+from .rationals import _exact_string, as_fraction, decimal_string
 from .search import SearchConfig, hill_climb
 from .tree import make_shape
 from .verify import (
@@ -32,6 +32,10 @@ MANIFEST_NAME = "manifest.json"
 # Data-file columns, in file order; each name is also the field it reads.
 _REPORT_RATIONALS = ("c", "bound", "sup_ratio", "margin")
 _SWEEP_RATIONALS = ("delta", "nominal_c", "measured_c", "bound", "sup_ratio", "ratio_at_branch_scale", "gap")
+_COUNTEREXAMPLE = "counterexample.txt"
+# The data files each command writes when its checks pass.
+_DATA_FILES = {"verify": ("report.csv",), "extremal": ("sweep.csv",),
+               "search": ("trace.csv", "best_weight.txt", "summary.json")}
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -61,7 +65,7 @@ def _rational_header(names) -> list[str]:
 
 def _rational_cells(record, names) -> list[str]:
     values = (getattr(record, name) for name in names)
-    return [cell for value in values for cell in (str(value), decimal_string(value))]
+    return [cell for value in values for cell in (_exact_string(value), decimal_string(value))]
 
 
 def _write_file(path: Path, text: str) -> None:
@@ -98,8 +102,11 @@ def _run(args, command: str, parameters: dict, seed, job) -> int:
     ``job()`` returns (data files by name -> text, extra manifest keys, stdout
     lines).  The directory is made before the job runs; a failed check
     writes ``counterexample.txt`` instead of the data files and gives exit 1.
-    The manifest comes last and names the files written.  A refused run
-    (ParameterError) removes the directories it created, if still empty.
+    Before writing, a run removes the files the other outcome of its command
+    writes, so a rerun into the same directory leaves no stale result.  The
+    manifest comes last and names the files written.  A refused run
+    (ParameterError) removes no file, only the directories it created, if
+    still empty.
     """
     started = time.time()
     outdir = Path(args.out)
@@ -114,10 +121,15 @@ def _run(args, command: str, parameters: dict, seed, job) -> int:
             files, extra, lines = job()
             code, stream = 0, sys.stdout
         except ViolationError as exc:
-            counter = outdir / "counterexample.txt"
+            counter = outdir / _COUNTEREXAMPLE
             files, extra = {counter.name: exc.weight_text + f"check: {exc.check}\ndetail: {exc.detail}\n"}, {}
             lines = [f"violation: {exc}", f"counterexample written to {counter}"]
             code, stream = 1, sys.stderr
+        for name in _DATA_FILES[command] if code else (_COUNTEREXAMPLE,):
+            try:
+                (outdir / name).unlink(missing_ok=True)
+            except OSError as exc:
+                raise ParameterError(f"cannot remove {outdir / name}: {exc.strerror or exc}") from exc
         for name, text in files.items():
             _write_file(outdir / name, text)
         manifest = {
@@ -145,7 +157,7 @@ def _run(args, command: str, parameters: dict, seed, job) -> int:
 def _cmd_verify(args) -> int:
     grid = _parse_rational_list(args.grid)
     make_shape(args.k, args.depth)
-    parameters = {"k": args.k, "depth": args.depth, "trials": args.trials, "grid": [str(g) for g in grid],
+    parameters = {"k": args.k, "depth": args.depth, "trials": args.trials, "grid": [_exact_string(g) for g in grid],
                   "exhaustive": args.exhaustive, "threads": args.threads}
 
     def job():
@@ -159,7 +171,7 @@ def _cmd_verify(args) -> int:
             + [_bool_cell(getattr(row, name)) for name in flags]
             for row in summary.rows
         ]
-        worst = str(summary.worst_margin) if summary.worst_margin is not None else "n/a"
+        worst = _exact_string(summary.worst_margin) if summary.worst_margin is not None else "n/a"
         lines = [
             f"{len(summary.rows)} weights checked, zero violations, worst margin {worst}",
             f"{sum(1 for row in summary.rows if row.margin == 0)} weights attain the bound exactly",
@@ -179,8 +191,8 @@ def _cmd_extremal(args) -> int:
     else:
         depths = _parse_int_list(args.depths)
         deltas = _parse_rational_list(args.delta_steps) if args.delta_steps else None
-    parameters = {"k": args.k, "c": str(c), "mode": args.mode, "depths": depths,
-                  "delta_steps": [str(d) for d in deltas] if deltas else None}
+    parameters = {"k": args.k, "c": _exact_string(c), "mode": args.mode, "depths": depths,
+                  "delta_steps": [_exact_string(d) for d in deltas] if deltas else None}
 
     def job():
         rows = sharpness_sweep(args.k, c, depths, deltas)
@@ -199,10 +211,11 @@ def _cmd_search(args) -> int:
 
     def job():
         result = hill_climb(config)
+        exact = _exact_string(result.exact_objective)
         summary = {
             "manifest": MANIFEST_NAME,
             "best_objective": result.best_objective,
-            "exact_objective": str(result.exact_objective),
+            "exact_objective": exact,
             "exact_objective_dec": decimal_string(result.exact_objective),
             "objective_at_most_one": result.exact_objective <= 1,
             "best_restart": result.best_restart,
@@ -213,7 +226,7 @@ def _cmd_search(args) -> int:
             "summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
         }
         extra = {"search": {"restarts": [counts._asdict() for counts in result.restart_counts]}}
-        return files, extra, [f"best objective {result.best_objective:.6f} (exact {result.exact_objective})"]
+        return files, extra, [f"best objective {result.best_objective:.6f} (exact {exact})"]
 
     return _run(args, "search", parameters, args.seed, job)
 
@@ -221,14 +234,14 @@ def _cmd_search(args) -> int:
 def _audit_json(audit) -> dict:
     level = audit.level
     return {
-        "t": str(audit.t),
-        "level_value": str(level.level_value),
-        "threshold": str(level.threshold),
+        "t": _exact_string(audit.t),
+        "level_value": _exact_string(level.level_value),
+        "threshold": _exact_string(level.threshold),
         "degenerate": level.degenerate,
         "nodes": [[n.level, n.index] for n in level.nodes],
-        "superlevel_measure": str(level.superlevel_measure),
-        "above_threshold_measure": str(level.above_threshold_measure),
-        "set_average": str(level.set_average) if level.set_average is not None else None,
+        "superlevel_measure": _exact_string(level.superlevel_measure),
+        "above_threshold_measure": _exact_string(level.above_threshold_measure),
+        "set_average": _exact_string(level.set_average) if level.set_average is not None else None,
         "checks": audit.checks,
         "passed": audit.passed,
     }
@@ -274,27 +287,27 @@ def _cmd_inspect(args) -> int:
     a = report.analysis
     fam = a.family
     parts = fam.parts()
-    texts = list(map(str, w.palette))
+    texts = list(map(_exact_string, w.palette))
     payload = {
         "k": w.shape.k,
         "depth": w.shape.m,
         "leaf_values": list(_per_leaf(w.codes, texts)),
-        "a1_constant": str(report.c),
-        "bound": str(report.bound),
-        "maximal_function": [str(v) for v in maximal_function(a)],
+        "a1_constant": _exact_string(report.c),
+        "bound": _exact_string(report.bound),
+        "maximal_function": [_exact_string(v) for v in maximal_function(a)],
         "stopping_family": [
             {
                 "level": node.level,
                 "index": node.index,
-                "average": str(Fraction(a.scaled_averages[node.level][node.index], a.unit)),
+                "average": _exact_string(Fraction(a.scaled_averages[node.level][node.index], a.unit)),
                 "star": [fam.star[node].level, fam.star[node].index] if node in fam.star else None,
                 "leaves": list(parts.get(node, ())),
             }
             for node in fam.members
         ],
-        "profile": {"pieces": [[str(p.measure), str(p.value)] for p in report.profile.pieces]},
-        "sup_ratio": str(report.sup_ratio),
-        "witness": str(report.witness),
+        "profile": {"pieces": [[_exact_string(p.measure), _exact_string(p.value)] for p in report.profile.pieces]},
+        "sup_ratio": _exact_string(report.sup_ratio),
+        "witness": _exact_string(report.witness),
     }
     if audit is not None:
         payload["audit"] = _audit_json(audit)

@@ -1,14 +1,25 @@
-"""Exact rational coercion and formatting.
+"""Exact rational coercion and formatting: the package's boundary rules.
 
 Every quantity this package takes or reports is an exact ``fractions.Fraction``
 (the kernel in ``maximal`` works on ints at one common scale); floats are
-rejected at the boundary so no rounding can sneak into a comparison.
+rejected at the boundary so no rounding can sneak into a comparison.  This
+module holds each rule of that boundary once:
+
+* :func:`as_fraction` coerces an exact rational and refuses floats and huge
+  decimal exponents; :func:`_positive` and :func:`_check_t` add a range.
+* :func:`_check_int` is the rule for every count argument (depths, trials,
+  threads, seeds, ...): an int, not a bool, at least some least value.
+* :func:`_exact_string` writes an exact value as ``p/q``, or refuses one whose
+  digits exceed Python's int-to-str limit with ``ParameterError``.
+* :func:`decimal_string` writes the lossy ``_dec`` rendering, rounding a
+  value outside the normal floats once, half to even, with ``decimal``.
 """
 from __future__ import annotations
 
 import math
 import re
 import sys
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -42,11 +53,44 @@ def as_fraction(value) -> Fraction:
         raise ParameterError(f"not a rational value: {value!r}") from exc
 
 
+def _check_int(value, name: str, least: int) -> int:
+    """``value`` if it is an int, not a bool, of at least ``least``; else ParameterError naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        what = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer >= {least}")
+        raise ParameterError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
+def _positive(value, name: str) -> Fraction:
+    """``value`` as an exact rational if it is above 0; else ParameterError naming ``name``."""
+    value = as_fraction(value)
+    if value <= 0:
+        raise ParameterError(f"{name} must be positive, got {value}")
+    return value
+
+
 def _check_t(t) -> Fraction:
     t = as_fraction(t)
     if not (0 < t <= 1):
         raise ParameterError(f"t must lie in (0, 1], got {t}")
     return t
+
+
+def _exact_string(value: Fraction) -> str:
+    """``str(value)``, the exact ``p/q`` rendering, of a value whose digits Python can write.
+
+    Python refuses to write an int of more digits than its int-to-str limit
+    (4,300 by default).  A value whose numerator or denominator is that long
+    is refused here with ParameterError, named by its decimal rendering,
+    which needs no int string.
+    """
+    try:
+        return str(value)
+    except ValueError:  # only Pythons with the limit, so with sys.get_int_max_str_digits, raise here
+        raise ParameterError(
+            f"exact value {decimal_string(value)} has a numerator or denominator of more than "
+            f"{sys.get_int_max_str_digits()} digits, Python's limit for writing an int"
+        ) from None
 
 
 def decimal_string(value: Fraction) -> str:
@@ -69,17 +113,9 @@ def _exact_decimal_string(value: Fraction, digits: int) -> str:
     """``format(value, f".{digits}g")`` of a nonzero rational, rounded half to even without a float.
 
     Only values outside the normal floats come here, and ``g`` writes those
-    in scientific notation, with its trailing zeros trimmed.
+    in scientific notation, with its trailing zeros trimmed.  One ``decimal``
+    division rounds the exact quotient once, in a context that holds any exponent.
     """
-    sign, value = ("-" if value < 0 else ""), abs(value)
-    # the decimal exponent: 10**exponent <= value < 10**(exponent + 1); the bit lengths give it to within 1
-    exponent = int((value.numerator.bit_length() - value.denominator.bit_length()) * math.log10(2))
-    while Fraction(10) ** exponent > value:
-        exponent -= 1
-    while Fraction(10) ** (exponent + 1) <= value:
-        exponent += 1
-    mantissa = round(value / Fraction(10) ** (exponent - digits + 1))
-    if mantissa == 10**digits:  # rounding carried into one more digit
-        mantissa, exponent = 10 ** (digits - 1), exponent + 1
-    text = str(mantissa)
-    return f"{sign}{text[0]}.{text[1:]}".rstrip("0").rstrip(".") + f"e{exponent:+03d}"
+    context = Context(prec=digits, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    mantissa, exponent = f"{context.divide(value.numerator, value.denominator).normalize(context):e}".split("e")
+    return f"{mantissa}e{int(exponent):+03d}"  # g writes at least two exponent digits

@@ -23,6 +23,7 @@ from operator import truediv
 from typing import NamedTuple
 
 from .errors import ParameterError, ViolationError
+from .rationals import _check_int
 from .tree import TreeShape
 from .verify import check_rearrangement_bound
 from .weights import StepWeight, _check_seed, weight_to_text
@@ -49,10 +50,8 @@ class SearchConfig:
     seed: int
 
     def __post_init__(self):
-        if not isinstance(self.iterations, int) or isinstance(self.iterations, bool) or self.iterations < 1:
-            raise ParameterError(f"iterations must be a positive integer, got {self.iterations!r}")
-        if not isinstance(self.restarts, int) or isinstance(self.restarts, bool) or self.restarts < 1:
-            raise ParameterError(f"restarts must be a positive integer, got {self.restarts!r}")
+        _check_int(self.iterations, "iterations", 1)
+        _check_int(self.restarts, "restarts", 1)
         if self.iterations * self.restarts > MAX_MOVES:
             raise ParameterError(
                 f"iterations * restarts must be at most {MAX_MOVES}, got {self.iterations} * {self.restarts}"

@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParameterError
+from .rationals import _check_int
 
 
 class NodeId(NamedTuple):
@@ -37,10 +38,8 @@ class TreeShape:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 2:
-            raise ParameterError(f"homogeneity k must be an integer >= 2, got {self.k!r}")
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 1:
-            raise ParameterError(f"depth m must be an integer >= 1, got {self.m!r}")
+        _check_int(self.k, "homogeneity k", 2)
+        _check_int(self.m, "depth m", 1)
         # k >= 2, so bounding m first keeps k**m small enough to form
         if self.m >= MAX_LEAVES.bit_length() or self.k**self.m > MAX_LEAVES:
             raise ParameterError(f"shape k={self.k}, m={self.m} has more than {MAX_LEAVES} leaves")

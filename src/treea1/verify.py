@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import ParameterError, ViolationError
 from .maximal import WeightAnalysis, a1_constant, analyze, stopping_family, superlevel_set
 from .oracles import maximal_function_bruteforce
-from .rationals import _check_t, as_fraction
+from .rationals import _check_int, _check_t, _positive, as_fraction
 from .rearrangement import RearrangedProfile, _scaled_integral, kadic_constant, prefix_average, rearrange, sup_ratio
 from .tree import ROOT, NodeId, TreeShape, make_shape
 from .weights import (
@@ -158,9 +158,7 @@ def check_weak_type(w: StepWeight | WeightAnalysis, level) -> bool:
     With W leaves under E, S their scaled sum and level = p/q, mu(E) = W/n
     and the integral is S/(unit*n), so the inequality is ``W*p*unit < S*q``.
     """
-    lam = as_fraction(level)
-    if lam <= 0:
-        raise ParameterError(f"weak-type level must be positive, got {lam}")
+    lam = _positive(level, "weak-type level")
     a = analyze(w)
     nodes = superlevel_set(a, lam)
     if not nodes:
@@ -626,12 +624,9 @@ def fuzz_campaign(
     shape = make_shape(k, m)
     grid_values = _canonical_grid(grid)
     selected = _normalize_checks(checks)
-    if not isinstance(trials, int) or isinstance(trials, bool) or trials < 0:
-        raise ParameterError(f"trials must be a non-negative integer, got {trials!r}")
-    if trials > MAX_WEIGHTS:
+    if _check_int(trials, "trials", 0) > MAX_WEIGHTS:
         raise ParameterError(f"trials must be at most {MAX_WEIGHTS}, got {trials}")
-    if not isinstance(threads, int) or isinstance(threads, bool) or threads < 1:
-        raise ParameterError(f"threads must be a positive integer, got {threads!r}")
+    _check_int(threads, "threads", 1)
     _check_seed(seed)
 
     if exhaustive:
@@ -731,8 +726,7 @@ def sharpness_sweep(k: int, c, depths: Sequence[int], deltas: Sequence | None = 
         raise ParameterError("at least one depth is required")
     rows: list[SweepRow] = []
     for depth in depths:
-        if not isinstance(depth, int) or depth < 2:
-            raise ParameterError(f"family depth must be an integer >= 2, got {depth!r}")
+        _check_int(depth, "family depth", 2)
         make_shape(k, depth)  # refuses too many leaves before k**depth is formed
         delta_list = [as_fraction(d) for d in deltas] if deltas else [default_family_delta(k, depth)]
         for delta in delta_list:

@@ -31,7 +31,7 @@ from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 from .errors import ParameterError
-from .rationals import as_fraction
+from .rationals import _check_int, _exact_string, _positive, as_fraction
 from .tree import TreeShape, make_shape
 
 
@@ -110,9 +110,7 @@ def make_step_weight(shape: TreeShape, values: Sequence) -> StepWeight:
 
 def scale(w: StepWeight, factor) -> StepWeight:
     """Multiply every leaf value by a positive rational."""
-    s = as_fraction(factor)
-    if s <= 0:
-        raise ParameterError(f"scale factor must be positive, got {s}")
+    s = _positive(factor, "scale factor")
     return _coded(w.shape, tuple([v * s for v in w.palette]), w.codes)
 
 
@@ -122,8 +120,7 @@ def refine(w: StepWeight, levels: int = 1) -> StepWeight:
     Each leaf splits into k equal children carrying the same value, so the
     represented function is unchanged.
     """
-    if not isinstance(levels, int) or isinstance(levels, bool) or levels < 1:
-        raise ParameterError(f"refinement levels must be a positive integer, got {levels!r}")
+    _check_int(levels, "refinement levels", 1)
     shape = make_shape(w.shape.k, w.shape.m + levels)  # refuses too many leaves before k**levels is formed
     copies = w.shape.k**levels
     return _coded(shape, w.palette, tuple(chain.from_iterable((code,) * copies for code in w.codes)))
@@ -146,9 +143,7 @@ def random_weight(shape: TreeShape, seed: int, grid: Iterable) -> StepWeight:
 
 def _check_seed(seed) -> int:
     """The seed if it is a non-negative int: ``random.Random`` seeds with ``abs(seed)``, so -s would alias s."""
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+    return _check_int(seed, "seed", 0)
 
 
 def _canonical_grid(grid: Iterable) -> list[Fraction]:
@@ -156,8 +151,7 @@ def _canonical_grid(grid: Iterable) -> list[Fraction]:
     values = sorted({as_fraction(g) for g in grid})
     if not values:
         raise ParameterError("grid must contain at least one value")
-    if values[0] <= 0:
-        raise ParameterError(f"grid values must be positive, got {values[0]}")
+    _positive(values[0], "grid values")
     return values
 
 
@@ -229,8 +223,7 @@ class ExtremalParams:
     depth: int
 
     def __post_init__(self):
-        if not isinstance(self.depth, int) or self.depth < 2:
-            raise ParameterError(f"depth must be an integer >= 2, got {self.depth!r}")
+        _check_int(self.depth, "depth", 2)
         make_shape(self.k, self.depth)  # refuses a bad k, and too many leaves before k**depth is formed
         for name in ("c", "eps", "alpha", "delta"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
@@ -266,9 +259,7 @@ class ExtremalParams:
     @classmethod
     def from_alpha(cls, k: int, alpha, eps, delta, depth: int) -> "ExtremalParams":
         alpha = as_fraction(alpha)
-        eps = as_fraction(eps)
-        if eps <= 0:
-            raise ParameterError("eps must be positive")
+        eps = _positive(eps, "eps")
         c = (alpha / eps + k - 1) / k
         return cls(k=k, c=c, eps=eps, alpha=alpha, delta=as_fraction(delta), depth=depth)
 
@@ -311,8 +302,7 @@ def family_constant_formula(k: int, alpha, eps, delta) -> Fraction:
     (0, 1/k^2) the measured A1 constant of the family is larger (the binding
     node sits one level deeper); the verification sweep reports both.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ParameterError(f"homogeneity k must be an integer >= 2, got {k!r}")
+    _check_int(k, "homogeneity k", 2)
     alpha, eps, delta = as_fraction(alpha), as_fraction(eps), as_fraction(delta)
     if alpha <= 0 or eps <= 0 or delta <= 0:
         raise ParameterError("alpha, eps and delta must be positive")
@@ -321,7 +311,7 @@ def family_constant_formula(k: int, alpha, eps, delta) -> Fraction:
 
 def weight_to_text(w: StepWeight) -> str:
     """Serialize as ``k m v_0 ... v_{k^m-1}`` with rationals as p/q, newline-terminated."""
-    texts = list(map(str, w.palette))  # one str() per distinct value, then a lookup per leaf
+    texts = list(map(_exact_string, w.palette))  # one rendering per distinct value, then a lookup per leaf
     return " ".join([str(w.shape.k), str(w.shape.m), *_per_leaf(w.codes, texts)]) + "\n"
 
 

@@ -1,6 +1,8 @@
-"""Shared hypothesis strategies for the test suite."""
+"""Shared hypothesis strategies and fixtures for the test suite."""
+import sys
 from fractions import Fraction
 
+import pytest
 from hypothesis import settings, strategies as st
 
 from treea1 import make_shape, make_step_weight
@@ -30,3 +32,14 @@ def nodes_of(draw, shape):
     level = draw(st.integers(min_value=0, max_value=shape.m))
     index = draw(st.integers(min_value=0, max_value=shape.level_size(level) - 1))
     return level, index
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default int-to-str limit, 4,300 digits, for one test; the limit before it is restored after."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python writes ints of any length")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(before)

@@ -515,3 +515,81 @@ def test_huge_decimal_exponents_exit_2_before_fraction_sees_them(tmp_path, monke
     assert run_cli(["inspect", "--weight", str(weight_file)]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 5 and all("decimal exponent" in line and str(MAX_DECIMAL_EXPONENT) in line for line in err)
+
+
+def test_values_beyond_the_int_string_limit_exit_2_with_no_traceback(tmp_path, capsys, int_str_limit):
+    # each grid value parses, but c and the sup-ratio of a weight holding both have denominators of about 6,000 digits
+    a, b = 10**2999 + 1, 10**2999 + 3
+    grid = f"1/{a},1/{b},1"
+    for extra in (["--trials", "4"], ["--exhaustive"]):
+        depth = "2" if extra == ["--exhaustive"] else "3"
+        out = tmp_path / "new" / "run"
+        assert run_cli(["verify", "--k", "2", "--depth", depth, "--grid", grid, *extra, "--out", str(out)]) == 2
+        assert not (tmp_path / "new").exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: exact value ")
+        assert f"more than {int_str_limit} digits" in err[0]
+    weight = tmp_path / "w.txt"
+    weight.write_text(f"2 2 1/{a} 1/{b} 1 1\n")
+    for mode in ([], ["--json"]):
+        assert run_cli(["inspect", "--weight", str(weight), *mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: exact value ")
+
+
+def _verify_into(out):
+    return run_cli(["verify", "--k", "2", "--depth", "1", "--trials", "3", "--seed", "1", "--grid", "1,2",
+                    "--out", str(out)])
+
+
+def test_a_rerun_replaces_the_other_outcomes_files(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")  # a file no command writes
+    with monkeypatch.context() as patched:  # fail, then pass
+        patched.setattr(treea1.verify, "check_decomposition", lambda w: False)
+        assert _verify_into(out) == 1
+    assert _verify_into(out) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "notes.txt", "report.csv"]
+    with monkeypatch.context() as patched:  # pass, then fail
+        patched.setattr(treea1.verify, "check_decomposition", lambda w: False)
+        assert _verify_into(out) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["counterexample.txt", "manifest.json", "notes.txt"]
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["counterexample.txt"]
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def test_a_refused_rerun_removes_no_file(tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    for name in ("counterexample.txt", "report.csv"):
+        (out / name).write_text("old\n")
+    assert run_cli(["verify", "--k", "2", "--depth", "1", "--threads", "0", "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["counterexample.txt", "report.csv"]
+
+
+def test_each_command_writes_the_data_files_a_rerun_removes(tmp_path, monkeypatch):
+    runs = {
+        "verify": ["--k", "2", "--depth", "1", "--trials", "2"],
+        "extremal": ["--k", "2", "--c", "2"],
+        "search": ["--k", "2", "--depth", "2", "--iters", "5", "--restarts", "1"],
+    }
+    for command, argv in runs.items():
+        out = tmp_path / command
+        out.mkdir()
+        (out / "counterexample.txt").write_text("old\n")
+        assert run_cli([command, *argv, "--out", str(out)]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert outputs == sorted(treea1.cli._DATA_FILES[command])
+        assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *outputs])
+
+
+def test_verify_reports_a_constant_above_its_bound(tmp_path, monkeypatch):
+    # c = 1/2 gives the bound 2*c - 1 = 0 at k = 2, and a sup-ratio of 0 gives margin 0, so only c > bound fails
+    monkeypatch.setattr(treea1.verify, "a1_constant", lambda a: Fraction(1, 2))
+    monkeypatch.setattr(treea1.verify, "sup_ratio", lambda profile: (0, 1))
+    out = tmp_path / "run"
+    assert run_cli(["verify", "--k", "2", "--depth", "1", "--trials", "1", "--out", str(out)]) == 1
+    counterexample = (out / "counterexample.txt").read_text()
+    assert "check: bound\n" in counterexample
+    assert counterexample.endswith("detail: trial 0: c=1/2 exceeds bound=0, impossible for c >= 1\n")

@@ -878,3 +878,13 @@ def test_default_family_delta():
     assert default_family_delta(2, 2) == Fraction(1, 4)
     assert default_family_delta(2, 4) == Fraction(3, 16)
     assert default_family_delta(3, 3) == Fraction(2, 27)
+
+
+def test_a_constant_above_its_bound_fails_the_bound_check(monkeypatch):
+    # c = 1/2 gives the bound 2*c - 1 = 0 at k = 2, and a sup-ratio of 0 gives margin 0, so only c > bound fails
+    monkeypatch.setattr(treea1.verify, "a1_constant", lambda a: Fraction(1, 2))
+    monkeypatch.setattr(treea1.verify, "sup_ratio", lambda profile: (0, 1))
+    with pytest.raises(ViolationError) as err:
+        fuzz_campaign(2, 2, 3, seed=0, grid=[1, 2, 3])
+    assert err.value.check == "bound"
+    assert err.value.detail == "trial 0: c=1/2 exceeds bound=0, impossible for c >= 1"
