@@ -9,16 +9,17 @@ data files byte for byte (timestamps live only in the manifest).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
 from .errors import ParameterError, ViolationError
-from .maximal import maximal_function
 from .rationals import _exact_string, as_fraction, decimal_string
 from .search import SearchConfig, hill_climb
 from .tree import make_shape
@@ -36,6 +37,8 @@ _COUNTEREXAMPLE = "counterexample.txt"
 # The data files each command writes when its checks pass.
 _DATA_FILES = {"verify": ("report.csv",), "extremal": ("sweep.csv",),
                "search": ("trace.csv", "best_weight.txt", "summary.json")}
+# How _json_text writes every item of a list whose items are all of one of these types, in C.
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -90,6 +93,45 @@ def _emit(stream, *lines: str) -> None:
             os.dup2(devnull.fileno(), stream.fileno())
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte: the one JSON writer of the CLI.
+
+    With ``indent`` set, ``json.dumps`` runs the stdlib's pure-Python encoder;
+    this writer recurses only into dicts and lists, and writes a list whose
+    items are all str or all int with one ``str.join`` over a C-level encoder.
+    A float is written by ``json`` itself.  Any other value, a tuple included,
+    or a dict key that is not a str raises TypeError.  ``newline`` is the line
+    break plus the indent of the line ``value`` sits on.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # a key that is not a str raises TypeError in sorted() or in the encoder
+        items = [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        kinds = set(map(type, value))
+        encode = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(encode, value) if encode else [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _csv(header: list[str], rows: list[list[str]]) -> str:
     lines = [f"# manifest: {MANIFEST_NAME}", ",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -142,7 +184,7 @@ def _run(args, command: str, parameters: dict, seed, job) -> int:
             "outputs": sorted(files),
             **extra,
         }
-        _write_file(outdir / MANIFEST_NAME, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        _write_file(outdir / MANIFEST_NAME, _json_text(manifest) + "\n")
     except ParameterError:
         for path in created:
             try:
@@ -223,7 +265,7 @@ def _cmd_search(args) -> int:
         files = {
             "trace.csv": _csv(["iteration", "objective"], [[str(i), repr(v)] for i, v in enumerate(result.trace)]),
             "best_weight.txt": weight_to_text(result.best_weight),
-            "summary.json": json.dumps(summary, sort_keys=True, indent=2) + "\n",
+            "summary.json": _json_text(summary) + "\n",
         }
         extra = {"search": {"restarts": [counts._asdict() for counts in result.restart_counts]}}
         return files, extra, [f"best objective {result.best_objective:.6f} (exact {exact})"]
@@ -288,13 +330,15 @@ def _cmd_inspect(args) -> int:
     fam = a.family
     parts = fam.parts()
     texts = list(map(_exact_string, w.palette))
+    # one rendering per distinct value of the maximal function, as for the leaf values
+    maximal_texts = {x: _exact_string(Fraction(x, a.unit)) for x in set(a.scaled_maximal)}
     payload = {
         "k": w.shape.k,
         "depth": w.shape.m,
         "leaf_values": list(_per_leaf(w.codes, texts)),
         "a1_constant": _exact_string(report.c),
         "bound": _exact_string(report.bound),
-        "maximal_function": [_exact_string(v) for v in maximal_function(a)],
+        "maximal_function": list(map(maximal_texts.__getitem__, a.scaled_maximal)),
         "stopping_family": [
             {
                 "level": node.level,
@@ -311,7 +355,7 @@ def _cmd_inspect(args) -> int:
     }
     if audit is not None:
         payload["audit"] = _audit_json(audit)
-    _emit(sys.stdout, *([json.dumps(payload, sort_keys=True, indent=2)] if args.json else _inspect_lines(payload)))
+    _emit(sys.stdout, *([_json_text(payload)] if args.json else _inspect_lines(payload)))
     return 0
 
 
@@ -369,10 +413,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reads every command line with, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit:  # --help and --version have printed to stdout, which a closed reader must not fail
         _emit(sys.stdout)
         raise

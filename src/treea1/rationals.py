@@ -11,6 +11,8 @@ module holds each rule of that boundary once:
   threads, seeds, ...): an int, not a bool, at least some least value.
 * :func:`_exact_string` writes an exact value as ``p/q``, or refuses one whose
   digits exceed Python's int-to-str limit with ``ParameterError``.
+* :func:`_detail_string` writes a value into a message and cannot fail: the
+  exact ``p/q`` when Python can write it, :func:`decimal_string` otherwise.
 * :func:`decimal_string` writes the lossy ``_dec`` rendering, rounding a
   value outside the normal floats once, half to even, with ``decimal``.
 """
@@ -91,6 +93,21 @@ def _exact_string(value: Fraction) -> str:
             f"exact value {decimal_string(value)} has a numerator or denominator of more than "
             f"{sys.get_int_max_str_digits()} digits, Python's limit for writing an int"
         ) from None
+
+
+def _detail_string(value) -> str:
+    """``str(value)`` when Python can write it, for a rational or a tuple holding some; never raises.
+
+    A violation's message must not fail where a data file would be refused:
+    a rational past the int-to-str limit is written by :func:`decimal_string`
+    instead, and a tuple (a growth violation's nodes and averages) item by item.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            return f"({', '.join(map(_detail_string, value))})"
+        return decimal_string(value)
 
 
 def decimal_string(value: Fraction) -> str:

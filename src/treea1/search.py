@@ -23,7 +23,7 @@ from operator import truediv
 from typing import NamedTuple
 
 from .errors import ParameterError, ViolationError
-from .rationals import _check_int
+from .rationals import _check_int, _detail_string
 from .tree import TreeShape
 from .verify import check_rearrangement_bound
 from .weights import StepWeight, _check_seed, weight_to_text
@@ -88,11 +88,12 @@ def _exact_at_most_one(w: StepWeight) -> Fraction:
     """The exact objective of w, which must stay <= 1 or the bound itself is broken."""
     exact = objective_exact(w)
     if exact > 1:
+        text = _detail_string(exact)
         raise ViolationError(
-            f"search objective {exact} exceeds 1, contradicting the bound",
+            f"search objective {text} exceeds 1, contradicting the bound",
             weight_text=weight_to_text(w),
             check="objective",
-            detail=f"exact objective {exact}",
+            detail=f"exact objective {text}",
         )
     return exact
 

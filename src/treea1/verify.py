@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import ParameterError, ViolationError
 from .maximal import WeightAnalysis, a1_constant, analyze, stopping_family, superlevel_set
 from .oracles import maximal_function_bruteforce
-from .rationals import _check_int, _check_t, _positive, as_fraction
+from .rationals import _check_int, _check_t, _detail_string, _positive, as_fraction
 from .rearrangement import RearrangedProfile, _scaled_integral, kadic_constant, prefix_average, rearrange, sup_ratio
 from .tree import ROOT, NodeId, TreeShape, make_shape
 from .weights import (
@@ -358,19 +358,20 @@ def _failure(name: str, report: VerificationReport, side: _Rearranged | None = N
     """
     a = report.analysis
     if name == "bound":
+        if report.margin >= 0 and report.c <= report.bound:
+            return None
+        c, bound = _detail_string(report.c), _detail_string(report.bound)
         if report.margin < 0:
-            return f"sup_ratio={report.sup_ratio} exceeds bound={report.bound} (c={report.c})"
-        if report.c > report.bound:
-            return f"c={report.c} exceeds bound={report.bound}, impossible for c >= 1"
-        return None
+            return f"sup_ratio={_detail_string(report.sup_ratio)} exceeds bound={bound} (c={c})"
+        return f"c={c} exceeds bound={bound}, impossible for c >= 1"
     if name == "stopping":
         return None if check_stopping_consistency(a) else "criterion members differ from assignment image"
     if name == "growth":
         growth = check_growth_bound(a)
-        return None if growth.ok else f"member growth violated at {growth.violation}"
+        return None if growth.ok else f"member growth violated at {_detail_string(growth.violation)}"
     if name == "weak_type":
         lam = _weak_type_failure(a)
-        return None if lam is None else f"weak type fails at level {lam}"
+        return None if lam is None else f"weak type fails at level {_detail_string(lam)}"
     if name == "decomposition":
         if check_decomposition(a):
             return None
@@ -379,7 +380,9 @@ def _failure(name: str, report: VerificationReport, side: _Rearranged | None = N
         return None if check_oracle_equality(a) else "fast maximal function disagrees with the prefix-sum oracle"
     # the remaining check, "kadic", reads the side's k-adic constant
     value = side.kadic(a.weight.shape.k, a.weight.shape.m)
-    return None if value <= report.bound else f"k-adic constant {value} exceeds bound {report.bound}"
+    if value <= report.bound:
+        return None
+    return f"k-adic constant {_detail_string(value)} exceeds bound {_detail_string(report.bound)}"
 
 
 def audit_superlevel(w: StepWeight | WeightAnalysis | VerificationReport, t) -> SuperlevelAudit:

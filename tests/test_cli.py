@@ -6,6 +6,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+from hypothesis import example, given, strategies as st
+
 import treea1.cli
 import treea1.rationals
 import treea1.search
@@ -14,7 +17,9 @@ from treea1 import (
     MAX_DECIMAL_EXPONENT, MAX_MOVES, MAX_WEIGHTS, extremal_exact, make_shape, random_weight, weight_from_text,
     weight_to_text,
 )
-from treea1.cli import main
+from treea1.cli import _json_text, main
+from test_golden import GOLDEN, INSPECT_JSON
+from test_verify import LONG_DENOMINATORS, _inflate_the_sup_ratio
 
 
 def run_cli(argv):
@@ -593,3 +598,95 @@ def test_verify_reports_a_constant_above_its_bound(tmp_path, monkeypatch):
     counterexample = (out / "counterexample.txt").read_text()
     assert "check: bound\n" in counterexample
     assert counterexample.endswith("detail: trial 0: c=1/2 exceeds bound=0, impossible for c >= 1\n")
+
+
+def test_a_failure_past_the_int_string_limit_exits_1_with_its_counterexample(tmp_path, monkeypatch, capsys,
+                                                                             int_str_limit):
+    _inflate_the_sup_ratio(monkeypatch)
+    a, b = LONG_DENOMINATORS
+    out = tmp_path / "run"
+    assert run_cli(["verify", "--k", "2", "--depth", "2", "--trials", "3", "--grid", f"1/{a},1/{b},1",
+                    "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("violation: trial 0: check 'bound' failed: sup_ratio=1e+5999 exceeds bound=")
+    assert "Traceback" not in err
+    counterexample = (out / "counterexample.txt").read_text()
+    assert "check: bound\ndetail: trial 0: sup_ratio=1e+5999 exceeds bound=" in counterexample
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == ["counterexample.txt"]
+    weight = tmp_path / "w.txt"
+    weight.write_text(f"2 2 2 2 1/{a} 1/{b}\n")
+    assert run_cli(["inspect", "--weight", str(weight), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("violation: check 'bound' failed: sup_ratio=2e+5999 ")
+    assert captured.err.endswith(f"\n2 2 2 2 1/{a} 1/{b}\n")
+
+
+# Strings with every kind of character json escapes: quotes, backslashes, control and non-ASCII ones
+_json_strings = st.text(st.characters() | st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé \ud800\U0001f600'))
+_json_scalars = (_json_strings | st.integers() | st.integers(-(10**60), 10**60) | st.booleans() | st.none()
+                 | st.floats(allow_nan=False, allow_infinity=False))
+# nested dicts and lists, with lists of one scalar type among them, since the writer joins those in one call
+_json_values = st.recursive(
+    _json_scalars | st.lists(_json_strings) | st.lists(st.integers(-(10**60), 10**60)),
+    lambda children: st.lists(children, max_size=5) | st.dictionaries(_json_strings, children, max_size=5),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+@example({})
+@example([])
+@example({"": [], "a": {}, "b": [[], {}], "c": [1, True], "d": [1.5, 2], "e": [None, "x"]})
+@example([True, False, None])
+@example({"k": [-(10**40), 0, 2**70], "é\"\\": "\x00\n "})
+def test_the_json_writer_gives_the_bytes_of_json_dumps(value):
+    assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [{1, 2}, Fraction(1, 2), {1: "a"}, [{"a": {"b": {3}}}], {"a": Fraction(1)},
+                                   ("a",)])
+def test_the_json_writer_refuses_sets_fractions_tuples_and_keys_that_are_not_str(value):
+    with pytest.raises(TypeError):
+        _json_text(value)
+
+
+@pytest.fixture
+def counted_parser_builds(monkeypatch):
+    """Build counter of the parser main reads with, from an empty cache; the cache is emptied again after."""
+    builds = []
+    original = treea1.cli.build_parser
+
+    def counted():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(treea1.cli, "build_parser", counted)
+    treea1.cli._parser.cache_clear()
+    yield builds
+    treea1.cli._parser.cache_clear()
+
+
+def test_main_builds_one_parser_and_build_parser_a_new_one_per_call(counted_parser_builds):
+    assert treea1.cli._parser() is treea1.cli._parser()
+    assert counted_parser_builds == [1]
+    assert treea1.cli.build_parser() is not treea1.cli.build_parser()
+    treea1.cli._parser.cache_clear()  # what the benchmark's per-round reset calls
+    treea1.cli._parser()
+    assert len(counted_parser_builds) == 4
+
+
+def test_a_reused_parser_gives_the_golden_bytes_after_a_refused_and_a_help_call(tmp_path, capsys,
+                                                                                counted_parser_builds):
+    assert run_cli(["verify", "--k", "2"]) == 2  # missing required flags: argparse exits 2
+    with pytest.raises(SystemExit) as help_exit:
+        main(["inspect", "--help"])
+    assert help_exit.value.code == 0
+    capsys.readouterr()
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text(weight_to_text(extremal_exact(2, 2)))
+    assert main(["inspect", "--weight", str(weight_file), "--json", "--t", "3/8"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == INSPECT_JSON
+    argv, expected = GOLDEN["verify_exhaustive"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 0
+    assert {name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest() for name in expected} == expected
+    assert counted_parser_builds == [1]

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from treea1 import (
-    ExtremalParams, ParameterError, SearchConfig, check_weak_type, decimal_string, extremal_exact,
+    ROOT, ExtremalParams, NodeId, ParameterError, SearchConfig, check_weak_type, decimal_string, extremal_exact,
     family_constant_formula, fuzz_campaign, make_shape, random_weight, refine, scale, sharpness_sweep,
 )
-from treea1.rationals import _exact_string
+from treea1.rationals import _detail_string, _exact_string
 
 # (argument name as the message gives it, least value, call with the value under test)
 COUNT_ARGUMENTS = [
@@ -66,3 +66,14 @@ def test_the_exact_renderer_refuses_a_value_python_cannot_write(int_str_limit):
     message = f"exact value 1e-5998 has a numerator or denominator of more than {int_str_limit} digits"
     with pytest.raises(ParameterError, match=f"^{message}, Python's limit for writing an int$"):
         _exact_string(huge)
+
+
+def test_the_detail_renderer_never_fails(int_str_limit):
+    # a message writes a value exactly when Python can, and by its lossy decimal rendering otherwise
+    assert _detail_string(Fraction(-3, 7)) == "-3/7"
+    writable = (NodeId(1, 0), ROOT, Fraction(3, 2), Fraction(1), Fraction(5, 4))
+    assert _detail_string(writable) == str(writable)
+    huge = Fraction(1, 10**2999 + 1) * Fraction(1, 10**2999 + 3)
+    assert _detail_string(huge) == decimal_string(huge) == "1e-5998"
+    assert _detail_string((NodeId(1, 0), ROOT, huge, Fraction(1))) == "(NodeId(level=1, index=0), " \
+        "NodeId(level=0, index=0), 1e-5998, 1)"

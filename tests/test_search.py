@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given
 
 from conftest import step_weights
+import treea1.search
 from treea1 import (
     ParameterError,
     SearchConfig,
+    ViolationError,
+    decimal_string,
     extremal_exact,
     hill_climb,
     make_shape,
@@ -286,3 +289,13 @@ def test_hill_climb_counts_exact_fallbacks(monkeypatch):
     # every evaluation, the start of each restart included, took the exact path
     assert [counts.fallbacks for counts in result.restart_counts] == [21, 21]
     assert result.best_objective == float(result.exact_objective) <= 1
+
+
+def test_an_objective_past_the_int_string_limit_is_reported_not_raised(monkeypatch, int_str_limit):
+    huge = Fraction(10**4400 + 1, 3)
+    monkeypatch.setattr(treea1.search, "objective_exact", lambda w: huge)
+    with pytest.raises(ViolationError) as err:
+        _exact_at_most_one(extremal_exact(2, 2))
+    assert err.value.check == "objective"
+    assert err.value.detail == f"exact objective {decimal_string(huge)}"
+    assert str(err.value) == f"search objective {decimal_string(huge)} exceeds 1, contradicting the bound"

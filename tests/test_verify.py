@@ -36,6 +36,7 @@ from treea1 import (
     check_rearrangement_bound,
     check_stopping_consistency,
     check_weak_type,
+    decimal_string,
     default_family_delta,
     extremal_exact,
     extremal_family,
@@ -888,3 +889,36 @@ def test_a_constant_above_its_bound_fails_the_bound_check(monkeypatch):
         fuzz_campaign(2, 2, 3, seed=0, grid=[1, 2, 3])
     assert err.value.check == "bound"
     assert err.value.detail == "trial 0: c=1/2 exceeds bound=0, impossible for c >= 1"
+
+
+# Two leaf values whose denominators are 3,000 digits long: a weight holding both has a constant and a
+# sup-ratio that Python can still write, until the sup-ratio is pushed past the int-to-str limit.
+LONG_DENOMINATORS = (10**2999 + 1, 10**2999 + 3)
+
+
+def _inflate_the_sup_ratio(monkeypatch):
+    """Multiply every sup-ratio by 10**3000, so a long one has more digits than Python writes."""
+    original = treea1.verify.sup_ratio
+
+    def inflated(profile):
+        ratio, witness = original(profile)
+        return ratio * 10**3000, witness
+
+    monkeypatch.setattr(treea1.verify, "sup_ratio", inflated)
+
+
+def test_a_failure_past_the_int_string_limit_is_reported_not_raised(monkeypatch, int_str_limit):
+    _inflate_the_sup_ratio(monkeypatch)
+    a, b = LONG_DENOMINATORS
+    report = check_rearrangement_bound(make_step_weight(make_shape(2, 2), [2, 2, Fraction(1, a), Fraction(1, b)]))
+    with pytest.raises(ViolationError) as err:
+        treea1.verify._require(("bound",), report)
+    assert err.value.check == "bound"
+    assert err.value.detail == (f"sup_ratio={decimal_string(report.sup_ratio)} exceeds "
+                                f"bound={decimal_string(report.bound)} (c={decimal_string(report.c)})")
+    assert str(err.value) == f"check 'bound' failed: {err.value.detail}"
+    with pytest.raises(ViolationError) as err:
+        fuzz_campaign(2, 2, 3, 0, [Fraction(1, a), Fraction(1, b), 1])
+    assert err.value.check == "bound"
+    assert err.value.detail.startswith("trial 0: sup_ratio=1e+5999 exceeds bound=")  # the bound is writable
+    assert str(err.value) == f"trial 0: check 'bound' failed: {err.value.detail.removeprefix('trial 0: ')}"
