@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import os
 import random
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
+from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParameterError, ViolationError
@@ -101,8 +103,8 @@ class SuperlevelAudit(NamedTuple):
     """The superlevel audit at one t: the level record of t's piece and the two comparisons with t.
 
     The per-piece quantities are read as ``audit.level.<name>``; only the two
-    flags that compare the set with t itself are computed per t, when the
-    audit is built.  ``checks`` gathers all five flags by name.
+    flags that compare the set with t itself can differ between the audits of
+    one piece.  ``checks`` gathers all five flags by name.
     """
 
     t: Fraction
@@ -267,7 +269,10 @@ def check_rearrangement_bound(
     (stopping consistency, member growth, weak type at every node-average
     threshold, decomposition identity); with ``with_audits=True`` it carries
     the :class:`SuperlevelAudit` of every t on the canonical grid, in grid
-    order, from one walk of :func:`_audits`.  Omitted parts stay None.
+    order, from one walk of :func:`_audits` over the rearrangement's pieces:
+    the grid's t = j / grain is passed with its ints j and grain, and each
+    piece builds one level record and its points' records in one go.
+    Omitted parts stay None.
     """
     a = analyze(w)
     side = _side or _Rearranged(a)
@@ -291,7 +296,8 @@ def check_rearrangement_bound(
             **{_FLAG_FIELDS[name]: _failure(name, report) is None for name in _REPORT_CHECKS},
         )
     if with_audits:
-        report = replace(report, audits=tuple(_audits(report, audit_grid(a.weight))))
+        grid = audit_grid(a.weight)  # t = j / grain for j = 1 .. grain
+        report = replace(report, audits=tuple(_audits(report, grid, range(1, len(grid) + 1), len(grid))))
     return report
 
 
@@ -396,77 +402,118 @@ def audit_superlevel(w: StepWeight | WeightAnalysis | VerificationReport, t) -> 
     hold at every leaf.
 
     The result is the record ``check_rearrangement_bound(..., with_audits=True)``
-    holds for this t, from the same walk of :func:`_audits`.  A report is read
-    as it is; a weight or an analysis gets a new report for this one t, so a
-    caller auditing many t should pass a report or ask
-    :func:`check_rearrangement_bound` for ``with_audits=True``.
+    holds for this t, from the same walk of :func:`_audits` over the one
+    point ``t.numerator / t.denominator``, which builds the level record of
+    t's piece only.  A report is read as it is; a weight or an analysis gets
+    a new report for this one t, so a caller auditing many t should pass a
+    report or ask :func:`check_rearrangement_bound` for ``with_audits=True``.
     """
     report = w if isinstance(w, VerificationReport) else check_rearrangement_bound(w)
-    return next(_audits(report, (_check_t(t),)))
+    t = _check_t(t)
+    return _audits(report, (t,), (t.numerator,), t.denominator)[0]
 
 
-def _audits(report: VerificationReport, ts: Iterable[Fraction]) -> Iterator[SuperlevelAudit]:
-    """The audit at each t of ``ts``, checked t values in ascending order, from one walk of the profile's pieces.
+def _audits(report: VerificationReport, ts: Sequence[Fraction], js: Sequence[int], q: int) -> list[SuperlevelAudit]:
+    """The audit at each t of ``ts``, where ``ts[i] == js[i] / q`` in (0, 1] and ``js`` ascends, piece by piece.
 
-    The piece holding t only moves right, so the walk steps on while the
-    piece ends before t.  The first t on a piece builds its
-    :class:`LevelAudit`, whose level is the piece's value lam = w*(t), and
-    every later t on the piece shares it.  Leaves are compared as the
-    analysis's ints: lam and the threshold are leaf-level values times
-    rationals, so ``x > threshold`` is ``x * d > bar``.  Beside the record the
-    walk keeps the count ``above`` of leaves above the threshold, and the
-    count of leaves under the set and their sum times ``unit``.  An empty set
-    has count = total = 0: its record is degenerate with no set average,
-    ``average_bounded`` is the leafwise fallback that no leaf exceeds the
-    threshold, and the flags over its nodes are vacuously true.  Membership
-    is read from the family's star links, the keys of every member but the
-    root.
+    The walk visits the profile's pieces, not the t values.  Piece i ends at
+    ``cumulative_cells[i] / profile.n``, so its points are the j up to
+    ``cumulative_cells[i] * q // profile.n`` not taken by an earlier piece:
+    one ``bisect_right`` on ``js`` per piece.  A piece with points gets one
+    :class:`LevelAudit`, whose level is the piece's value lam = w*(t), shared
+    by all its points; a piece without points costs that bisect only.
+    The profile is the leaf row sorted once per report, as runs of equal
+    values, so the count ``above`` of leaves above the threshold
+    c * lam = p/q' is one bisect on its decreasing values: a value v over
+    ``profile.unit`` exceeds p/q' exactly when v > (p * profile.unit) // q',
+    and the pieces that do are a prefix, whose cells times ``n // profile.n``
+    are leaves.  An empty set has count = total = 0: its record is degenerate
+    with no set average, ``average_bounded`` is the leafwise fallback that no
+    leaf exceeds the threshold, and the flags over its nodes are vacuously
+    true.  Membership is read from the family's star links, the keys of every
+    member but the root.  ``average_bounded`` compares
+    total / (unit * count) with bound * lam in ints.
 
-    Per t the walk makes two int comparisons.  With t = p/q and n leaves, the
-    measures are above/n <= count/n <= p/q.  The set average
-    total / (unit * count) is compared with the prefix average, the
-    profile's scaled integral up to t over ``profile.n * profile.unit * p``,
-    by cross-multiplication.  An empty set passes both vacuously.
+    The two flags per t are int comparisons linear in j.  The profile's
+    integral up to j / q, times ``profile.n * profile.unit * q``, is the
+    piece's line ``intercept + slope * j``, read from
+    :func:`~treea1.rearrangement._scaled_integral` at j = 0 and j = 1.  The
+    set average total / (unit * count) is at least the prefix average, that
+    integral over ``profile.n * profile.unit * j``, exactly when
+    ``lhs * j >= rhs`` with lhs = total * profile.n * profile.unit -
+    unit * count * slope and rhs = unit * count * intercept.  The measures
+    above/n <= count/n <= j/q, with n leaves, are ``above <= count``, once
+    per piece, and ``count * q <= j * n``.  Each comparison is monotone in j,
+    so :func:`_flag_runs` gives a piece's flags as one run of each value,
+    split at one bisect, and no int is formed per t.  An empty set passes
+    both: lhs = rhs = 0, and its measure flag is true whatever ``above`` is.
     """
     a, profile = report.analysis, report.profile
     unit, leaves = a.unit, a.scaled_averages[-1]
     n = len(leaves)
-    piece, level = 0, None
-    for t in ts:
-        p, q = t.numerator, t.denominator
-        while profile.cumulative_cells[piece] * q < p * profile.n:
-            piece, level = piece + 1, None
-        if level is None:
-            lam = Fraction(profile.scaled_values[piece], profile.unit)
-            threshold = report.c * lam
-            bar, d = threshold.numerator * unit, threshold.denominator
-            above = sum(1 for x in leaves if x * d > bar)
-            nodes = superlevel_set(a, threshold)
-            count, total, widths = _leaves_and_sum(a, nodes)
-            # the integral over the set is total / (unit * n); the measure is count / n
-            set_average = Fraction(total, unit * count) if nodes else None
-            level = LevelAudit(
-                level_value=lam,
-                threshold=threshold,
-                degenerate=not nodes,
-                nodes=nodes,
-                superlevel_measure=Fraction(count, n),
-                above_threshold_measure=Fraction(above, n),
-                set_average=set_average,
-                nodes_are_members=all(node in a.family.star or node == ROOT for node in nodes),
-                average_bounded=above == 0 if set_average is None else set_average <= report.bound * lam,
-                inside_level_set=all(
-                    min(leaves[node.index * width : (node.index + 1) * width]) * lam.denominator
-                    > lam.numerator * unit
-                    for node, width in zip(nodes, widths)
-                ),
-            )
-        if not count:
-            yield SuperlevelAudit(t, level, True, True)
+    starts, per_cell = (0, *profile.cumulative_cells), n // profile.n  # cells before each piece; leaves per cell
+    bound_num, bound_den = report.bound.numerator, report.bound.denominator
+    audits: list[SuperlevelAudit] = []
+    lo = 0
+    for piece, cells in enumerate(profile.cumulative_cells):
+        hi = bisect_right(js, cells * q // profile.n, lo)
+        if hi == lo:
             continue
-        integral = _scaled_integral(profile, piece, p * profile.n, q)
-        dominates = total * profile.n * profile.unit * p >= integral * unit * count
-        yield SuperlevelAudit(t, level, dominates, above <= count and count * q <= p * n)
+        value = profile.scaled_values[piece]
+        lam = Fraction(value, profile.unit)
+        threshold = report.c * lam
+        # the pieces above the threshold: their values v are > threshold * profile.unit, so > its floor
+        bar = threshold.numerator * profile.unit // threshold.denominator
+        above = starts[bisect_left(profile.scaled_values, -bar, key=neg)] * per_cell
+        nodes = superlevel_set(a, threshold)
+        count, total, widths = _leaves_and_sum(a, nodes)
+        level = LevelAudit(
+            level_value=lam,
+            threshold=threshold,
+            degenerate=not nodes,
+            nodes=nodes,
+            # the integral over the set is total / (unit * n); the measure is count / n
+            superlevel_measure=Fraction(count, n),
+            above_threshold_measure=Fraction(above, n),
+            set_average=Fraction(total, unit * count) if nodes else None,
+            nodes_are_members=all(node in a.family.star or node == ROOT for node in nodes),
+            average_bounded=(
+                total * bound_den * profile.unit <= unit * count * bound_num * value if nodes else above == 0
+            ),
+            inside_level_set=all(
+                min(leaves[node.index * width : (node.index + 1) * width]) * lam.denominator
+                > lam.numerator * unit
+                for node, width in zip(nodes, widths)
+            ),
+        )
+        intercept = _scaled_integral(profile, piece, 0, q)
+        slope = _scaled_integral(profile, piece, profile.n, q) - intercept
+        lhs, rhs = total * profile.n * profile.unit - unit * count * slope, unit * count * intercept
+        points = js[lo:hi]
+        dominates = _flag_runs(points, lhs, rhs)
+        measures = _flag_runs(points, n, count * q) if above <= count or not nodes else repeat(False)
+        # tuple.__new__(SuperlevelAudit, fields) is what SuperlevelAudit._make does, here in one C-level map
+        audits.extend(map(tuple.__new__, repeat(SuperlevelAudit), zip(ts[lo:hi], repeat(level), dominates, measures)))
+        lo = hi
+        if lo == len(js):
+            break
+    return audits
+
+
+def _flag_runs(points: Sequence[int], factor: int, bar: int) -> Iterator[bool]:
+    """The flags ``factor * j >= bar`` for the ascending ints j of ``points``.
+
+    The flag is monotone in j, so the points split into one run of each value
+    at one bisect: for factor > 0 it turns true at j >= ceil(bar / factor),
+    for factor < 0 it stays true while j <= floor(bar / factor), and for
+    factor == 0 it is ``0 >= bar`` throughout.  The result is endless past
+    the points, for a ``zip`` to cut.
+    """
+    if factor > 0:
+        return chain(repeat(False, bisect_left(points, -(-bar // factor))), repeat(True))
+    if factor < 0:
+        return chain(repeat(True, bisect_right(points, bar // factor)), repeat(False))
+    return repeat(bar <= 0)
 
 
 def _weak_type_failure(a: WeightAnalysis) -> Fraction | None:

@@ -325,26 +325,18 @@ def test_superlevel_sets_are_built_once_per_level(monkeypatch):
 
 def test_audits_neither_check_t_nor_bisect_per_grid_point(monkeypatch):
     def refuse(*args):
-        raise AssertionError("the grid walk already holds t's piece")
+        raise AssertionError("the piece walk finds each piece's grid points with one bisect")
 
     for module, name in ((treea1.verify, "_check_t"), (treea1.verify, "prefix_average"),
-                         (treea1.rearrangement, "_check_t"), (treea1.rearrangement, "bisect_left")):
+                         (treea1.rearrangement, "_check_t"), (treea1.rearrangement, "bisect_left"),
+                         (SuperlevelAudit, "__new__")):
         monkeypatch.setattr(module, name, refuse)
-    seen = []
-    original = treea1.verify._scaled_integral
-
-    def recorded(profile, piece, cells, per):
-        seen.append((piece, Fraction(cells, per * profile.n)))  # the integral runs up to t = cells / (per * n)
-        return original(profile, piece, cells, per)
-
-    monkeypatch.setattr(treea1.verify, "_scaled_integral", recorded)
     w = make_step_weight(make_shape(2, 3), [4, 2, 2, 2, 1, 1, 1, 1])  # two pieces with a superlevel set
     report = check_rearrangement_bound(w, with_audits=True)
     monkeypatch.undo()
     assert len(report.audits) == 16 and all(a.passed for a in report.audits)
-    # a flag cannot show a prefix average from the wrong piece, so check the pieces themselves
-    assert {piece for piece, _ in seen} == {1, 2}
-    assert all(piece == report.profile._piece_index(t) for piece, t in seen)
+    # a flag cannot show a level record from the wrong piece, so check each record's level against t's value
+    assert all(audit.level.level_value == report.profile.value_at(audit.t) for audit in report.audits)
 
 
 @pytest.mark.parametrize("w", [
@@ -922,3 +914,101 @@ def test_a_failure_past_the_int_string_limit_is_reported_not_raised(monkeypatch,
     assert err.value.check == "bound"
     assert err.value.detail.startswith("trial 0: sup_ratio=1e+5999 exceeds bound=")  # the bound is writable
     assert str(err.value) == f"trial 0: check 'bound' failed: {err.value.detail.removeprefix('trial 0: ')}"
+
+
+def _tampered_leaves_and_sum(monkeypatch, tamper):
+    """Route every nonempty set's (count, total) through ``tamper``; an empty set stays (0, 0)."""
+    original = treea1.verify._leaves_and_sum
+
+    def tampered(a, nodes):
+        count, total, widths = original(a, nodes)
+        return (*tamper(count, total), widths) if nodes else (count, total, widths)
+
+    monkeypatch.setattr(treea1.verify, "_leaves_and_sum", tampered)
+    return tampered
+
+
+# w* of this weight has pieces (0, 1/8], (1/8, 1/2] and (1/2, 1], and the last two hold a superlevel set
+_SPLIT_WEIGHT = make_step_weight(make_shape(2, 3), [4, 2, 2, 2, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("flag, tamper", [
+    # a set average 4/5 of the true one falls below the prefix average early on a piece, not late
+    ("dominates_prefix", lambda count, total: (count, total * 4 // 5)),
+    # two more leaves put count/n inside the piece, past t early on it, not late
+    ("measures_ordered", lambda count, total: (count + 2, total)),
+])
+def test_per_t_flags_turn_false_part_way_along_a_piece(flag, tamper, tmp_path, monkeypatch):
+    tampered = _tampered_leaves_and_sum(monkeypatch, tamper)
+    report = check_rearrangement_bound(_SPLIT_WEIGHT, with_audits=True)
+    a, n = report.analysis, _SPLIT_WEIGHT.shape.leaf_count
+    for audit in report.audits:
+        # the same tampered inputs, per t in Fractions
+        t, nodes = audit.t, audit.level.nodes
+        threshold = report.c * report.profile.value_at(t)
+        count, total, _ = tampered(a, nodes)
+        above = Fraction(sum(1 for v in _SPLIT_WEIGHT.leaf_values if v > threshold), n)
+        expected = (True, True) if not nodes else (
+            Fraction(total, a.unit * count) >= prefix_average(report.profile, t),
+            above <= Fraction(count, n) <= t,
+        )
+        assert (audit.dominates_prefix, audit.measures_ordered) == expected
+    by_piece = {}
+    for audit in report.audits:
+        by_piece.setdefault(report.profile._piece_index(audit.t), []).append(getattr(audit, flag))
+    split = [flags for flags in by_piece.values() if True in flags and False in flags]
+    assert split and all(flags == sorted(flags) for flags in split)  # False early on a piece, then True
+    failing = next(audit.t for audit in report.audits if not getattr(audit, flag))
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text(weight_to_text(_SPLIT_WEIGHT))
+    assert main(["inspect", "--weight", str(weight_file), "--t", str(failing)]) == 1
+    passing = next(audit.t for audit in report.audits if audit.passed)
+    assert main(["inspect", "--weight", str(weight_file), "--t", str(passing)]) == 0
+
+
+def test_flag_runs_are_the_per_point_comparisons():
+    # every sign of factor, though the walk's lhs < 0 only ever meets rhs >= 0, which makes every flag False
+    for points in (range(1, 13), (2, 3, 5, 8, 13)):
+        for factor, bar in itertools.product(range(-6, 7), range(-40, 41)):
+            runs = treea1.verify._flag_runs(points, factor, bar)
+            assert [flag for _, flag in zip(points, runs)] == [factor * j >= bar for j in points]
+
+
+@given(audit_weights, st.integers(1, 3), st.fractions(Fraction(1, 2), Fraction(3, 2)))
+def test_tampered_audits_match_a_per_t_recomputation(w, extra, factor):
+    # the per-t flags are a line in j per piece; against tampered inputs they need not all be True
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        tampered = _tampered_leaves_and_sum(monkeypatch, lambda count, total: (count + extra, int(total * factor)))
+        report = check_rearrangement_bound(w, with_audits=True)
+    a, n = report.analysis, w.shape.leaf_count
+    for audit in report.audits:
+        if audit.level.degenerate:
+            assert audit.dominates_prefix and audit.measures_ordered
+            continue
+        count, total, _ = tampered(a, audit.level.nodes)
+        assert audit.level.set_average == Fraction(total, a.unit * count)
+        assert audit.dominates_prefix == (audit.level.set_average >= prefix_average(report.profile, audit.t))
+        assert audit.measures_ordered == (
+            audit.level.above_threshold_measure <= Fraction(count, n) <= audit.t
+        )
+
+
+@pytest.mark.parametrize("w, pieces", [
+    (random_weight(make_shape(3, 3), 1, [1, 2, 3, 5, 10, 100]), 6),
+    (random_weight(make_shape(4, 2), 2, [1, 2, 3, 5, 10, 100]), 5),
+    (extremal_family(ExtremalParams.from_constant(4, 2, default_family_delta(4, 3), 3)), 2),
+    (make_step_weight(make_shape(3, 2), [7] * 9), 1),  # one degenerate piece
+])
+def test_single_t_audits_at_piece_ends_and_off_the_grid_match_the_oracle(w, pieces):
+    report = check_rearrangement_bound(w)
+    profile = report.profile
+    assert len(profile.cells) == pieces
+    grain = w.shape.k ** (w.shape.m + 1)
+    ts = set()
+    for cells in profile.cumulative_cells:
+        end = Fraction(cells, profile.n)
+        # the piece's exact right end, one canonical grid point past it, and a point between grid points
+        ts.update((end, end + Fraction(1, grain), end - Fraction(1, 3 * grain)))
+    ts.discard(1 + Fraction(1, grain))
+    for t in sorted(ts):
+        assert _all_fields(audit_superlevel(report, t)) == _audit_oracle(report, t)
