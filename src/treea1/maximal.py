@@ -185,11 +185,10 @@ def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, .
     the mean of its children's, so once the root is no hit some node stays
     free at every level.  Nodes come out level by level in index order, so
     already sorted.  The root is tested before anything else, so a root that
-    qualifies costs one comparison.  No node average exceeds the largest
-    leaf, so when no leaf exceeds the threshold the set is empty without a
-    walk.  Neither ``scaled_maximal`` nor the stopping family is read, so the
-    weak-type check built on this function stays independent of the sweep
-    it checks.
+    qualifies costs one comparison; an empty set costs a walk that finds no
+    hit, so a caller that knows no leaf exceeds the threshold skips the call.
+    The walk reads neither ``scaled_maximal`` nor the stopping family, so the
+    weak-type check built on it stays independent of the sweep it checks.
     """
     threshold = as_fraction(threshold)
     a = analyze(w)
@@ -198,8 +197,6 @@ def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, .
     bar, q = threshold.numerator * a.unit, threshold.denominator
     if table[0][0] * q > bar:
         return (ROOT,)
-    if max(table[-1]) * q <= bar:
-        return ()
     out: list[NodeId] = []
     free = [True]  # per node of the level: no ancestor is in the set; the root is free and no hit
     for level, row in enumerate(table[1:], 1):

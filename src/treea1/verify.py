@@ -427,11 +427,12 @@ def _audits(report: VerificationReport, ts: Sequence[Fraction], js: Sequence[int
     c * lam = p/q' is one bisect on its decreasing values: a value v over
     ``profile.unit`` exceeds p/q' exactly when v > (p * profile.unit) // q',
     and the pieces that do are a prefix, whose cells times ``n // profile.n``
-    are leaves.  An empty set has count = total = 0: its record is degenerate
-    with no set average, ``average_bounded`` is the leafwise fallback that no
-    leaf exceeds the threshold, and the flags over its nodes are vacuously
-    true.  Membership is read from the family's star links, the keys of every
-    member but the root.  ``average_bounded`` compares
+    are leaves.  No node average exceeds the largest leaf, so the set is
+    walked only when ``above`` > 0; else count = total = 0, the record is
+    degenerate with no set average, ``average_bounded`` is the leafwise
+    fallback that no leaf exceeds the threshold, and the flags over its nodes
+    are vacuously true.  Membership is read from the family's star links, the
+    keys of every member but the root.  ``average_bounded`` compares
     total / (unit * count) with bound * lam in ints.
 
     The two flags per t are int comparisons linear in j.  The profile's
@@ -465,7 +466,8 @@ def _audits(report: VerificationReport, ts: Sequence[Fraction], js: Sequence[int
         # the pieces above the threshold: their values v are > threshold * profile.unit, so > its floor
         bar = threshold.numerator * profile.unit // threshold.denominator
         above = starts[bisect_left(profile.scaled_values, -bar, key=neg)] * per_cell
-        nodes = superlevel_set(a, threshold)
+        # no node average exceeds the largest leaf, so with no leaf above the threshold the set is empty
+        nodes = superlevel_set(a, threshold) if above else ()
         count, total, widths = _leaves_and_sum(a, nodes)
         level = LevelAudit(
             level_value=lam,

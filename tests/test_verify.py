@@ -257,6 +257,22 @@ def test_audits_match_the_per_t_oracle_on_extremal_weights(k, c, depth):
         _assert_audits_match_oracle(w, reuse_report=False)
 
 
+def _leaves_above(w, threshold):
+    return sum(1 for v in w.leaf_values if v > threshold)
+
+
+def test_audits_match_the_per_t_oracle_on_all_distinct_values():
+    # 128 distinct leaves make 128 pieces; the oracle walks a superlevel set at
+    # every t, while the audits walk one only for a piece with a leaf above its
+    # threshold, so this compares that gate with the walk, at a piece with
+    # exactly one such leaf too
+    w = make_step_weight(make_shape(2, 7), random.Random(0).sample(range(51, 179), 128))
+    report = check_rearrangement_bound(w)
+    above = Counter(_leaves_above(w, report.c * v) for v in w.leaf_values)  # pieces by leaves above
+    assert above[0] and above[1]
+    _assert_audits_match_oracle(w, reuse_report=True)
+
+
 def test_audit_through_a_report_reuses_its_analysis(monkeypatch):
     w = make_step_weight(make_shape(2, 3), [5, 1, 2, 2, 7, 1, 3, 1])
     report = check_rearrangement_bound(w)
@@ -316,8 +332,11 @@ def test_superlevel_sets_are_built_once_per_level(monkeypatch):
     w = make_step_weight(make_shape(2, 4), [5, 1, 2, 2, 7, 1, 3, 1, 1, 1, 4, 2, 6, 2, 2, 3])
     report = check_rearrangement_bound(w, properties=True, with_audits=True)
     assert report.weak_type_ok and all(a.passed for a in report.audits)
-    levels = {report.profile.value_at(t) for t in audit_grid(w)}
-    assert 0 < len(calls) <= len(levels)
+    # one walk per piece with grid points and a leaf above its threshold, in grid order
+    levels = dict.fromkeys(report.profile.value_at(t) for t in audit_grid(w))
+    walked = [report.c * lam for lam in levels if _leaves_above(w, report.c * lam)]
+    assert calls == walked
+    assert 0 < len(walked) < len(levels)
     calls.clear()
     assert _weak_type_detail(report) is None
     assert calls == []

@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Mutation harness: show that the tier-1 suite notices the kernel going wrong.
+
+Usage: ``python tools/mutants.py``, from any directory.
+
+Each mutant names a file, an exact old text that occurs there once, the new
+text and its expected outcome: ``killed``, or ``equivalent`` with a one-line
+argument.  For each one the harness copies the source tree to a temporary
+directory, applies the edit there and runs the tier-1 suite with ``-x`` and
+a fixed ``--hypothesis-seed``, leaving out ``tests/test_mutants.py``, which
+checks these declarations and so fails on any edit.  It prints one line per
+mutant: killed or survived, the time taken and the first failing test.  It
+exits 1 if an old text does not occur exactly once or an outcome differs
+from the declared one; the checkout itself is never edited.  Stdlib only.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# what the tier-1 suite reads: the package, the tests and their configuration
+COPIED = ("src", "tests", "pyproject.toml")
+# checks these declarations, not the code, so every mutant would fail it
+DECLARATIONS_TEST = "tests/test_mutants.py"
+HYPOTHESIS_SEED = 0
+# a mutant that makes the suite hang is caught, not survived
+TIMEOUT_S = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in the file
+    new: str
+    expected: str  # "killed" or "equivalent"
+    why: str = ""  # the one-line argument of an equivalent mutant
+
+
+MUTANTS = (
+    Mutant("sup_ratio_skips_the_first_boundary", "src/treea1/rearrangement.py",
+           "    for i in range(1, len(values)):\n", "    for i in range(2, len(values)):\n", "killed"),
+    Mutant("kadic_constant_skips_the_root", "src/treea1/rearrangement.py",
+           "        width = leaves\n", "        width = leaves // k\n", "killed"),
+    Mutant("weak_type_set_takes_ge", "src/treea1/verify.py",
+           "by_maximal[count][0] > x:", "by_maximal[count][0] >= x:", "killed"),
+    Mutant("sweep_drops_the_running_maximum", "src/treea1/maximal.py",
+           "running = [a if a > r else r for a, r in zip(row, parents)]",
+           "running = [a for a, r in zip(row, parents)]", "killed"),
+    Mutant("bound_check_fires_below_margin_minus_one", "src/treea1/verify.py",
+           "if report.margin >= 0 and report.c <= report.bound:",
+           "if report.margin >= -1 and report.c <= report.bound:", "killed"),
+    Mutant("growth_check_takes_le", "src/treea1/verify.py",
+           "if not (y_star < y_member and", "if not (y_star <= y_member and", "killed"),
+    Mutant("c_search_starts_from_one_half", "src/treea1/maximal.py",
+           "best_mf, best_leaf = 1, 1", "best_mf, best_leaf = 1, 2", "equivalent",
+           "maximal >= leaf > 0, so the first leaf's ratio beats 1/2 and replaces it; the maximum is unchanged"),
+    Mutant("audits_never_walk_a_superlevel_set", "src/treea1/verify.py",
+           "nodes = superlevel_set(a, threshold) if above else ()", "nodes = ()", "killed"),
+    Mutant("audits_walk_only_above_two_leaves", "src/treea1/verify.py",
+           "nodes = superlevel_set(a, threshold) if above else ()",
+           "nodes = superlevel_set(a, threshold) if above > 1 else ()", "killed"),
+)
+
+
+def occurrences(mutant: Mutant) -> int:
+    """How often the mutant's old text occurs in its file in this checkout."""
+    return (ROOT / mutant.path).read_text(encoding="utf-8").count(mutant.old)
+
+
+def _first_failure(output: str) -> str:
+    """The first test pytest's short summary names as failed or in error, or the output's last line."""
+    for line in output.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return line.split(" - ")[0].split(" ", 1)[1]
+    lines = output.strip().splitlines()
+    return lines[-1] if lines else ""
+
+
+def run(mutant: Mutant) -> tuple[bool, float, str]:
+    """Apply the mutant to a copy of the tree and run tier-1 there: (killed, seconds, first failing test)."""
+    with tempfile.TemporaryDirectory(prefix="treea1-mutant-") as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            source = ROOT / name
+            if source.is_dir():
+                shutil.copytree(source, tree / name,
+                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache"))
+            else:
+                shutil.copy2(source, tree / name)
+        target = tree / mutant.path
+        target.write_text(target.read_text(encoding="utf-8").replace(mutant.old, mutant.new), encoding="utf-8")
+        command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                   f"--hypothesis-seed={HYPOTHESIS_SEED}", f"--ignore={DECLARATIONS_TEST}"]
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+        start = time.perf_counter()
+        try:
+            done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            return True, time.perf_counter() - start, f"timeout after {TIMEOUT_S} s"
+        seconds = time.perf_counter() - start
+        if done.returncode == 0:
+            return False, seconds, ""
+        return True, seconds, _first_failure(done.stdout + done.stderr)
+
+
+def main() -> int:
+    ok = True
+    for mutant in MUTANTS:
+        count = occurrences(mutant)
+        if count != 1:
+            print(f"{mutant.name}: old text occurs {count} times in {mutant.path}, expected once", flush=True)
+            ok = False
+            continue
+        killed, seconds, failure = run(mutant)
+        outcome = "killed" if killed else "survived"
+        matches = killed == (mutant.expected == "killed")
+        ok = ok and matches
+        note = "" if matches else f"  [declared {mutant.expected}]"
+        detail = failure if killed else mutant.why
+        print(f"{mutant.name}: {outcome} in {seconds:.1f} s  {detail}{note}", flush=True)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
