@@ -187,8 +187,9 @@ def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, .
     already sorted.  The root is tested before anything else, so a root that
     qualifies costs one comparison; an empty set costs a walk that finds no
     hit, so a caller that knows no leaf exceeds the threshold skips the call.
-    The walk reads neither ``scaled_maximal`` nor the stopping family, so the
-    weak-type check built on it stays independent of the sweep it checks.
+    Its one caller, :func:`~treea1.verify._audits`, compares these nodes with
+    the stopping family in ``LevelAudit.nodes_are_members``, so the walk
+    reads neither ``scaled_maximal`` nor the family.
     """
     threshold = as_fraction(threshold)
     a = analyze(w)

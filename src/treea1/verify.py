@@ -148,29 +148,27 @@ def average_thresholds(w: StepWeight | WeightAnalysis) -> tuple[Fraction, ...]:
 
 
 def check_weak_type(w: StepWeight | WeightAnalysis, level) -> bool:
-    """Strict weak-type inequality mu(E) < (1/level) * integral of w over E.
+    """Strict weak-type inequality mu(E) < (1/level) * integral of w over E, from the definition.
 
-    E is the superlevel set {maximal_function > level}; vacuously true when
-    E is empty.  This is the check at one level, on the maximal nodes that
-    :func:`~treea1.maximal.superlevel_set` walks down the node averages to
-    find; the ``weak_type`` check of reports and campaigns covers every node
-    average in one sorted sweep of the maximal function instead, and this
-    function is its test oracle.
-
-    With W leaves under E, S their scaled sum and level = p/q, mu(E) = W/n
-    and the integral is S/(unit*n), so the inequality is ``W*p*unit < S*q``.
+    E is the set of leaves whose :func:`~treea1.oracles.maximal_function_bruteforce`
+    value exceeds the level; each has measure 1/n, so with E's leaf values the
+    inequality is ``len(E) * level < sum(E)`` in ``Fraction``s, vacuously true
+    when E is empty.  It reads no kernel table: it is the test oracle of the
+    ``weak_type`` check, which covers every node average in one sorted sweep
+    of the kernel's maximal function.
     """
     lam = _positive(level, "weak-type level")
-    a = analyze(w)
-    nodes = superlevel_set(a, lam)
-    if not nodes:
-        return True
-    count, total, _ = _leaves_and_sum(a, nodes)
-    return count * lam.numerator * a.unit < total * lam.denominator
+    weight = w.weight if isinstance(w, WeightAnalysis) else w
+    above = [v for v, mf in zip(weight.leaf_values, maximal_function_bruteforce(weight)) if mf > lam]
+    return not above or len(above) * lam < sum(above)
 
 
 def _leaves_and_sum(a: WeightAnalysis, nodes: Sequence[NodeId]) -> tuple[int, int, list[int]]:
-    """Leaf count under the disjoint nodes, their leaf sum times ``unit`` (average times width) and the widths."""
+    """Leaf count under the disjoint nodes, their leaf sum times ``unit`` (average times width) and the widths.
+
+    For :func:`_audits` alone.  Like :func:`~treea1.maximal.superlevel_set` it reads node averages, never
+    the stopping family, which ``LevelAudit.nodes_are_members`` compares the walk with.
+    """
     k, m = a.weight.shape.k, a.weight.shape.m
     widths = [k ** (m - node.level) for node in nodes]
     total = sum(a.scaled_averages[node.level][node.index] * width for node, width in zip(nodes, widths))

@@ -358,8 +358,8 @@ def test_superlevel_set_matches_the_dfs_reference_at_256_and_729_leaves():
 
 
 def test_superlevel_set_reads_neither_the_maximal_function_nor_the_family():
-    # check_weak_type builds on superlevel_set to check the weak-type sweep over
-    # scaled_maximal, so it must find the set from the node averages alone
+    # the audits' nodes_are_members compares superlevel_set's nodes with the
+    # stopping family, so it must find the set from the node averages alone
     tree = ast.parse(textwrap.dedent(inspect.getsource(superlevel_set)))
     names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}

@@ -1,9 +1,12 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -459,6 +462,33 @@ def test_weak_type_examples():
 def test_weak_type_at_all_node_averages(w):
     for level in average_thresholds(w):
         assert check_weak_type(w, level)
+
+
+def test_check_weak_type_reads_the_prefix_sum_oracle_and_no_kernel_table():
+    tree = ast.parse(textwrap.dedent(inspect.getsource(check_weak_type)))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "maximal_function_bruteforce" in names
+    assert not names & {"superlevel_set", "_leaves_and_sum", "analyze", "scaled_averages", "scaled_maximal",
+                        "unit", "family"}
+
+
+def test_check_weak_type_sees_a_tampered_oracle_and_the_sweep_does_not(monkeypatch):
+    oracle = treea1.verify.maximal_function_bruteforce
+
+    def tampered(w):
+        # one least-valued leaf gets the largest leaf value as its maximal value
+        values = list(oracle(w))
+        values[w.leaf_values.index(min(w.leaf_values))] = max(w.leaf_values)
+        return tuple(values)
+
+    monkeypatch.setattr(treea1.verify, "maximal_function_bruteforce", tampered)
+    grid, shape = (1, 10), make_shape(2, 2)
+    weights = [make_step_weight(shape, values) for values in itertools.product(grid, repeat=4)]
+    # at [1, 1, 1, 10] and level 11/2, E = {leaf 0, leaf 3} and 2 * 11/2 < 1 + 10 fails
+    assert any(not check_weak_type(w, lam) for w in weights for lam in average_thresholds(w))
+    summary = fuzz_campaign(2, 2, 0, seed=0, grid=grid, checks=("weak_type",), exhaustive=True)
+    assert len(summary.rows) == len(weights) and all(row.weak_type_ok for row in summary.rows)
 
 
 def test_structure_checks_pass_exhaustively_on_small_grid():

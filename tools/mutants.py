@@ -66,6 +66,30 @@ MUTANTS = (
     Mutant("audits_walk_only_above_two_leaves", "src/treea1/verify.py",
            "nodes = superlevel_set(a, threshold) if above else ()",
            "nodes = superlevel_set(a, threshold) if above > 1 else ()", "killed"),
+    Mutant("flag_runs_floors_a_positive_factor", "src/treea1/verify.py",
+           "-(-bar // factor)", "bar // factor", "killed"),
+    Mutant("flag_runs_bisects_left_for_a_negative_factor", "src/treea1/verify.py",
+           "bisect_right(points, bar // factor)", "bisect_left(points, bar // factor)", "killed"),
+    Mutant("flag_runs_takes_lt_for_a_zero_factor", "src/treea1/verify.py",
+           "repeat(bar <= 0)", "repeat(bar < 0)", "killed"),
+    Mutant("chunk_profiles_key_drops_the_unit", "src/treea1/verify.py",
+           "key = (a.unit, *sorted(counts.items()))", "key = tuple(sorted(counts.items()))", "killed"),
+    Mutant("superlevel_set_hits_take_ge", "src/treea1/maximal.py",
+           "if row[index] * q > bar]", "if row[index] * q >= bar]", "killed"),
+    Mutant("decomposition_takes_le", "src/treea1/verify.py",
+           "table[node.level][node.index] == mf[leaf]", "table[node.level][node.index] <= mf[leaf]", "killed"),
+    Mutant("draw_keeps_the_least_rejected_byte", "src/treea1/weights.py",
+           "bytes(range(n << (8 - bits), 256))", "bytes(range((n << (8 - bits)) + 1, 256))", "killed"),
+    Mutant("draw_keeps_n_on_a_wide_grid", "src/treea1/weights.py",
+           "filter(n.__gt__,", "filter(n.__ge__,", "killed"),
+    Mutant("weight_text_drops_the_newline", "src/treea1/weights.py",
+           '*_per_leaf(w.codes, texts)]) + "\\n"', "*_per_leaf(w.codes, texts)])", "killed"),
+    Mutant("rearrange_sorts_ascending", "src/treea1/rearrangement.py",
+           "sorted(counts, reverse=True)", "sorted(counts)", "killed"),
+    Mutant("prefix_sum_oracle_drops_the_carried_best", "src/treea1/oracles.py",
+           "else (bs, bw)", "else (s, width)", "killed"),
+    Mutant("weak_type_reference_takes_ge", "src/treea1/verify.py",
+           "if mf > lam]", "if mf >= lam]", "killed"),
 )
 
 
@@ -112,6 +136,8 @@ def run(mutant: Mutant) -> tuple[bool, float, str]:
 
 def main() -> int:
     ok = True
+    outcomes = {"killed": 0, "equivalent": 0, "survived": 0}
+    start = time.perf_counter()
     for mutant in MUTANTS:
         count = occurrences(mutant)
         if count != 1:
@@ -122,9 +148,13 @@ def main() -> int:
         outcome = "killed" if killed else "survived"
         matches = killed == (mutant.expected == "killed")
         ok = ok and matches
+        # a declared-equivalent survivor counts as equivalent; any other survivor as survived
+        outcomes["equivalent" if not killed and matches else outcome] += 1
         note = "" if matches else f"  [declared {mutant.expected}]"
         detail = failure if killed else mutant.why
         print(f"{mutant.name}: {outcome} in {seconds:.1f} s  {detail}{note}", flush=True)
+    print(f"{sum(outcomes.values())} mutants run: {outcomes['killed']} killed, {outcomes['equivalent']} equivalent, "
+          f"{outcomes['survived']} survived in {time.perf_counter() - start:.1f} s", flush=True)
     return 0 if ok else 1
 
 
