@@ -17,6 +17,7 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ParameterError, ViolationError
@@ -93,15 +94,22 @@ def _emit(stream, *lines: str) -> None:
             os.dup2(devnull.fileno(), stream.fileno())
 
 
+class _JsonFragment(NamedTuple):
+    """A value that writes its own JSON text: ``write(newline)`` is what :func:`_json_text` gives it there."""
+
+    write: Callable[[str], str]
+
+
 def _json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte: the one JSON writer of the CLI.
 
     With ``indent`` set, ``json.dumps`` runs the stdlib's pure-Python encoder;
     this writer recurses only into dicts and lists, and writes a list whose
     items are all str or all int with one ``str.join`` over a C-level encoder.
-    A float is written by ``json`` itself.  Any other value, a tuple included,
-    or a dict key that is not a str raises TypeError.  ``newline`` is the line
-    break plus the indent of the line ``value`` sits on.
+    A float is written by ``json`` itself.  A :class:`_JsonFragment` writes
+    itself, unchanged, for the line it sits on.  Any other value, a tuple
+    included, or a dict key that is not a str raises TypeError.  ``newline``
+    is the line break plus the indent of the line ``value`` sits on.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -129,6 +137,8 @@ def _json_text(value, newline: str = "\n") -> str:
         encode = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
         items = map(encode, value) if encode else [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(value) is _JsonFragment:
+        return value.write(newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -289,19 +299,51 @@ def _audit_json(audit) -> dict:
     }
 
 
-def _inspect_lines(payload: dict) -> list[str]:
-    """Text mode of ``inspect``: the JSON payload rendered line by line."""
+def _member_rows(a) -> list[tuple]:
+    """The stopping family of analysis ``a``, one row per member: (level, index, average, star, leaves).
+
+    ``average`` is the exact text, rendered once per distinct value; ``star``
+    is the member's star link (None at the root) and ``leaves`` the leaves
+    assigned to it.  Both modes of ``inspect`` read these rows.
+    """
+    fam = a.family
+    parts = fam.parts()
+    scaled = [a.scaled_averages[level][index] for level, index in fam.members]
+    texts = {x: _exact_string(Fraction(x, a.unit)) for x in set(scaled)}
+    return [(node.level, node.index, texts[x], fam.star.get(node), parts.get(node, ()))
+            for node, x in zip(fam.members, scaled)]
+
+
+def _members_json(rows, newline: str) -> str:
+    """What :func:`_json_text` writes at ``newline`` for the rows as dicts of five keys, in one f-string per member.
+
+    A member is ``{"average": str, "index": int, "leaves": [int, ...],
+    "level": int, "star": [level, index] or null}``, its keys in sorted order.
+    """
+    if not rows:
+        return "[]"
+    item, key, inner = newline + "  ", newline + "    ", newline + "      "  # the member, its keys, their items
+    sep = "," + inner
+    members = []
+    for level, index, average, star, leaves in rows:
+        star_text = f"[{inner}{star.level},{inner}{star.index}{key}]" if star is not None else "null"
+        leaves_text = f"[{inner}{sep.join(map(str, leaves))}{key}]" if leaves else "[]"
+        members.append(f'{{{key}"average": {encode_basestring_ascii(average)},{key}"index": {index},'
+                       f'{key}"leaves": {leaves_text},{key}"level": {level},{key}"star": {star_text}{item}}}')
+    return "[" + item + ("," + item).join(members) + newline + "]"
+
+
+def _inspect_lines(payload: dict, rows: list[tuple]) -> list[str]:
+    """Text mode of ``inspect``: the JSON payload and the member rows rendered line by line."""
     lines = [
         f"weight on k={payload['k']}, depth={payload['depth']}: {' '.join(payload['leaf_values'])}",
         f"a1 constant  {payload['a1_constant']}  (bound k*c-k+1 = {payload['bound']})",
         f"maximal fn   {' '.join(payload['maximal_function'])}",
         "stopping family:",
     ]
-    for member in payload["stopping_family"]:
-        star = member["star"]
-        star_text = f"-> ({star[0]},{star[1]})" if star is not None else "(root)"
-        leaves = ",".join(str(i) for i in member["leaves"])
-        lines.append(f"  ({member['level']},{member['index']}) avg {member['average']} {star_text} leaves [{leaves}]")
+    for level, index, average, star, leaves in rows:
+        star_text = f"-> ({star.level},{star.index})" if star is not None else "(root)"
+        lines.append(f"  ({level},{index}) avg {average} {star_text} leaves [{','.join(map(str, leaves))}]")
     lines.append("profile (measure value per line):")
     lines.extend(f"  {measure} {value}" for measure, value in payload["profile"]["pieces"])
     lines.append(f"sup ratio    {payload['sup_ratio']} at boundary t={payload['witness']}")
@@ -327,11 +369,10 @@ def _cmd_inspect(args) -> int:
         raise ViolationError(f"superlevel audit at t={audit.t} failed: {detail}", weight_text=weight_to_text(w),
                              check="audit", detail=detail)
     a = report.analysis
-    fam = a.family
-    parts = fam.parts()
     texts = list(map(_exact_string, w.palette))
     # one rendering per distinct value of the maximal function, as for the leaf values
     maximal_texts = {x: _exact_string(Fraction(x, a.unit)) for x in set(a.scaled_maximal)}
+    rows = _member_rows(a)
     payload = {
         "k": w.shape.k,
         "depth": w.shape.m,
@@ -339,23 +380,17 @@ def _cmd_inspect(args) -> int:
         "a1_constant": _exact_string(report.c),
         "bound": _exact_string(report.bound),
         "maximal_function": list(map(maximal_texts.__getitem__, a.scaled_maximal)),
-        "stopping_family": [
-            {
-                "level": node.level,
-                "index": node.index,
-                "average": _exact_string(Fraction(a.scaled_averages[node.level][node.index], a.unit)),
-                "star": [fam.star[node].level, fam.star[node].index] if node in fam.star else None,
-                "leaves": list(parts.get(node, ())),
-            }
-            for node in fam.members
-        ],
         "profile": {"pieces": [[_exact_string(p.measure), _exact_string(p.value)] for p in report.profile.pieces]},
         "sup_ratio": _exact_string(report.sup_ratio),
         "witness": _exact_string(report.witness),
     }
     if audit is not None:
         payload["audit"] = _audit_json(audit)
-    _emit(sys.stdout, *([_json_text(payload)] if args.json else _inspect_lines(payload)))
+    if args.json:
+        payload["stopping_family"] = _JsonFragment(functools.partial(_members_json, rows))
+        _emit(sys.stdout, _json_text(payload))
+    else:
+        _emit(sys.stdout, *_inspect_lines(payload, rows))
     return 0
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -14,10 +15,11 @@ import treea1.rationals
 import treea1.search
 import treea1.verify
 from treea1 import (
-    MAX_DECIMAL_EXPONENT, MAX_MOVES, MAX_WEIGHTS, extremal_exact, make_shape, random_weight, weight_from_text,
-    weight_to_text,
+    MAX_DECIMAL_EXPONENT, MAX_MOVES, MAX_WEIGHTS, ParameterError, analyze, extremal_exact, make_shape,
+    make_step_weight, random_weight, weight_from_text, weight_to_text,
 )
 from treea1.cli import _json_text, main
+from test_acceptance import FUZZ_GRID
 from test_golden import GOLDEN, INSPECT_JSON
 from test_verify import LONG_DENOMINATORS, _inflate_the_sup_ratio
 
@@ -393,6 +395,85 @@ def test_inspect_text_mode_matches_its_recorded_digest(tmp_path, capsys):
     weight_file.write_text(weight_to_text(extremal_exact(2, 2)))
     assert run_cli(["inspect", "--weight", str(weight_file), "--t", "3/8"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == INSPECT_TEXT
+
+
+# sha256 of the text-mode stdout of ``inspect --weight <random_weight(make_shape(3, 3), 0, FUZZ_GRID)> --t 5/81``,
+# recorded when the text mode still read the stopping family from the JSON payload's member dicts
+INSPECT_TEXT_FUZZ = "c3962c7d5a888f0102d9fe37adafce16a961bb0c23f18423d354bbaa81c289aa"
+
+
+def test_inspect_text_mode_of_a_fuzz_weight_matches_its_recorded_digest(tmp_path, capsys):
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text(weight_to_text(random_weight(make_shape(3, 3), 0, FUZZ_GRID)))
+    assert run_cli(["inspect", "--weight", str(weight_file), "--t", "5/81"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == INSPECT_TEXT_FUZZ
+
+
+def _member_dicts(a):
+    """The stopping family of analysis ``a`` as inspect's JSON lists it: one dict of five keys per member."""
+    fam = a.family
+    parts = fam.parts()
+    return [
+        {
+            "level": node.level,
+            "index": node.index,
+            "average": str(Fraction(a.scaled_averages[node.level][node.index], a.unit)),
+            "star": [fam.star[node].level, fam.star[node].index] if node in fam.star else None,
+            "leaves": list(parts.get(node, ())),
+        }
+        for node in fam.members
+    ]
+
+
+_LONG = 10**40
+_MEMBER_WEIGHTS = {
+    "constant": make_step_weight(make_shape(3, 2), [5] * 9),
+    "fractional": weight_from_text("2 2 4 1 1 1\n"),
+    "fuzz_k3_m3": random_weight(make_shape(3, 3), 0, FUZZ_GRID),
+    "fuzz_k4_m2": random_weight(make_shape(4, 2), 0, FUZZ_GRID),
+    "fuzz_k2_m8": random_weight(make_shape(2, 8), 0, FUZZ_GRID),
+    "long_fractions": weight_from_text(f"2 3 1/{_LONG + 1} 7/3 1/{_LONG + 3} 100 2/{_LONG + 7} 1 5 11/13\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMBER_WEIGHTS))
+def test_the_member_writer_gives_the_bytes_of_json_dumps_of_the_member_dicts(name):
+    a = analyze(_MEMBER_WEIGHTS[name])
+    dicts = _member_dicts(a)
+    fragment = treea1.cli._JsonFragment(functools.partial(treea1.cli._members_json, treea1.cli._member_rows(a)))
+    # as a key of the payload, where inspect writes it, then at the top and nested one level deeper
+    for wrap in (lambda v: {"k": 2, "stopping_family": v, "witness": "1"}, lambda v: v, lambda v: [[v], {"x": v}]):
+        assert _json_text(wrap(fragment)) == json.dumps(wrap(dicts), sort_keys=True, indent=2)
+    if name == "constant":
+        assert dicts == [{"level": 0, "index": 0, "average": "5", "star": None, "leaves": list(range(9))}]
+
+
+def test_the_member_rows_refuse_an_average_past_the_int_string_limit(int_str_limit):
+    a, b = 10**2999 + 1, 10**2999 + 3
+    with pytest.raises(ParameterError, match="^exact value "):
+        treea1.cli._member_rows(analyze(weight_from_text(f"2 2 1/{a} 1/{b} 1 1\n")))
+
+
+def test_inspect_json_makes_as_many_writer_calls_on_4096_leaves_as_on_256(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = treea1.cli._json_text
+
+    def counted(value, newline="\n"):
+        calls.append(value)
+        return original(value, newline)
+
+    monkeypatch.setattr(treea1.cli, "_json_text", counted)  # the writer's own recursion goes through it too
+    counts = {}
+    for m in (8, 12):
+        weight_file = tmp_path / f"w{m}.txt"
+        weight_file.write_text(weight_to_text(random_weight(make_shape(2, m), 0, FUZZ_GRID)))
+        calls.clear()
+        assert main(["inspect", "--weight", str(weight_file), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # the profile's pieces, one call each, are the six grid values at both sizes
+        counts[m] = (len(calls), len(payload["profile"]["pieces"]), len(payload["stopping_family"]))
+    assert counts[8][:2] == counts[12][:2]
+    assert counts[12][2] > 10 * counts[8][2]  # while the family grows with the leaves
 
 
 def test_inspect_bound_violation_exits_1_with_the_weight(tmp_path, monkeypatch, capsys):

@@ -90,6 +90,8 @@ MUTANTS = (
            "else (bs, bw)", "else (s, width)", "killed"),
     Mutant("weak_type_reference_takes_ge", "src/treea1/verify.py",
            "if mf > lam]", "if mf >= lam]", "killed"),
+    Mutant("member_writer_swaps_the_star", "src/treea1/cli.py",
+           "{star.level},{inner}{star.index}", "{star.index},{inner}{star.level}", "killed"),
 )
 
 
