@@ -26,20 +26,23 @@ from .oracles import maximal_function_bruteforce  # noqa: F401
 
 @dataclass(frozen=True, eq=False)
 class StoppingFamily:
-    """Stopping-time decomposition of a weight.
+    """Stopping-time decomposition of a weight, held as its star links and leaf assignment.
 
-    ``members`` are the nodes whose average strictly exceeds the average of
-    every strict ancestor (the root is always a member).  ``assignment`` maps
-    each leaf to the largest node on its chain achieving the maximal average;
-    ``star`` links each non-root member to the smallest member strictly
-    containing it.  The family holds nodes only: a member's average is
-    ``Fraction(scaled_averages[level][index], unit)`` of the analysis it was
-    read from, or :func:`~treea1.oracles.average` of the weight.
+    ``star`` links each non-root member, a node whose average strictly
+    exceeds that of every strict ancestor, to the smallest member strictly
+    containing it.  ``assignment`` maps each leaf to the largest node on its
+    chain achieving the maximal average.  The family holds nodes only: a
+    member's average is ``Fraction(scaled_averages[level][index], unit)`` of
+    the analysis it was read from, or :func:`~treea1.oracles.average` of the weight.
     """
 
-    members: tuple[NodeId, ...]
     star: Mapping[NodeId, NodeId]
     assignment: tuple[NodeId, ...]
+
+    @property
+    def members(self) -> tuple[NodeId, ...]:
+        """The root, then every linked node in (level, index) order, the sweep's order of ``star``."""
+        return (ROOT, *self.star)
 
     def parts(self) -> dict[NodeId, tuple[int, ...]]:
         """Leaf partition: member -> leaves whose assignment is that member."""
@@ -75,14 +78,14 @@ class WeightAnalysis:
 
     @cached_property
     def family(self) -> StoppingFamily:
-        """Members, star links and the leaf assignment, from one top-down sweep.
+        """Star links and the leaf assignment, from one top-down sweep.
 
         Each node carries the running maximal average and its deepest achiever,
-        the star link of a new member below it.  The sweep never reads
-        ``scaled_maximal``, so the decomposition check compares two computations.
+        the star link of a new member below it; links go in level by level, in
+        index order.  The sweep never reads ``scaled_maximal``, so the
+        decomposition check compares two computations.
         """
         k, table = self.weight.shape.k, self.scaled_averages
-        members: list[NodeId] = [ROOT]
         star: dict[NodeId, NodeId] = {}
         best = [(table[0][0], ROOT)]  # per node of a level: (running max, its deepest achiever)
         for level in range(1, len(table)):
@@ -91,16 +94,11 @@ class WeightAnalysis:
                 top = best[index // k]
                 if avg > top[0]:
                     node = NodeId(level, index)
-                    members.append(node)
                     star[node] = top[1]
                     top = (avg, node)
                 below.append(top)
             best = below
-        return StoppingFamily(
-            members=tuple(members),  # found level by level, so already sorted
-            star=star,
-            assignment=tuple(node for _, node in best),
-        )
+        return StoppingFamily(star=star, assignment=tuple(node for _, node in best))
 
 
 def analyze(w: StepWeight | WeightAnalysis) -> WeightAnalysis:

@@ -215,11 +215,12 @@ def check_oracle_equality(w: StepWeight | WeightAnalysis) -> bool:
 
 
 def check_growth_bound(w: StepWeight | WeightAnalysis) -> GrowthCheck:
-    """For every member J with star link I: Av(I) < Av(J) <= (k - (k-1)/c) * Av(I).
+    """For every star link J -> I of the family: Av(I) < Av(J) <= (k - (k-1)/c) * Av(I).
 
-    ``c`` is the measured A1 constant.  The comparison runs on the
-    analysis's scaled averages: with c = P/Q the limit is
-    (k*P - (k-1)*Q) / P times Av(I), so the upper inequality is
+    ``c`` is the measured A1 constant.  The links are walked in the order of
+    ``members``, so the first violation is the first in (level, index) order.
+    The comparison runs on the analysis's scaled averages: with c = P/Q the
+    limit is (k*P - (k-1)*Q) / P times Av(I), so the upper inequality is
     ``y_member * P <= (k*P - (k-1)*Q) * y_star`` in ints.  The violation's
     ``Fraction`` tuple is built only on failure.
     """
@@ -229,10 +230,7 @@ def check_growth_bound(w: StepWeight | WeightAnalysis) -> GrowthCheck:
     fam = stopping_family(a)
     p, q = c.numerator, c.denominator
     factor = k * p - (k - 1) * q  # the limit's factor times P
-    for member in fam.members:
-        if member == ROOT:
-            continue
-        star = fam.star[member]
+    for member, star in fam.star.items():
         y_star = table[star.level][star.index]
         y_member = table[member.level][member.index]
         if not (y_star < y_member and y_member * p <= factor * y_star):

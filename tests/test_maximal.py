@@ -273,6 +273,21 @@ def _strict_ancestors(shape, node):
 
 
 @given(step_weights())
+def test_star_links_are_nearest_member_ancestors_in_level_order(w):
+    """Each star link is the nearest strict ancestor that is a member, by the oracle's averages.
+
+    ``members`` is the root followed by the linked nodes in (level, index) order.
+    """
+    fam = stopping_family(w)
+    av = {node: average(w, node) for node in all_nodes(w.shape)}  # in (level, index) order, root first
+    members = [node for node in av if all(av[q] < av[node] for q in _strict_ancestors(w.shape, node))]
+    assert fam.members == tuple(members)
+    assert list(fam.star) == members[1:]
+    for node, star in fam.star.items():
+        assert star == next(q for q in _strict_ancestors(w.shape, node) if q in members)
+
+
+@given(step_weights())
 def test_decomposition_rebuilds_maximal_function(w):
     fam = stopping_family(w)
     mf = maximal_function(w)

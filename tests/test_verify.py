@@ -426,7 +426,7 @@ def _flat_member(monkeypatch):
     The stopping check still passes, since the assignment's image is the members; only Av(I) < Av(J) fails.
     """
     child = NodeId(1, 0)
-    family = StoppingFamily(members=(ROOT, child), star={child: ROOT}, assignment=(child, ROOT))
+    family = StoppingFamily(star={child: ROOT}, assignment=(child, ROOT))
     monkeypatch.setattr(treea1.verify, "stopping_family", lambda w: family)
     assert check_stopping_consistency(make_step_weight(make_shape(2, 1), [1, 1]))
 

@@ -92,6 +92,19 @@ MUTANTS = (
            "if mf > lam]", "if mf >= lam]", "killed"),
     Mutant("member_writer_swaps_the_star", "src/treea1/cli.py",
            "{star.level},{inner}{star.index}", "{star.index},{inner}{star.level}", "killed"),
+    Mutant("search_move_skips_lowest_terms", "src/treea1/search.py",
+           "shift = min((num & -num).bit_length() - 1, exp)", "shift = 0", "killed"),
+    Mutant("search_move_never_floors", "src/treea1/search.py",
+           "if num << _FLOOR_EXP < _FLOOR_NUM << exp:", "if False:", "killed"),
+    Mutant("climb_undo_reinserts_at_the_new_index", "src/treea1/search.py",
+           "self._ascending.insert(removed, old)", "self._ascending.insert(inserted, old)", "killed"),
+    Mutant("climb_undo_keeps_the_new_ratio", "src/treea1/search.py",
+           "sums[pos], mins[pos], ratios[pos] = s, v, r", "sums[pos], mins[pos] = s, v", "killed"),
+    Mutant("climb_draws_one_more_position_bit", "src/treea1/search.py",
+           "pos_bits, step_bits = n.bit_length(), steps.bit_length()",
+           "pos_bits, step_bits = n.bit_length() + 1, steps.bit_length()", "killed"),
+    Mutant("family_sweep_takes_ge", "src/treea1/maximal.py",
+           "if avg > top[0]:", "if avg >= top[0]:", "killed"),
 )
 
 
