@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 
 from .errors import ParameterError, ViolationError
 from .rationals import MAX_DECIMAL_EXPONENT, as_fraction, decimal_string
-from .tree import MAX_LEAVES, ROOT, NodeId, TreeShape, leaves_under, make_shape, node_measure
+from .tree import MAX_LEAVES, ROOT, NodeId, TreeShape, leaves_under, make_shape
 from .weights import (
     ExtremalParams,
     StepWeight,

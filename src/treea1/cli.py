@@ -307,7 +307,9 @@ def _member_rows(a) -> list[tuple]:
     assigned to it.  Both modes of ``inspect`` read these rows.
     """
     fam = a.family
-    parts = fam.parts()
+    parts: dict = {}
+    for leaf, node in enumerate(fam.assignment):
+        parts.setdefault(node, []).append(leaf)
     scaled = [a.scaled_averages[level][index] for level, index in fam.members]
     texts = {x: _exact_string(Fraction(x, a.unit)) for x in set(scaled)}
     return [(node.level, node.index, texts[x], fam.star.get(node), parts.get(node, ()))

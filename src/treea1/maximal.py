@@ -44,13 +44,6 @@ class StoppingFamily:
         """The root, then every linked node in (level, index) order, the sweep's order of ``star``."""
         return (ROOT, *self.star)
 
-    def parts(self) -> dict[NodeId, tuple[int, ...]]:
-        """Leaf partition: member -> leaves whose assignment is that member."""
-        groups: dict[NodeId, list[int]] = {}
-        for leaf, node in enumerate(self.assignment):
-            groups.setdefault(node, []).append(leaf)
-        return {node: tuple(leaves) for node, leaves in groups.items()}
-
 
 @dataclass(frozen=True, eq=False)
 class WeightAnalysis:

@@ -10,7 +10,6 @@ for step weights every pointwise quantity is constant on leaves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -48,9 +47,6 @@ class TreeShape:
     def leaf_count(self) -> int:
         return self.k**self.m
 
-    def level_size(self, level: int) -> int:
-        return self.k**level
-
 
 def make_shape(k: int, m: int) -> TreeShape:
     """Validated constructor for a tree shape."""
@@ -62,15 +58,9 @@ def check_node(shape: TreeShape, node: NodeId) -> NodeId:
     level, index = node
     if not (0 <= level <= shape.m):
         raise ParameterError(f"node level {level} outside [0, {shape.m}]")
-    if not (0 <= index < shape.level_size(level)):
-        raise ParameterError(f"node index {index} outside [0, {shape.level_size(level)}) at level {level}")
+    if not (0 <= index < shape.k**level):
+        raise ParameterError(f"node index {index} outside [0, {shape.k**level}) at level {level}")
     return NodeId(level, index)
-
-
-def node_measure(shape: TreeShape, node: NodeId) -> Fraction:
-    """Measure of a node: each level splits mass k ways, so k**(-level)."""
-    node = check_node(shape, node)
-    return Fraction(1, shape.k**node.level)
 
 
 def leaves_under(shape: TreeShape, node: NodeId) -> range:

@@ -778,9 +778,8 @@ def sharpness_sweep(k: int, c, depths: Sequence[int], deltas: Sequence | None = 
         make_shape(k, depth)  # refuses too many leaves before k**depth is formed
         delta_list = [as_fraction(d) for d in deltas] if deltas else [default_family_delta(k, depth)]
         for delta in delta_list:
-            params = ExtremalParams.from_constant(k, c, delta, depth)
-            w = extremal_family(params)
-            nominal = family_constant_formula(k, params.alpha, params.eps, delta)
+            w = extremal_family(ExtremalParams(k, c, delta, depth))
+            nominal = family_constant_formula(k, c, delta)
             report = check_rearrangement_bound(w)
             _require(("bound",), report)
             branch_t = Fraction(1, k)

@@ -208,34 +208,24 @@ def _from_grid(shape: TreeShape, grid: Sequence[Fraction], drawn: bytes | list[i
 class ExtremalParams:
     """Parameters of the extremal family at depth >= 2.
 
-    The family puts the large value ``alpha`` on a set of measure ``delta``
-    inside the first grandchild of the root and on one full grandchild of
-    every other branch, and the small value ``eps`` elsewhere; ``alpha`` and
-    ``eps`` are coupled to the target constant by alpha/eps = k*c - k + 1.
-    ``delta`` must be a whole number of leaves at the chosen depth.
+    The family puts the large value k*c - k + 1 on a set of measure
+    ``delta`` inside the first grandchild of the root and on one full
+    grandchild of every other branch, and 1 elsewhere.  ``delta`` must be a
+    whole number of leaves at the chosen depth.
     """
 
     k: int
     c: Fraction
-    eps: Fraction
-    alpha: Fraction
     delta: Fraction
     depth: int
 
     def __post_init__(self):
         _check_int(self.depth, "depth", 2)
         make_shape(self.k, self.depth)  # refuses a bad k, and too many leaves before k**depth is formed
-        for name in ("c", "eps", "alpha", "delta"):
+        for name in ("c", "delta"):
             object.__setattr__(self, name, as_fraction(getattr(self, name)))
         if self.c < 1:
             raise ParameterError(f"target constant c must be >= 1, got {self.c}")
-        if self.eps <= 0 or self.alpha <= 0:
-            raise ParameterError("alpha and eps must be positive")
-        if self.alpha != (self.k * self.c - self.k + 1) * self.eps:
-            raise ParameterError(
-                f"alpha/eps must equal k*c-k+1 = {self.k * self.c - self.k + 1}, "
-                f"got {self.alpha}/{self.eps}"
-            )
         cell = Fraction(1, self.k**2)
         if not (0 < self.delta <= cell):
             raise ParameterError(f"delta must lie in (0, 1/k^2] = (0, {cell}], got {self.delta}")
@@ -245,68 +235,52 @@ class ExtremalParams:
                 f"delta = {self.delta} is not a whole number of leaves at depth {self.depth}"
             )
 
-    @property
-    def high_leaf_count(self) -> int:
-        """Number of depth-``depth`` leaves carrying alpha inside the first grandchild."""
-        return int(self.delta * self.k**self.depth)
-
-    @classmethod
-    def from_constant(cls, k: int, c, delta, depth: int) -> "ExtremalParams":
-        """The parameters for target constant c, with eps normalized to 1 and so alpha = k*c - k + 1."""
-        c = as_fraction(c)
-        return cls(k=k, c=c, eps=Fraction(1), alpha=k * c - k + 1, delta=as_fraction(delta), depth=depth)
-
-    @classmethod
-    def from_alpha(cls, k: int, alpha, eps, delta, depth: int) -> "ExtremalParams":
-        alpha = as_fraction(alpha)
-        eps = _positive(eps, "eps")
-        c = (alpha / eps + k - 1) / k
-        return cls(k=k, c=c, eps=eps, alpha=alpha, delta=as_fraction(delta), depth=depth)
-
 
 def extremal_exact(k: int, c) -> StepWeight:
     """Depth-2 weight whose A1 constant is exactly ``c`` and whose
     rearrangement sup-ratio is exactly ``k*c - k + 1``.
 
-    With eps normalized to 1 and alpha = k*c - k + 1, the value alpha sits on
-    the first grandchild of every level-1 node and eps everywhere else: the
-    extremal family at depth 2 with delta = 1/k^2.
+    The value k*c - k + 1 sits on the first grandchild of every level-1 node
+    and 1 everywhere else: the extremal family at depth 2 with delta = 1/k^2.
     """
-    return extremal_family(ExtremalParams.from_constant(k, c, Fraction(1, k**2), 2))
+    return extremal_family(ExtremalParams(k, c, Fraction(1, k**2), 2))
 
 
 def extremal_family(params: ExtremalParams) -> StepWeight:
     """The delta-parameterized family at a given depth.
 
-    Value alpha goes on the leftmost ``delta * k**depth`` leaves of the first
-    grandchild of the root and on every leaf of the first grandchild of each
-    remaining branch; eps fills the rest.  At delta = 1/k^2 this coincides
-    leafwise with ``extremal_exact`` after refinement to the same depth.
+    Value alpha = k*c - k + 1 goes on the leftmost ``delta * k**depth`` leaves
+    of the first grandchild of the root and on every leaf of the first
+    grandchild of each remaining branch; 1 fills the rest.  At delta = 1/k^2
+    this coincides leafwise with ``extremal_exact`` after refinement to the
+    same depth.
     """
     k, depth = params.k, params.depth
     shape = make_shape(k, depth)
     grandchild = k ** (depth - 2)
-    values = [params.eps] * shape.leaf_count
-    values[: params.high_leaf_count] = [params.alpha] * params.high_leaf_count
+    alpha = k * params.c - k + 1
+    high = int(params.delta * shape.leaf_count)
+    values = [Fraction(1)] * shape.leaf_count
+    values[:high] = [alpha] * high
     for branch in range(1, k):
         start = branch * k * grandchild
-        values[start : start + grandchild] = [params.alpha] * grandchild
+        values[start : start + grandchild] = [alpha] * grandchild
     return StepWeight(shape, tuple(values))
 
 
-def family_constant_formula(k: int, alpha, eps, delta) -> Fraction:
+def family_constant_formula(k: int, c, delta) -> Fraction:
     """Closed-form first-level average ratio of the extremal family.
 
-    Returns (k/eps) * (alpha*delta + (1/k - delta)*eps): the average of the
-    family over one level-1 branch divided by eps.  For delta strictly inside
+    Returns 1 + k**2 * delta * (c - 1): the family's average over one level-1
+    branch, where the small value is 1.  For delta strictly inside
     (0, 1/k^2) the measured A1 constant of the family is larger (the binding
     node sits one level deeper); the verification sweep reports both.
     """
     _check_int(k, "homogeneity k", 2)
-    alpha, eps, delta = as_fraction(alpha), as_fraction(eps), as_fraction(delta)
-    if alpha <= 0 or eps <= 0 or delta <= 0:
-        raise ParameterError("alpha, eps and delta must be positive")
-    return k * (alpha * delta + (Fraction(1, k) - delta) * eps) / eps
+    c = as_fraction(c)
+    if c < 1:
+        raise ParameterError(f"target constant c must be >= 1, got {c}")
+    return 1 + k**2 * _positive(delta, "delta") * (c - 1)
 
 
 def weight_to_text(w: StepWeight) -> str:

@@ -30,7 +30,7 @@ def step_weights(draw, ks=(2, 3), max_depth=3, values=positive_rationals):
 @st.composite
 def nodes_of(draw, shape):
     level = draw(st.integers(min_value=0, max_value=shape.m))
-    index = draw(st.integers(min_value=0, max_value=shape.level_size(level) - 1))
+    index = draw(st.integers(min_value=0, max_value=shape.k**level - 1))
     return level, index
 
 

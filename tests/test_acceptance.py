@@ -133,8 +133,8 @@ def test_criterion_5_kadic_bound(fuzz_results, exhaustive_result):
 
 
 def test_criterion_6_family_construction_audit():
-    params = ExtremalParams.from_alpha(2, 3, 1, Fraction(3, 16), 4)
-    printed = family_constant_formula(2, 3, 1, Fraction(3, 16))
+    params = ExtremalParams(2, 2, Fraction(3, 16), 4)
+    printed = family_constant_formula(2, 2, Fraction(3, 16))
     row = sharpness_sweep(2, 2, [4], [Fraction(3, 16)])[0]
     report = check_rearrangement_bound(extremal_family(params))
     ok = (

@@ -222,6 +222,26 @@ def test_extremal_family_mode(tmp_path):
     assert first["measured_c"] == "5/2"
 
 
+# sha256 of sweep.csv, recorded while ExtremalParams still held alpha and eps; the golden runs cover k=2, c=2 only
+SWEEP_DIGESTS = {
+    "k3_c7_3_deltas": (
+        ["--k", "3", "--c", "7/3", "--depths", "4,5", "--delta-steps", "1/81,1/27,1/9"],
+        "d2baf8a467953c7b69ae4b8257d8a8101e93c9d42077ec69502f913a9b23d48a",
+    ),
+    "k4_c5_4": (
+        ["--k", "4", "--c", "5/4", "--depths", "3,4"],
+        "a292edcc73df8eb654317d882c6f5e2f2f3d55f5d810545ad2e9ffbf23551f5d",
+    ),
+}
+
+
+@pytest.mark.parametrize("args, digest", SWEEP_DIGESTS.values(), ids=SWEEP_DIGESTS)
+def test_family_sweeps_off_k2_match_their_recorded_digests(tmp_path, args, digest):
+    out = tmp_path / "run"
+    assert run_cli(["extremal", "--mode", "paper", *args, "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "sweep.csv").read_bytes()).hexdigest() == digest
+
+
 def test_extremal_reports_a_constant_above_the_floats(tmp_path):
     out = tmp_path / "run"
     code = run_cli(["extremal", "--k", "2", "--c", "1e400", "--mode", "paper", "--depths", "2", "--out", str(out)])
@@ -412,14 +432,16 @@ def test_inspect_text_mode_of_a_fuzz_weight_matches_its_recorded_digest(tmp_path
 def _member_dicts(a):
     """The stopping family of analysis ``a`` as inspect's JSON lists it: one dict of five keys per member."""
     fam = a.family
-    parts = fam.parts()
+    parts = {}
+    for leaf, node in enumerate(fam.assignment):
+        parts.setdefault(node, []).append(leaf)
     return [
         {
             "level": node.level,
             "index": node.index,
             "average": str(Fraction(a.scaled_averages[node.level][node.index], a.unit)),
             "star": [fam.star[node].level, fam.star[node].index] if node in fam.star else None,
-            "leaves": list(parts.get(node, ())),
+            "leaves": parts.get(node, []),
         }
         for node in fam.members
     ]

@@ -222,7 +222,6 @@ def test_stopping_family_extremal_weight():
     assert fam.assignment == (NodeId(2, 0), ROOT, NodeId(2, 2), ROOT)
     assert average(w, ROOT) == 2
     assert average(w, NodeId(2, 0)) == 3
-    assert fam.parts() == {NodeId(2, 0): (0,), ROOT: (1, 3), NodeId(2, 2): (2,)}
 
 
 def test_stopping_family_nested_members():

@@ -17,8 +17,8 @@ COUNT_ARGUMENTS = [
     ("depth m", 1, lambda v: make_shape(2, v)),
     ("refinement levels", 1, lambda v: refine(extremal_exact(2, 2), v)),
     ("seed", 0, lambda v: random_weight(make_shape(2, 1), v, [1])),
-    ("depth", 2, lambda v: ExtremalParams.from_constant(2, 2, Fraction(1, 4), v)),
-    ("homogeneity k", 2, lambda v: family_constant_formula(v, 3, 1, Fraction(1, 8))),
+    ("depth", 2, lambda v: ExtremalParams(2, 2, Fraction(1, 4), v)),
+    ("homogeneity k", 2, lambda v: family_constant_formula(v, 2, Fraction(1, 8))),
     ("trials", 0, lambda v: fuzz_campaign(2, 1, v, 0, [1])),
     ("threads", 1, lambda v: fuzz_campaign(2, 1, 1, 0, [1], threads=v)),
     ("family depth", 2, lambda v: sharpness_sweep(2, 2, [v])),
@@ -39,7 +39,7 @@ def test_every_count_argument_refuses_bools_floats_and_values_below_its_least(na
 @pytest.mark.parametrize("call, message", [
     (lambda v: scale(extremal_exact(2, 2), v), "scale factor must be positive, got {}"),
     (lambda v: random_weight(make_shape(2, 1), 0, [v, 1]), "grid values must be positive, got {}"),
-    (lambda v: ExtremalParams.from_alpha(2, 3, v, Fraction(1, 4), 2), "eps must be positive, got {}"),
+    (lambda v: family_constant_formula(2, 2, v), "delta must be positive, got {}"),
     (lambda v: check_weak_type(extremal_exact(2, 2), v), "weak-type level must be positive, got {}"),
 ])
 def test_every_single_value_positive_argument_refuses_zero_and_negatives(call, message):

@@ -33,7 +33,7 @@ def test_rearrange_examples():
         (Fraction(1, 2), 3),
         (Fraction(1, 2), 1),
     )
-    family = extremal_family(ExtremalParams.from_alpha(2, 3, 1, Fraction(3, 16), 4))
+    family = extremal_family(ExtremalParams(2, 2, Fraction(3, 16), 4))
     assert rearrange(family).pieces == ((Fraction(7, 16), 3), (Fraction(9, 16), 1))
 
 

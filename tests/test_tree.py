@@ -1,8 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
-from treea1 import MAX_LEAVES, NodeId, ParameterError, leaves_under, make_shape, node_measure
+from treea1 import MAX_LEAVES, NodeId, ParameterError, leaves_under, make_shape
 from treea1.tree import ROOT
 
 
@@ -27,17 +25,11 @@ def test_shape_refuses_more_than_max_leaves():
             make_shape(k, m)
 
 
-def test_node_measure_values():
-    assert node_measure(make_shape(2, 3), ROOT) == 1
-    assert node_measure(make_shape(2, 3), NodeId(3, 5)) == Fraction(1, 8)
-    assert node_measure(make_shape(3, 2), NodeId(2, 4)) == Fraction(1, 9)
-
-
-def test_node_measure_rejects_invalid_nodes():
+def test_leaves_under_rejects_invalid_nodes():
     shape = make_shape(2, 2)
     for bad in (NodeId(3, 0), NodeId(1, 2), NodeId(1, -1), NodeId(-1, 0)):
         with pytest.raises(ParameterError):
-            node_measure(shape, bad)
+            leaves_under(shape, bad)
 
 
 def test_leaves_under_ranges():
@@ -51,6 +43,6 @@ def test_level_nodes_partition_leaves():
     shape = make_shape(3, 3)
     for level in range(shape.m + 1):
         seen = []
-        for index in range(shape.level_size(level)):
+        for index in range(shape.k**level):
             seen.extend(leaves_under(shape, NodeId(level, index)))
         assert seen == list(range(shape.leaf_count))

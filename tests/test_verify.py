@@ -47,7 +47,6 @@ from treea1 import (
     leaves_under,
     make_shape,
     make_step_weight,
-    node_measure,
     prefix_average,
     random_weight,
     rearrange,
@@ -201,7 +200,7 @@ def _audit_oracle(report, t):
             dominates_prefix=True, inside_level_set=True, measures_ordered=True,
         )
     else:
-        mu = sum(node_measure(w.shape, node) for node in nodes)
+        mu = sum(Fraction(1, w.shape.k**node.level) for node in nodes)
         integral = sum(w.leaf_values[leaf] for node in nodes for leaf in leaves_under(w.shape, node)) / n
         set_average = integral / mu
         fields = dict(
@@ -256,7 +255,7 @@ def test_audits_match_the_per_t_oracle_on_extremal_weights(k, c, depth):
     _assert_audits_match_oracle(w if depth == 2 else refine(w, depth - 2), reuse_report=False)
     if depth > 2:  # the family with delta below 1/k^2 is not a refinement
         delta = default_family_delta(k, depth)
-        w = extremal_family(ExtremalParams.from_constant(k, c, delta, depth))
+        w = extremal_family(ExtremalParams(k, c, delta, depth))
         _assert_audits_match_oracle(w, reuse_report=False)
 
 
@@ -363,7 +362,7 @@ def test_audits_neither_check_t_nor_bisect_per_grid_point(monkeypatch):
 
 @pytest.mark.parametrize("w", [
     make_step_weight(make_shape(2, 3), [5, 1, 2, 2, 7, 1, 3, 1]),
-    extremal_family(ExtremalParams.from_constant(3, 2, default_family_delta(3, 3), 3)),
+    extremal_family(ExtremalParams(3, 2, default_family_delta(3, 3), 3)),
     random_weight(make_shape(2, 6), 5, [1, 2, 3, 5, 10, 100]),
 ])
 def test_single_t_audits_walk_to_their_piece_without_a_bisect(w, monkeypatch):
@@ -902,7 +901,7 @@ def test_sharpness_sweep_raises_with_the_family_weight_when_the_bound_fails(monk
     with pytest.raises(ViolationError) as info:
         sharpness_sweep(2, 2, [4])
     assert info.value.check == "bound"
-    family = extremal_family(ExtremalParams.from_constant(2, 2, default_family_delta(2, 4), 4))
+    family = extremal_family(ExtremalParams(2, 2, default_family_delta(2, 4), 4))
     assert info.value.weight_text == weight_to_text(family)
 
 
@@ -1045,7 +1044,7 @@ def test_tampered_audits_match_a_per_t_recomputation(w, extra, factor):
 @pytest.mark.parametrize("w, pieces", [
     (random_weight(make_shape(3, 3), 1, [1, 2, 3, 5, 10, 100]), 6),
     (random_weight(make_shape(4, 2), 2, [1, 2, 3, 5, 10, 100]), 5),
-    (extremal_family(ExtremalParams.from_constant(4, 2, default_family_delta(4, 3), 3)), 2),
+    (extremal_family(ExtremalParams(4, 2, default_family_delta(4, 3), 3)), 2),
     (make_step_weight(make_shape(3, 2), [7] * 9), 1),  # one degenerate piece
 ])
 def test_single_t_audits_at_piece_ends_and_off_the_grid_match_the_oracle(w, pieces):

@@ -262,12 +262,12 @@ def test_extremal_exact_rejects_bad_parameters():
 
 
 def test_extremal_family_full_cell_matches_exact():
-    params = ExtremalParams.from_alpha(2, 3, 1, Fraction(1, 4), 2)
+    params = ExtremalParams(2, 2, Fraction(1, 4), 2)
     assert extremal_family(params) == extremal_exact(2, 2)
 
 
 def test_extremal_family_partial_cell_pattern():
-    params = ExtremalParams.from_alpha(2, 3, 1, Fraction(3, 16), 4)
+    params = ExtremalParams(2, 2, Fraction(3, 16), 4)
     w = extremal_family(params)
     high = {leaf for leaf, v in enumerate(w.leaf_values) if v == 3}
     assert high == {0, 1, 2, 8, 9, 10, 11}
@@ -275,54 +275,48 @@ def test_extremal_family_partial_cell_pattern():
 
 
 def test_extremal_family_matches_refined_exact_at_full_cell():
-    params = ExtremalParams.from_alpha(2, 3, 1, Fraction(1, 4), 4)
+    params = ExtremalParams(2, 2, Fraction(1, 4), 4)
     assert extremal_family(params) == refine(extremal_exact(2, 2), 2)
 
 
 def test_extremal_params_validation():
     with pytest.raises(ParameterError):  # delta exceeds the first grandchild
-        ExtremalParams.from_alpha(2, 3, 1, Fraction(1, 2), 4)
+        ExtremalParams(2, 2, Fraction(1, 2), 4)
     with pytest.raises(ParameterError):  # not leaf-aligned at depth 4
-        ExtremalParams.from_alpha(2, 3, 1, Fraction(1, 48), 4)
-    with pytest.raises(ParameterError):  # alpha/eps coupling broken
-        ExtremalParams(k=2, c=2, eps=1, alpha=4, delta=Fraction(1, 4), depth=2)
+        ExtremalParams(2, 2, Fraction(1, 48), 4)
     with pytest.raises(ParameterError):  # family needs depth >= 2
-        ExtremalParams.from_alpha(2, 3, 1, Fraction(1, 4), 1)
+        ExtremalParams(2, 2, Fraction(1, 4), 1)
     with pytest.raises(ParameterError):
-        ExtremalParams.from_constant(2, Fraction(1, 2), Fraction(1, 4), 2)
-    for alpha, eps in ((0, 0), (-3, -1), (0, 1), (3, 0)):
-        with pytest.raises(ParameterError, match="alpha and eps must be positive"):
-            ExtremalParams(k=2, c=2, eps=eps, alpha=alpha, delta=Fraction(1, 4), depth=2)
-    with pytest.raises(ParameterError, match="eps must be positive"):  # refused before alpha / eps is formed
-        ExtremalParams.from_alpha(2, 3, 0, Fraction(1, 4), 2)
+        ExtremalParams(2, Fraction(1, 2), Fraction(1, 4), 2)
 
 
 def test_family_constant_formula_values():
-    assert family_constant_formula(2, 3, 1, Fraction(3, 16)) == Fraction(7, 4)
+    assert family_constant_formula(2, 2, Fraction(3, 16)) == Fraction(7, 4)
     # continuity at the full cell: the formula lands exactly on c
-    assert family_constant_formula(2, 3, 1, Fraction(1, 4)) == 2
-    assert family_constant_formula(3, 2, 2, Fraction(1, 27)) == 1  # alpha == eps
+    assert family_constant_formula(2, 2, Fraction(1, 4)) == 2
+    assert family_constant_formula(3, 1, Fraction(1, 27)) == 1  # alpha == eps
     with pytest.raises(ParameterError):
-        family_constant_formula(2, 3, 1, 0)
+        family_constant_formula(2, 2, 0)
+    with pytest.raises(ParameterError, match="c must be >= 1"):
+        family_constant_formula(2, Fraction(1, 2), Fraction(1, 4))
     with pytest.raises(ParameterError, match="homogeneity k"):
-        family_constant_formula(1, 3, 1, Fraction(1, 4))
+        family_constant_formula(1, 2, Fraction(1, 4))
 
 
 @given(c=st.fractions(min_value=1, max_value=9, max_denominator=8), k=st.sampled_from((2, 3, 4)))
 def test_family_formula_tends_to_c_from_below(c, k):
-    alpha = k * c - k + 1
     cell = Fraction(1, k**2)
     previous = None
     for r in (1, 2, 3):
         delta = cell * (1 - Fraction(1, k**r))
         if delta == 0:
             continue
-        value = family_constant_formula(k, alpha, 1, delta)
+        value = family_constant_formula(k, c, delta)
         assert value <= c
         if previous is not None:
             assert value >= previous
         previous = value
-    assert family_constant_formula(k, alpha, 1, cell) == c
+    assert family_constant_formula(k, c, cell) == c
 
 
 @given(
@@ -339,7 +333,7 @@ def test_extremal_exact_calibration(k, c):
 
 @pytest.mark.parametrize("k,depth", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
 def test_extremal_family_full_cell_refines_exact(k, depth):
-    params = ExtremalParams.from_constant(k, 2, Fraction(1, k**2), depth)
+    params = ExtremalParams(k, 2, Fraction(1, k**2), depth)
     expected = extremal_exact(k, 2)
     if depth > 2:
         expected = refine(expected, depth - 2)
@@ -351,11 +345,11 @@ def test_extremal_family_full_cell_refines_exact(k, depth):
 )
 def test_extremal_family_measured_constant_exceeds_grandchild_ratio(delta, depth):
     """For delta strictly inside (0, 1/k^2) the first grandchild's ratio is a floor."""
-    k, alpha, eps = 2, Fraction(3), Fraction(1)
-    w = extremal_family(ExtremalParams.from_alpha(k, alpha, eps, delta, depth))
+    k, c, alpha, eps = 2, 2, Fraction(3), Fraction(1)
+    w = extremal_family(ExtremalParams(k, c, delta, depth))
     grandchild_ratio = k**2 * (alpha * delta + (Fraction(1, k**2) - delta) * eps) / eps
     assert a1_constant(w) >= grandchild_ratio
-    assert grandchild_ratio > family_constant_formula(k, alpha, eps, delta)
+    assert grandchild_ratio > family_constant_formula(k, c, delta)
 
 
 def test_refine_repeats_values():

@@ -25,8 +25,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-# what the tier-1 suite reads: the package, the tests and their configuration
-COPIED = ("src", "tests", "pyproject.toml")
+# what the tier-1 suite reads: the package, the tests, their configuration, and the
+# benchmark, CI workflow and README, where tests/test_api.py looks for each public name's use
+COPIED = ("src", "tests", "pyproject.toml", "perfbench", ".github", "README.md")
 # checks these declarations, not the code, so every mutant would fail it
 DECLARATIONS_TEST = "tests/test_mutants.py"
 HYPOTHESIS_SEED = 0
@@ -105,6 +106,9 @@ MUTANTS = (
            "pos_bits, step_bits = n.bit_length() + 1, steps.bit_length()", "killed"),
     Mutant("family_sweep_takes_ge", "src/treea1/maximal.py",
            "if avg > top[0]:", "if avg >= top[0]:", "killed"),
+    Mutant("family_formula_drops_a_factor_k", "src/treea1/weights.py",
+           "1 + k**2 * _positive(delta, \"delta\") * (c - 1)", "1 + k * _positive(delta, \"delta\") * (c - 1)",
+           "killed"),
 )
 
 
