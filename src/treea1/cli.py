@@ -17,11 +17,10 @@ import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import ParameterError, ViolationError
-from .rationals import _exact_string, as_fraction, decimal_string
+from .rationals import _check_t, _exact_string, as_fraction, decimal_string
 from .search import SearchConfig, hill_climb
 from .tree import make_shape
 from .verify import (
@@ -94,10 +93,8 @@ def _emit(stream, *lines: str) -> None:
             os.dup2(devnull.fileno(), stream.fileno())
 
 
-class _JsonFragment(NamedTuple):
-    """A value that writes its own JSON text: ``write(newline)`` is what :func:`_json_text` gives it there."""
-
-    write: Callable[[str], str]
+class _JsonText(str):
+    """JSON text already written for the line it sits on, which :func:`_json_text` emits unchanged."""
 
 
 def _json_text(value, newline: str = "\n") -> str:
@@ -106,13 +103,13 @@ def _json_text(value, newline: str = "\n") -> str:
     With ``indent`` set, ``json.dumps`` runs the stdlib's pure-Python encoder;
     this writer recurses only into dicts and lists, and writes a list whose
     items are all str or all int with one ``str.join`` over a C-level encoder.
-    A float is written by ``json`` itself.  A :class:`_JsonFragment` writes
-    itself, unchanged, for the line it sits on.  Any other value, a tuple
-    included, or a dict key that is not a str raises TypeError.  ``newline``
-    is the line break plus the indent of the line ``value`` sits on.
+    A float is written by ``json`` itself, a :class:`_JsonText` as it is.  Any
+    other value, a tuple included, or a dict key that is not a str raises
+    TypeError.  ``newline`` is the line break plus the indent of the line
+    ``value`` sits on.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is _JsonText else encode_basestring_ascii(value)
     if value is None:
         return "null"
     if value is True:
@@ -137,8 +134,6 @@ def _json_text(value, newline: str = "\n") -> str:
         encode = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
         items = map(encode, value) if encode else [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if type(value) is _JsonFragment:
-        return value.write(newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
@@ -357,6 +352,7 @@ def _inspect_lines(payload: dict, rows: list[tuple]) -> list[str]:
 
 
 def _cmd_inspect(args) -> int:
+    t = None if args.t is None else _check_t(args.t)  # a bad --t is refused before the weight is read
     try:
         text = Path(args.weight).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -365,7 +361,7 @@ def _cmd_inspect(args) -> int:
     report = check_rearrangement_bound(w)
     # a failed check exits 1 with the weight on stderr, through main, before anything is printed
     _require(("bound",), report)
-    audit = audit_superlevel(report, args.t) if args.t is not None else None
+    audit = audit_superlevel(report, t) if t is not None else None
     if audit is not None and not audit.passed:
         detail = ", ".join(name for name, ok in audit.checks.items() if not ok)
         raise ViolationError(f"superlevel audit at t={audit.t} failed: {detail}", weight_text=weight_to_text(w),
@@ -389,7 +385,7 @@ def _cmd_inspect(args) -> int:
     if audit is not None:
         payload["audit"] = _audit_json(audit)
     if args.json:
-        payload["stopping_family"] = _JsonFragment(functools.partial(_members_json, rows))
+        payload["stopping_family"] = _JsonText(_members_json(rows, "\n  "))  # a key of the top-level payload
         _emit(sys.stdout, _json_text(payload))
     else:
         _emit(sys.stdout, *_inspect_lines(payload, rows))

@@ -14,7 +14,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, product, repeat
 from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -41,15 +41,18 @@ _FLAG_FIELDS = {
 }
 _REPORT_CHECKS = ("stopping", "growth", "weak_type", "decomposition")
 # Most weights one campaign may examine, random or exhaustive: a campaign holds
-# a seed for every trial and a row for every weight, so larger campaigns are
-# refused before anything is allocated.
+# a row for every weight, so larger campaigns are refused before anything is
+# allocated.  Nothing else grows with the count: each chunk draws its own
+# weights from the campaign seed and its index range.
 MAX_WEIGHTS = 500_000
 # Least work, in leaves (trials * k**m), a pooled campaign gives each worker.
 # Measured on 2 cores with Python 3.11: importing the process pool takes about
 # 16 ms and starting and joining 2 workers 9-11 ms, while all checks cost about
 # 3.0 us per leaf at 256 leaves and 2.5 us at 1,024, so this is 20-25 ms per
 # worker, about the 25 ms start-up; a campaign with less work runs in this
-# process.
+# process.  Later, on the same host, 2 workers at 16,384 leaves each took
+# 137-140 ms against 105-107 ms in one process; a host with more real cores
+# should re-measure this value.
 MIN_LEAVES_PER_WORKER = 8192
 # Most distinct leaf values, summed over the histograms whose profiles one
 # campaign chunk keeps.  A kept profile and its key hold a few tuples as long as
@@ -577,48 +580,42 @@ def _require(names: Iterable[str], report: VerificationReport) -> None:
             raise ViolationError(f"check '{name}' failed: {detail}", weight_text=text, check=name, detail=detail)
 
 
-def _campaign_weight(shape: TreeShape, grid: Sequence[Fraction], seed: int | None, index: int) -> StepWeight:
-    """Weight number ``index`` of a campaign.
-
-    With a seed, the trial's own, it is the draw ``random_weight(shape, seed, grid)``,
-    made without canonicalizing ``grid`` again, and ``index`` is not read.
-    With None, it is the index-th grid weight in :func:`itertools.product` order:
-    ``index`` read in base ``len(grid)``, the first leaf the most significant digit.
-    """
-    if seed is not None:
-        return _draw(shape, seed, grid)
-    digits = []
-    for _ in range(shape.leaf_count):
-        index, digit = divmod(index, len(grid))
-        digits.append(digit)
-    return _from_grid(shape, grid, digits[::-1])
-
-
 def _scan(
-    shape: TreeShape, grid: Sequence[Fraction], seeds: Sequence[int] | None, indices: range,
-    checks: tuple[str, ...],
+    shape: TreeShape, grid: Sequence[Fraction], seed: int | None, indices: range, checks: tuple[str, ...],
 ) -> tuple[list[WeightRow], tuple[Fraction, StepWeight] | None, tuple | None]:
     """Check one chunk of a campaign: the weights numbered by ``indices``, in order.
 
-    ``seeds`` holds the seeds of ``indices`` alone (None for a grid
-    enumeration), so a worker is sent its index range and seed slice, never a
-    weight.  Each weight gets one report, on which :func:`_failure` runs the
-    bound and then each of ``checks``.  The chunk shares the profile side
-    between weights of one leaf histogram: w*, its sup-ratio and witness, and
-    the k-adic constant are built once per histogram, in a
-    :class:`_ChunkProfiles` local to this call, while c, the bound, the margin
-    and every check are formed per weight.  Returns the rows, the first
-    (margin, weight) of smallest margin, and the first failure, which ends the
-    chunk, as (index, check, detail, weight_text) so the merge step can pick
-    the lowest index deterministically across worker processes.
+    The chunk draws its own weights from the campaign ``seed`` and its range,
+    so a worker is sent those, never a weight.  With a seed, trial i is
+    ``random_weight(shape, s, grid)`` for s the i-th ``randrange(2**63)`` of
+    ``random.Random(seed)``: the chunk makes and throws away the
+    ``indices.start`` draws of earlier chunks first.  With None, weight i is
+    the i-th grid weight in :func:`itertools.product` order, the first leaf
+    the most significant digit.  Each weight gets one report, on which
+    :func:`_failure` runs the bound and then each of ``checks``.  The chunk
+    shares the profile side between weights of one leaf histogram: w*, its
+    sup-ratio and witness, and the k-adic constant are built once per
+    histogram, in a :class:`_ChunkProfiles` local to this call, while c, the
+    bound, the margin and every check are formed per weight.  Returns the
+    rows, the first (margin, weight) of smallest margin, and the first
+    failure, which ends the chunk, as (index, check, detail, weight_text) so
+    the merge step can pick the lowest index deterministically across worker
+    processes.
     """
+    if seed is None:
+        draws = islice(product(range(len(grid)), repeat=shape.leaf_count), indices.start, None)
+    else:
+        randrange = random.Random(seed).randrange
+        for _ in range(indices.start):
+            randrange(2**63)
+        draws = (randrange(2**63) for _ in indices)
     names = ("bound",) + checks
     flags = {field: True if name in checks else None for name, field in _FLAG_FIELDS.items()}
     rows: list[WeightRow] = []
     worst: tuple[Fraction, StepWeight] | None = None
     profiles = _ChunkProfiles()
-    for index, seed in zip(indices, repeat(None) if seeds is None else seeds):
-        w = _campaign_weight(shape, grid, seed, index)
+    for index, drawn in zip(indices, draws):
+        w = _from_grid(shape, grid, drawn) if seed is None else _draw(shape, drawn, grid)
         a = analyze(w)
         side = profiles.side(a)
         report = check_rearrangement_bound(a, _side=side)
@@ -655,19 +652,21 @@ def fuzz_campaign(
 ) -> CampaignSummary:
     """Run the selected checks over seeded random weights (or every grid weight).
 
-    Per-trial seeds are derived once from ``seed``, a non-negative int, so
-    results do not depend on ``threads``; the rearrangement bound itself is
-    always checked.  The first failing trial (lowest index) aborts the
-    campaign by raising ViolationError with the serialized weight.
+    Trial i is drawn from the i-th ``randrange(2**63)`` of ``random.Random(seed)``,
+    for ``seed`` a non-negative int, whichever chunk draws it, so results do
+    not depend on ``threads``; the rearrangement bound itself is always
+    checked.  The first failing trial (lowest index) aborts the campaign by
+    raising ViolationError with the serialized weight.
 
     A random campaign starts at most ``threads`` worker processes, and no
     more than the CPUs or the trials, but none for less than
     ``MIN_LEAVES_PER_WORKER`` (8,192) leaves of work each, counted as
     ``trials * k**m``; below that, and for an exhaustive campaign, it runs in
     this process.  ``CampaignSummary.workers`` says how many it used.  Each
-    worker's chunk of consecutive trials goes to :func:`_scan`, by the builtin
-    ``map`` or the pool's with the same arguments; each trial is drawn from
-    its own seed and checked bound first, and its first failure ends the chunk.
+    worker's chunk goes to :func:`_scan` as the campaign seed (None for an
+    exhaustive campaign) and a ``range`` of consecutive indices, by the
+    builtin ``map`` or the pool's with the same arguments; the chunk draws
+    its own weights.  This function validates, cuts the ranges and merges.
     """
     shape = make_shape(k, m)
     grid_values = _canonical_grid(grid)
@@ -677,6 +676,7 @@ def fuzz_campaign(
     _check_int(threads, "threads", 1)
     _check_seed(seed)
 
+    total = trials
     if exhaustive:
         g, n = len(grid_values), shape.leaf_count
         # with g >= 2, g**n is above the limit once n reaches its bit length,
@@ -686,10 +686,7 @@ def fuzz_campaign(
                 f"exhaustive enumeration of {g}**{n} weights is more than {MAX_WEIGHTS}; "
                 "shrink the grid or depth"
             )
-        total, seeds = g**n, None
-    else:
-        master = random.Random(seed)
-        total, seeds = trials, [master.randrange(2**63) for _ in range(trials)]
+        total, seed = g**n, None
 
     # Exhaustive mode runs in this process whatever ``threads`` says: each
     # worker adds its own memory to the run's peak.  A pool is started only
@@ -700,8 +697,8 @@ def fuzz_campaign(
     step = max(1, -(-total // workers))  # one chunk per worker; no trials make none, and range() refuses a step of 0
     starts = range(0, total, step)
     workers = max(1, len(starts))
-    chunks = (repeat(shape), repeat(grid_values), [None if seeds is None else seeds[i : i + step] for i in starts],
-              [range(i, min(i + step, total)) for i in starts], repeat(selected))
+    chunks = (repeat(shape), repeat(grid_values), repeat(seed), [range(i, min(i + step, total)) for i in starts],
+              repeat(selected))
     if workers == 1:
         batches = list(map(_scan, *chunks))
     else:

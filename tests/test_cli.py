@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import json
 import os
@@ -462,10 +461,15 @@ _MEMBER_WEIGHTS = {
 def test_the_member_writer_gives_the_bytes_of_json_dumps_of_the_member_dicts(name):
     a = analyze(_MEMBER_WEIGHTS[name])
     dicts = _member_dicts(a)
-    fragment = treea1.cli._JsonFragment(functools.partial(treea1.cli._members_json, treea1.cli._member_rows(a)))
+    rows = treea1.cli._member_rows(a)
+
+    def written(newline):
+        return treea1.cli._JsonText(treea1.cli._members_json(rows, newline))
+
     # as a key of the payload, where inspect writes it, then at the top and nested one level deeper
-    for wrap in (lambda v: {"k": 2, "stopping_family": v, "witness": "1"}, lambda v: v, lambda v: [[v], {"x": v}]):
-        assert _json_text(wrap(fragment)) == json.dumps(wrap(dicts), sort_keys=True, indent=2)
+    for newline, wrap in (("\n  ", lambda v: {"k": 2, "stopping_family": v, "witness": "1"}),
+                          ("\n", lambda v: v), ("\n    ", lambda v: [[v], {"x": v}])):
+        assert _json_text(wrap(written(newline))) == json.dumps(wrap(dicts), sort_keys=True, indent=2)
     if name == "constant":
         assert dicts == [{"level": 0, "index": 0, "average": "5", "star": None, "leaves": list(range(9))}]
 
@@ -555,6 +559,19 @@ def test_a_reader_that_closes_stdout_does_not_change_the_exit_code(tmp_path):
         _, err = proc.communicate(timeout=60)
         assert (proc.returncode, err.decode()) == (0, "")
     assert (tmp_path / "run" / "report.csv").exists() and not (tmp_path / "run" / "counterexample.txt").exists()
+
+
+def test_inspect_refuses_a_bad_t_before_it_analyses_the_weight(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bad --t must be refused before the weight is analysed")
+
+    monkeypatch.setattr(treea1.cli, "check_rearrangement_bound", refuse)
+    weight_file = tmp_path / "w.txt"
+    weight_file.write_text(weight_to_text(extremal_exact(2, 2)))
+    for mode in ([], ["--json"]):
+        assert run_cli(["inspect", "--weight", str(weight_file), "--t", "2", *mode]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: t must lie in (0, 1], got 2\n")
 
 
 def test_inspect_unreadable_file(tmp_path):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -143,6 +144,15 @@ def test_audit_of_a_lost_superlevel_set_fails_its_leafwise_fallback(monkeypatch)
     assert level.superlevel_measure == 0 and level.above_threshold_measure == Fraction(1, 2)
     assert not level.average_bounded
     assert [name for name, ok in audit.checks.items() if not ok] == ["average_bounded"]
+    assert not audit.passed
+
+
+def test_audit_of_a_node_with_a_leaf_at_the_level_fails_inside_level_set(monkeypatch):
+    # the node (1, 0) holds leaves 3 and 1, and w*(3/4) = 1: its leaf at the level is not above it
+    monkeypatch.setattr(treea1.verify, "superlevel_set", lambda a, threshold: (NodeId(1, 0),))
+    audit = audit_superlevel(extremal_exact(2, 2), Fraction(3, 4))
+    assert audit.level.level_value == 1
+    assert not audit.level.inside_level_set
     assert not audit.passed
 
 
@@ -430,6 +440,12 @@ def _flat_member(monkeypatch):
     assert check_stopping_consistency(make_step_weight(make_shape(2, 1), [1, 1]))
 
 
+def test_stopping_check_refuses_a_member_no_leaf_is_assigned_to(monkeypatch):
+    family = StoppingFamily(star={NodeId(1, 0): ROOT}, assignment=(ROOT, ROOT))
+    monkeypatch.setattr(treea1.verify, "stopping_family", lambda w: family)
+    assert not check_stopping_consistency(make_step_weight(make_shape(2, 1), [1, 1]))
+
+
 def test_growth_check_refuses_a_member_no_larger_than_its_star(monkeypatch):
     _flat_member(monkeypatch)
     result = check_growth_bound(make_step_weight(make_shape(2, 1), [1, 1]))
@@ -642,26 +658,43 @@ def test_pooled_campaign_sends_workers_indices_and_seeds_only(monkeypatch):
     pooled = fuzz_campaign(2, 3, 7, seed=5, grid=[1, 2, 3], checks=("kadic",), threads=2)
     assert len(calls) == 2
     assert not any(_holds_weight(args) for args in calls)
-    assert [args[3] for args in calls] == [range(0, 4), range(4, 7)]
-    seeds = [args[2] for args in calls]
-    assert [len(s) for s in seeds] == [4, 3] and all(isinstance(x, int) for s in seeds for x in s)
+    # each chunk gets the campaign seed and its range, and draws its own weights
+    assert [args[2:4] for args in calls] == [(5, range(0, 4)), (5, range(4, 7))]
     serial = fuzz_campaign(2, 3, 7, seed=5, grid=[1, 2, 3], checks=("kadic",))
     assert [r.weight_hash for r in pooled.rows] == [r.weight_hash for r in serial.rows]
     assert pooled.worst_weight_text == serial.worst_weight_text
 
 
+def test_a_campaign_draws_nothing_per_trial_before_its_chunks_run(monkeypatch):
+    monkeypatch.setattr(treea1.verify, "_scan", lambda *args: ([], None, None))
+    tracemalloc.start()
+    try:
+        fuzz_campaign(2, 1, 50_000, 0, [1, 2], checks=(), threads=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def test_campaign_weight_enumerates_the_grid_in_product_order():
     shape, grid = make_shape(2, 2), [Fraction(1), Fraction(2), Fraction(3)]
-    weights = [treea1.verify._campaign_weight(shape, grid, None, i).leaf_values for i in range(81)]
-    assert weights == list(itertools.product(grid, repeat=4))
+    hashes = [weight_hash(make_step_weight(shape, values)) for values in itertools.product(grid, repeat=4)]
+    summary = fuzz_campaign(2, 2, 0, 0, grid, checks=(), exhaustive=True)
+    assert [row.weight_hash for row in summary.rows] == hashes
+    # a chunk that starts mid-stream enumerates from its own start
+    rows, _, _ = treea1.verify._scan(shape, grid, None, range(37, 81), ())
+    assert [(row.index, row.weight_hash) for row in rows] == list(zip(range(37, 81), hashes[37:]))
 
 
 def test_campaign_weight_with_seeds_is_the_seeded_draw():
     shape, grid = make_shape(3, 2), [Fraction(1), Fraction(5, 2), Fraction(7)]
-    seeds = [0, 12345, 2**63 - 1]
-    for i, trial_seed in enumerate(seeds):
-        drawn = treea1.verify._campaign_weight(shape, grid, seeds[i], i)
-        assert drawn.leaf_values == random_weight(shape, trial_seed, grid).leaf_values
+    master = random.Random(4)
+    hashes = [weight_hash(random_weight(shape, master.randrange(2**63), grid)) for _ in range(9)]
+    summary = fuzz_campaign(3, 2, 9, 4, grid, checks=())
+    assert [row.weight_hash for row in summary.rows] == hashes
+    # a chunk that starts mid-stream skips exactly the earlier trials' draws
+    rows, _, _ = treea1.verify._scan(shape, grid, 4, range(5, 9), ())
+    assert [(row.index, row.weight_hash) for row in rows] == list(zip(range(5, 9), hashes[5:]))
 
 
 def test_pooled_campaign_raises_the_lowest_violating_index(monkeypatch):

@@ -34,7 +34,6 @@ from treea1 import (
     weight_to_text,
 )
 from treea1.rationals import _exact_decimal_string
-import treea1.verify
 import treea1.weights
 
 
@@ -128,11 +127,12 @@ def test_a_weight_built_from_its_codes_equals_the_identity_pass(km, distinct, se
     shape = make_shape(*km)
     grid = treea1.weights._canonical_grid(distinct)
     drawn = random_weight(shape, seed, grid)
-    index = data.draw(st.integers(0, len(grid) ** shape.leaf_count - 1))
+    digits = tuple(data.draw(st.lists(st.integers(0, len(grid) - 1), min_size=shape.leaf_count,
+                                      max_size=shape.leaf_count)))
     built = (
         drawn,
         random_weight(shape, seed, range(1, 300)),  # a grid past 255 values draws whole words
-        treea1.verify._campaign_weight(shape, grid, None, index),
+        treea1.weights._from_grid(shape, grid, digits),  # an enumerated weight, as itertools.product gives it
         weight_from_text(weight_to_text(drawn)),
         weight_from_text(" ".join([str(km[0]), str(km[1]), *(f"{2 * v.numerator}/{2 * v.denominator}"
                                                            for v in drawn.leaf_values)])),

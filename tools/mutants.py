@@ -109,6 +109,14 @@ MUTANTS = (
     Mutant("family_formula_drops_a_factor_k", "src/treea1/weights.py",
            "1 + k**2 * _positive(delta, \"delta\") * (c - 1)", "1 + k * _positive(delta, \"delta\") * (c - 1)",
            "killed"),
+    Mutant("audits_inside_level_set_takes_ge", "src/treea1/verify.py",
+           "> lam.numerator * unit", ">= lam.numerator * unit", "killed"),
+    Mutant("stopping_check_takes_le", "src/treea1/verify.py",
+           "set(fam.assignment) == set(fam.members)", "set(fam.assignment) <= set(fam.members)", "killed"),
+    Mutant("chunk_skips_one_draw_too_few", "src/treea1/verify.py",
+           "for _ in range(indices.start):", "for _ in range(indices.start - 1):", "killed"),
+    Mutant("enumeration_makes_the_last_leaf_most_significant", "src/treea1/verify.py",
+           "_from_grid(shape, grid, drawn)", "_from_grid(shape, grid, drawn[::-1])", "killed"),
 )
 
 
