@@ -15,7 +15,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, islice, product, repeat
-from operator import neg
+from math import gcd
+from operator import floordiv, neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParameterError, ViolationError
@@ -103,17 +104,24 @@ class LevelAudit:
 
 
 class SuperlevelAudit(NamedTuple):
-    """The superlevel audit at one t: the level record of t's piece and the two comparisons with t.
+    """The superlevel audit at one t: t, the level record of t's piece and the two comparisons with t.
 
+    t is held as two ints in lowest terms, so audits at equal t hold equal
+    ints; ``t`` is the exact ``Fraction`` formed from them when it is read.
     The per-piece quantities are read as ``audit.level.<name>``; only the two
     flags that compare the set with t itself can differ between the audits of
     one piece.  ``checks`` gathers all five flags by name.
     """
 
-    t: Fraction
+    t_numerator: int
+    t_denominator: int  # positive, and coprime to t_numerator
     level: LevelAudit
     dominates_prefix: bool  # set average >= prefix average at t
     measures_ordered: bool  # mu{w > c*w*(t)} <= mu(superlevel set) <= t
+
+    @property
+    def t(self) -> Fraction:
+        return Fraction(self.t_numerator, self.t_denominator)
 
     @property
     def checks(self) -> dict[str, bool]:
@@ -269,8 +277,10 @@ def check_rearrangement_bound(
     threshold, decomposition identity); with ``with_audits=True`` it carries
     the :class:`SuperlevelAudit` of every t on the canonical grid, in grid
     order, from one walk of :func:`_audits` over the rearrangement's pieces:
-    the grid's t = j / grain is passed with its ints j and grain, and each
-    piece builds one level record and its points' records in one go.
+    the grid's t = j / grain is passed as its ints j and grain, so no
+    ``Fraction`` is built per grid point, and each piece builds one level
+    record and its points' records in one go.  ``audit.t`` equals
+    ``audit_grid(w)[i]`` for the i-th record.
     Omitted parts stay None.
     """
     a = analyze(w)
@@ -295,8 +305,8 @@ def check_rearrangement_bound(
             **{_FLAG_FIELDS[name]: _failure(name, report) is None for name in _REPORT_CHECKS},
         )
     if with_audits:
-        grid = audit_grid(a.weight)  # t = j / grain for j = 1 .. grain
-        report = replace(report, audits=tuple(_audits(report, grid, range(1, len(grid) + 1), len(grid))))
+        grain = k ** (a.weight.shape.m + 1)  # the grid of audit_grid: t = j / grain for j = 1 .. grain
+        report = replace(report, audits=tuple(_audits(report, range(1, grain + 1), grain)))
     return report
 
 
@@ -409,11 +419,11 @@ def audit_superlevel(w: StepWeight | WeightAnalysis | VerificationReport, t) -> 
     """
     report = w if isinstance(w, VerificationReport) else check_rearrangement_bound(w)
     t = _check_t(t)
-    return _audits(report, (t,), (t.numerator,), t.denominator)[0]
+    return _audits(report, (t.numerator,), t.denominator)[0]
 
 
-def _audits(report: VerificationReport, ts: Sequence[Fraction], js: Sequence[int], q: int) -> list[SuperlevelAudit]:
-    """The audit at each t of ``ts``, where ``ts[i] == js[i] / q`` in (0, 1] and ``js`` ascends, piece by piece.
+def _audits(report: VerificationReport, js: Sequence[int], q: int) -> list[SuperlevelAudit]:
+    """The audit at each t = ``js[i] / q`` in (0, 1], for ``js`` ascending, piece by piece.
 
     The walk visits the profile's pieces, not the t values.  Piece i ends at
     ``cumulative_cells[i] / profile.n``, so its points are the j up to
@@ -445,8 +455,12 @@ def _audits(report: VerificationReport, ts: Sequence[Fraction], js: Sequence[int
     above/n <= count/n <= j/q, with n leaves, are ``above <= count``, once
     per piece, and ``count * q <= j * n``.  Each comparison is monotone in j,
     so :func:`_flag_runs` gives a piece's flags as one run of each value,
-    split at one bisect, and no int is formed per t.  An empty set passes
-    both: lhs = rhs = 0, and its measure flag is true whatever ``above`` is.
+    split at one bisect.  An empty set passes both: lhs = rhs = 0, and its
+    measure flag is true whatever ``above`` is.
+
+    Each record holds its t in lowest terms: per piece, one C-level map of
+    ``math.gcd`` over the points and q, and two of ``floordiv``, give the
+    numerators and denominators, so no ``Fraction`` is built per t.
     """
     a, profile = report.analysis, report.profile
     unit, leaves = a.unit, a.scaled_averages[-1]
@@ -493,8 +507,11 @@ def _audits(report: VerificationReport, ts: Sequence[Fraction], js: Sequence[int
         points = js[lo:hi]
         dominates = _flag_runs(points, lhs, rhs)
         measures = _flag_runs(points, n, count * q) if above <= count or not nodes else repeat(False)
+        divisors = list(map(gcd, points, repeat(q)))  # t = j / q in lowest terms is (j // g) / (q // g)
         # tuple.__new__(SuperlevelAudit, fields) is what SuperlevelAudit._make does, here in one C-level map
-        audits.extend(map(tuple.__new__, repeat(SuperlevelAudit), zip(ts[lo:hi], repeat(level), dominates, measures)))
+        audits.extend(map(tuple.__new__, repeat(SuperlevelAudit), zip(
+            map(floordiv, points, divisors), map(floordiv, repeat(q), divisors), repeat(level), dominates, measures,
+        )))
         lo = hi
         if lo == len(js):
             break
@@ -667,6 +684,11 @@ def fuzz_campaign(
     exhaustive campaign) and a ``range`` of consecutive indices, by the
     builtin ``map`` or the pool's with the same arguments; the chunk draws
     its own weights.  This function validates, cuts the ranges and merges.
+
+    Each factor of the work is capped, the leaves per weight by
+    ``tree.MAX_LEAVES`` and the weights by ``MAX_WEIGHTS``, but their product
+    is not, by design: ``fuzz_campaign(2, 20, 500_000, ...)`` is accepted, up
+    to 5e11 leaf visits with one row per weight held in memory.
     """
     shape = make_shape(k, m)
     grid_values = _canonical_grid(grid)

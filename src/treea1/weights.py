@@ -184,12 +184,13 @@ def _draw(shape: TreeShape, seed: int, values: Sequence[Fraction]) -> StepWeight
     return _from_grid(shape, values, drawn[: shape.leaf_count])
 
 
-def _from_grid(shape: TreeShape, grid: Sequence[Fraction], drawn: bytes | list[int]) -> StepWeight:
+def _from_grid(shape: TreeShape, grid: Sequence[Fraction], drawn: bytes | Sequence[int]) -> StepWeight:
     """The weight whose leaf i holds ``grid[drawn[i]]``, for a grid of distinct ``Fraction``s.
 
     The palette is the grid values in order of first appearance, and the
     grid codes are renumbered into it: by one ``bytes.translate`` for codes
-    held in bytes, by a dict for a list.
+    held in bytes, by a dict for any other int sequence, such as the tuples
+    ``itertools.product`` yields in an exhaustive campaign.
     """
     if isinstance(drawn, bytes):
         # bytes.find, a C-level scan, gives each grid code's first position (-1 if it was not drawn)

@@ -10,12 +10,14 @@ import textwrap
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import step_weights
+from test_acceptance import FUZZ_GRID
 from treea1 import (
     ALL_CHECKS,
     ExtremalParams,
@@ -229,8 +231,8 @@ def _audit_oracle(report, t):
 
 
 def _all_fields(audit):
-    """The audit's quantities by name: its per-t fields, its level record's fields and ``passed``."""
-    fields = {name: getattr(audit, name) for name in SuperlevelAudit._fields if name != "level"}
+    """The audit's quantities by name: its t and per-t flags, its level record's fields and ``passed``."""
+    fields = {name: getattr(audit, name) for name in ("t", "dominates_prefix", "measures_ordered")}
     fields.update((f.name, getattr(audit.level, f.name)) for f in dataclasses.fields(LevelAudit))
     return dict(fields, passed=audit.passed)
 
@@ -368,6 +370,34 @@ def test_audits_neither_check_t_nor_bisect_per_grid_point(monkeypatch):
     assert len(report.audits) == 16 and all(a.passed for a in report.audits)
     # a flag cannot show a level record from the wrong piece, so check each record's level against t's value
     assert all(audit.level.level_value == report.profile.value_at(audit.t) for audit in report.audits)
+
+
+def test_a_full_audit_report_builds_no_fraction_per_grid_point(monkeypatch):
+    # each record holds t as two ints and forms the Fraction when t is read, so
+    # the Fractions a report builds grow with its pieces, not with the grain
+    w = random_weight(make_shape(2, 7), 0, FUZZ_GRID)
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(treea1.verify, "Fraction", counted)
+    report = check_rearrangement_bound(w, with_audits=True)
+    monkeypatch.undo()
+    pieces = len(report.profile.cells)
+    assert len(report.audits) == 2**8 > 8 * pieces
+    assert len(built) <= 4 * pieces + 1  # per piece: level, two measures, set average; and the bound
+    assert [audit.t for audit in report.audits] == list(audit_grid(w))
+
+
+@given(audit_weights)
+def test_audits_hold_t_in_lowest_terms_like_a_single_t_audit(w):
+    report = check_rearrangement_bound(w, with_audits=True)
+    for audit in report.audits:
+        single = audit_superlevel(report, audit.t)
+        assert (single.t_numerator, single.t_denominator) == (audit.t_numerator, audit.t_denominator)
+        assert gcd(audit.t_numerator, audit.t_denominator) == 1 and audit.t_denominator > 0
 
 
 @pytest.mark.parametrize("w", [

@@ -117,6 +117,8 @@ MUTANTS = (
            "for _ in range(indices.start):", "for _ in range(indices.start - 1):", "killed"),
     Mutant("enumeration_makes_the_last_leaf_most_significant", "src/treea1/verify.py",
            "_from_grid(shape, grid, drawn)", "_from_grid(shape, grid, drawn[::-1])", "killed"),
+    Mutant("audits_keep_t_unreduced", "src/treea1/verify.py",
+           "divisors = list(map(gcd, points, repeat(q)))", "divisors = [1] * len(points)", "killed"),
 )
 
 
