@@ -3,8 +3,10 @@
 Everything here is exact.  The fast path, :func:`analyze`, clears the
 denominators of the weight's ``palette``, its distinct values, once per value,
 reads the leaf row off them by the weight's int leaf ``codes``, sums leaves
-bottom-up and sweeps the tree top-down once per weight, all in Python ints;
-every other fast function reads its result, and only reported values become
+bottom-up and sweeps the tree top-down once per weight, down to the leaves'
+parents, all in Python ints; c is read off the parents and their least leaf,
+and the per-leaf maximal function is built only when something reads it.
+Every other fast function reads this result, and only reported values become
 ``Fraction``s.
 """
 from __future__ import annotations
@@ -52,12 +54,15 @@ class WeightAnalysis:
     The tables are Python ints at one common scale: with L the lcm of the leaf
     denominators and ``unit = L * k**m``, ``scaled_averages[level][index]`` is
     the node's average times ``unit`` (its leaf sum, cleared by L, times
-    ``k**level``) and ``scaled_maximal[leaf]`` the maximal function times
-    ``unit``.  Every comparison between node averages is therefore a
-    comparison of ints.  The functions that report a value, such as
-    :func:`maximal_function`, build its ``Fraction``s from these tables;
-    ``family``, the stopping family, is built on first read, so a caller that
-    needs only c never pays for it; it holds nodes only, and a member's
+    ``k**level``), ``scaled_parent_maximal[parent]`` the largest average on
+    the chain from the root to a node of level m-1 times ``unit``, and
+    ``scaled_maximal[leaf]`` the maximal function times ``unit``.  Every
+    comparison between node averages is therefore a comparison of ints.  The
+    functions that report a value, such as :func:`maximal_function`, build its
+    ``Fraction``s from these tables.  Two things are built on first read, so
+    a caller that needs only c never pays for them: ``scaled_maximal``, each
+    leaf's own value or its parent's maximum, whichever is larger, and
+    ``family``, the stopping family, which holds nodes only; a member's
     average is read from ``scaled_averages`` like any other node's.  Every
     function here and in ``verify`` that reads these tables accepts a weight
     or its analysis; the oracles in ``oracles`` take weights only.
@@ -66,8 +71,17 @@ class WeightAnalysis:
     weight: StepWeight
     unit: int
     scaled_averages: tuple[tuple[int, ...], ...]
-    scaled_maximal: tuple[int, ...]
+    scaled_parent_maximal: tuple[int, ...]
     c: Fraction
+
+    @cached_property
+    def scaled_maximal(self) -> tuple[int, ...]:
+        """Each leaf's maximal function times ``unit``: its own value or its parent's maximum, whichever is larger."""
+        k, leaves = self.weight.shape.k, self.scaled_averages[-1]
+        parents = [0] * len(leaves)
+        for j in range(k):  # child j of every parent, at stride k
+            parents[j::k] = self.scaled_parent_maximal
+        return tuple([x if x > r else r for x, r in zip(leaves, parents)])
 
     @cached_property
     def family(self) -> StoppingFamily:
@@ -99,8 +113,9 @@ def analyze(w: StepWeight | WeightAnalysis) -> WeightAnalysis:
 
     The leaf row is the palette's scaled ints looked up by the leaf codes, so
     no per-leaf step touches a ``Fraction``.  Every node is visited a constant
-    number of times, so the cost is linear in the number of nodes.  An
-    analysis is returned unchanged.
+    number of times, so the cost is linear in the number of nodes; the
+    running maximum stops at the leaves' parents, and the per-leaf maximal
+    function waits for its first read.  An analysis is returned unchanged.
     """
     if isinstance(w, WeightAnalysis):
         return w
@@ -113,11 +128,15 @@ def analyze(w: StepWeight | WeightAnalysis) -> WeightAnalysis:
 
 
 def _sweep(row: Sequence[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], Fraction]:
-    """Scaled node averages (root level first), scaled maximal function and c of an int leaf row.
+    """Scaled node averages (root level first), the parents' scaled running maxima and c of an int leaf row.
 
     The row is the k**m leaf values times one unit that clears their
     denominators and is a multiple of k**m, so every node average is an
-    exact int; c is the one ``Fraction``, and the unit cancels in it.
+    exact int; c is the one ``Fraction``, and the unit cancels in it.  The
+    running maximum R(P) is carried down to the leaves' parents P only (at
+    m = 1 the root is every leaf's parent).  A leaf x under P has maximal
+    value max(R(P), x), so its ratio exceeds 1 only as R(P) / x, which is
+    largest at P's least leaf: c is the largest R(P) / (least leaf of P).
     """
     table = [row]
     for _ in range(m):
@@ -129,15 +148,19 @@ def _sweep(row: Sequence[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], .
         table.append(row)
     table.reverse()
     running = table[0]
-    for row in table[1:]:
+    for row in table[1:-1]:
         parents = [0] * len(row)
         for j in range(k):  # child j of every node, at stride k
             parents[j::k] = running
         running = [a if a > r else r for a, r in zip(row, parents)]
-    # c is the largest maximal / leaf ratio, compared by cross-multiplication;
-    # maximal >= leaf everywhere, so starting from 1/1 is safe
+    leaves = table[-1]
+    least = leaves[::k]
+    for j in range(1, k):  # child j of every parent, at stride k
+        least = [a if a < b else b for a, b in zip(least, leaves[j::k])]
+    # c is the largest parent maximum / least leaf ratio, compared by cross-multiplication;
+    # R(P) >= the mean of P's leaves >= its least leaf, so starting from 1/1 is safe
     best_mf, best_leaf = 1, 1
-    for mf, x in zip(running, table[-1]):
+    for mf, x in zip(running, least):
         if mf * best_leaf > best_mf * x:
             best_mf, best_leaf = mf, x
     return tuple(map(tuple, table)), tuple(running), Fraction(best_mf, best_leaf)

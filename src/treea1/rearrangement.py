@@ -158,16 +158,20 @@ def kadic_constant(profile: RearrangedProfile, k: int, depth: int) -> Fraction:
     leaf units, with ``scale = k**depth // n``, a node [start, stop) of width
     W has ratio ``(I(stop) - I(start)) / (W * v)``, where I(x) is the integral
     over the first x leaves times ``n * unit * scale`` and v the scaled value
-    of leaf stop - 1.  Ratios are compared by cross-multiplication; no leaf
-    row is built.
+    of leaf stop - 1.  The pieces' start positions and the integrals I before
+    each piece are tabled once per call, so I(x) on piece i is
+    ``before[i] + (x - starts[i]) * values[i]``.  Ratios are compared by
+    cross-multiplication; no leaf row is built.
     """
     leaves = make_shape(k, depth).leaf_count
     if leaves % profile.n:
         raise ParameterError(
             f"piece boundaries on the grid 1/{profile.n} are not aligned to the k-adic grid 1/{leaves}"
         )
-    scale = leaves // profile.n
+    scale, values = leaves // profile.n, profile.scaled_values
     ends = [cells * scale for cells in profile.cumulative_cells]  # the pieces' right boundaries in leaves
+    starts = [0, *ends[:-1]]
+    before = [0, *(integral * scale for integral in profile.scaled_integrals[:-1])]
     best_num, best_den = 1, 1
     for boundary in ends[:-1]:
         width = leaves
@@ -175,11 +179,9 @@ def kadic_constant(profile: RearrangedProfile, k: int, depth: int) -> Fraction:
             start = boundary - boundary % width
             stop = start + width
             # leaf stop - 1 lies on the piece whose right boundary is the first at or after stop
-            i = bisect_left(ends, stop)
-            num = _scaled_integral(profile, i, stop, scale) - _scaled_integral(
-                profile, bisect_left(ends, start), start, scale
-            )
-            den = width * profile.scaled_values[i]
+            i, h = bisect_left(ends, stop), bisect_left(ends, start)
+            num = before[i] + (stop - starts[i]) * values[i] - before[h] - (start - starts[h]) * values[h]
+            den = width * values[i]
             if num * best_den > best_num * den:
                 best_num, best_den = num, den
             width //= k

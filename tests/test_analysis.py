@@ -1,6 +1,7 @@
 """One analysis per weight: built once, read by every check, and never a shortcut."""
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 
 from hypothesis import given
 
@@ -29,6 +30,7 @@ from treea1 import (
 )
 import treea1.verify
 import treea1.weights
+from treea1.search import objective_exact
 
 
 def _family_fields(fam):
@@ -82,6 +84,47 @@ def test_bound_and_kadic_checks_build_no_family(monkeypatch):
     assert check_rearrangement_bound(extremal_exact(3, 2)).holds
     summary = fuzz_campaign(3, 2, 5, seed=1, grid=[1, 2, 3], checks=("kadic",))
     assert all(row.kadic_ok for row in summary.rows)
+
+
+def test_bound_only_paths_never_build_the_per_leaf_maximal_function(monkeypatch):
+    built = []
+    original = WeightAnalysis.__init__
+
+    def collected(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeightAnalysis, "__init__", collected)
+    summary = fuzz_campaign(2, 4, 5, seed=2, grid=[1, 2, 3, 5], checks=("kadic",))
+    assert all(row.kadic_ok for row in summary.rows) and len(built) == 5
+    w = extremal_exact(3, 2)
+    assert check_rearrangement_bound(w).holds
+    assert objective_exact(w) == 1
+    assert len(treea1.verify.sharpness_sweep(2, 2, [4])) == 1
+    assert len(built) == 8
+    for a in built:
+        assert "scaled_maximal" not in a.__dict__
+        assert len(a.scaled_parent_maximal) == len(a.scaled_averages[-2])
+
+
+def test_the_per_leaf_maximal_function_is_built_once_on_first_read(monkeypatch):
+    reads = []
+    original = WeightAnalysis.scaled_maximal.func
+
+    def counted(self):
+        reads.append(self)
+        return original(self)
+
+    lazy = cached_property(counted)
+    lazy.__set_name__(WeightAnalysis, "scaled_maximal")
+    monkeypatch.setattr(WeightAnalysis, "scaled_maximal", lazy)
+    w = make_step_weight(make_shape(2, 3), [5, 1, 2, 2, 7, 1, 3, 1])
+    report = check_rearrangement_bound(w, properties=True)
+    assert report.weak_type_ok and report.decomposition_ok
+    assert reads == [report.analysis]
+    a = analyze(w)
+    assert maximal_function(a) == maximal_function(a) == (5, 3, Fraction(11, 4), Fraction(11, 4), 7, 4, 3, 3)
+    assert reads == [report.analysis, a]
 
 
 def test_a_kadic_campaign_builds_one_weight_and_one_analysis_per_weight(monkeypatch):

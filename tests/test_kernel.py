@@ -1,6 +1,7 @@
 """The integer kernel behind analyze against Fraction recomputations and the oracles."""
 import ast
 import dataclasses
+import hashlib
 import inspect
 import random
 import sys
@@ -12,6 +13,8 @@ from math import lcm
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
+
+from test_acceptance import FUZZ_GRID
 
 import treea1.maximal
 import treea1.oracles
@@ -27,6 +30,7 @@ from treea1 import (
     audit_grid,
     average,
     check_rearrangement_bound,
+    fuzz_campaign,
     kadic_constant,
     make_shape,
     make_step_weight,
@@ -191,6 +195,25 @@ def test_kernel_on_4096_leaves_matches_a_fraction_recomputation():
     scaled = check_rearrangement_bound(scale(w, Fraction(2**61 - 1, 3)))
     assert (scaled.c, scaled.sup_ratio) == (c, ratio)
     assert stopping_family(scaled.analysis).members == stopping_family(report.analysis).members
+
+
+# sha256 of one "weight_hash,c,bound,sup_ratio,margin" line per row of a bound-only campaign,
+# (k, m, trials, seed); at m = 1 the root is every leaf's parent
+BOUND_ONLY_ROWS = {
+    (2, 10, 3, 0): "c1647a27dc30a60ad89bcbea499200e0af5d08b5774cd5ad1ac53012571d6b5d",
+    (2, 10, 3, 1): "4fcd46f042d2023afa356887e2f518ef3a921e83d63414ce087e8f9feea7851f",
+    (3, 6, 3, 0): "d8a3a5fba891f2862080e6921bb95daf9d4b147a48da2ee484fae18dd66c5993",
+    (3, 6, 3, 1): "d19bc44107310ae692d4104dde0061e520b142ee863aff4298e0dadfa5abc1b1",
+    (4, 1, 50, 0): "cf11f09b6675b161140d1615e8382202225e90a57a8e573b1bbd36fe167cc303",
+}
+
+
+def test_bound_only_campaign_rows_match_their_recorded_digests():
+    for (k, m, trials, seed), digest in BOUND_ONLY_ROWS.items():
+        rows = fuzz_campaign(k, m, trials, seed, FUZZ_GRID, checks=("kadic",)).rows
+        text = "".join(f"{r.weight_hash},{r.c},{r.bound},{r.sup_ratio},{r.margin}\n" for r in rows)
+        assert len(rows) == trials and all(r.kadic_ok for r in rows)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (k, m, trials, seed)
 
 
 def test_oracles_share_no_code_with_the_kernel():

@@ -49,6 +49,8 @@ MUTANTS = (
            "    for i in range(1, len(values)):\n", "    for i in range(2, len(values)):\n", "killed"),
     Mutant("kadic_constant_skips_the_root", "src/treea1/rearrangement.py",
            "        width = leaves\n", "        width = leaves // k\n", "killed"),
+    Mutant("kadic_start_reads_the_stop_piece", "src/treea1/rearrangement.py",
+           "bisect_left(ends, start)", "bisect_left(ends, stop)", "killed"),
     Mutant("weak_type_set_takes_ge", "src/treea1/verify.py",
            "by_maximal[count][0] > x:", "by_maximal[count][0] >= x:", "killed"),
     Mutant("sweep_drops_the_running_maximum", "src/treea1/maximal.py",
@@ -61,7 +63,13 @@ MUTANTS = (
            "if not (y_star < y_member and", "if not (y_star <= y_member and", "killed"),
     Mutant("c_search_starts_from_one_half", "src/treea1/maximal.py",
            "best_mf, best_leaf = 1, 1", "best_mf, best_leaf = 1, 2", "equivalent",
-           "maximal >= leaf > 0, so the first leaf's ratio beats 1/2 and replaces it; the maximum is unchanged"),
+           "a parent's running maximum >= its least leaf > 0, so the first parent's ratio is at least 1, "
+           "beats 1/2 and replaces it; the maximum is unchanged"),
+    Mutant("least_leaf_fold_keeps_the_larger_leaf", "src/treea1/maximal.py",
+           "a if a < b else b", "a if a > b else b", "killed"),
+    Mutant("lazy_maximal_ignores_the_leafs_own_value", "src/treea1/maximal.py",
+           "[x if x > r else r for x, r in zip(leaves, parents)]", "[r for x, r in zip(leaves, parents)]",
+           "killed"),
     Mutant("audits_never_walk_a_superlevel_set", "src/treea1/verify.py",
            "nodes = superlevel_set(a, threshold) if above else ()", "nodes = ()", "killed"),
     Mutant("audits_walk_only_above_two_leaves", "src/treea1/verify.py",
