@@ -3,11 +3,12 @@
 Everything here is exact.  The fast path, :func:`analyze`, clears the
 denominators of the weight's ``palette``, its distinct values, once per value,
 reads the leaf row off them by the weight's int leaf ``codes``, sums leaves
-bottom-up and sweeps the tree top-down once per weight, down to the leaves'
-parents, all in Python ints; c is read off the parents and their least leaf,
-and the per-leaf maximal function is built only when something reads it.
-Every other fast function reads this result, and only reported values become
-``Fraction``s.
+bottom-up and carries the running maximum of averages top-down once per
+weight, down to the leaves' parents, keeping each level's row, all in Python
+ints; c is read off the parents and their least leaf, superlevel sets off the
+running maxima, and the per-leaf maximal function is built only when
+something reads it.  Every other fast function reads this result, and only
+reported values become ``Fraction``s.
 """
 from __future__ import annotations
 
@@ -54,24 +55,25 @@ class WeightAnalysis:
     The tables are Python ints at one common scale: with L the lcm of the leaf
     denominators and ``unit = L * k**m``, ``scaled_averages[level][index]`` is
     the node's average times ``unit`` (its leaf sum, cleared by L, times
-    ``k**level``), ``scaled_parent_maximal[parent]`` the largest average on
-    the chain from the root to a node of level m-1 times ``unit``, and
-    ``scaled_maximal[leaf]`` the maximal function times ``unit``.  Every
-    comparison between node averages is therefore a comparison of ints.  The
-    functions that report a value, such as :func:`maximal_function`, build its
-    ``Fraction``s from these tables.  Two things are built on first read, so
-    a caller that needs only c never pays for them: ``scaled_maximal``, each
-    leaf's own value or its parent's maximum, whichever is larger, and
-    ``family``, the stopping family, which holds nodes only; a member's
-    average is read from ``scaled_averages`` like any other node's.  Every
-    function here and in ``verify`` that reads these tables accepts a weight
-    or its analysis; the oracles in ``oracles`` take weights only.
+    ``k**level``), ``scaled_running_maxima[level][index]``, for levels 0 to
+    m-1, the largest average on the chain from the root to the node times
+    ``unit``, and ``scaled_maximal[leaf]`` the maximal function times
+    ``unit``.  Every comparison between node averages is therefore a
+    comparison of ints.  The functions that report a value, such as
+    :func:`maximal_function`, build its ``Fraction``s from these tables.  Two
+    things are built on first read, so a caller that needs only c never pays
+    for them: ``scaled_maximal``, each leaf's own value or its parent's
+    running maximum, whichever is larger, and ``family``, the stopping
+    family, which holds nodes only; a member's average is read from
+    ``scaled_averages`` like any other node's.  Every function here and in
+    ``verify`` that reads these tables accepts a weight or its analysis; the
+    oracles in ``oracles`` take weights only.
     """
 
     weight: StepWeight
     unit: int
     scaled_averages: tuple[tuple[int, ...], ...]
-    scaled_parent_maximal: tuple[int, ...]
+    scaled_running_maxima: tuple[Sequence[int], ...]
     c: Fraction
 
     @cached_property
@@ -80,7 +82,7 @@ class WeightAnalysis:
         k, leaves = self.weight.shape.k, self.scaled_averages[-1]
         parents = [0] * len(leaves)
         for j in range(k):  # child j of every parent, at stride k
-            parents[j::k] = self.scaled_parent_maximal
+            parents[j::k] = self.scaled_running_maxima[-1]
         return tuple([x if x > r else r for x, r in zip(leaves, parents)])
 
     @cached_property
@@ -127,16 +129,20 @@ def analyze(w: StepWeight | WeightAnalysis) -> WeightAnalysis:
     return WeightAnalysis(w, unit, *_sweep(_per_leaf(w.codes, scaled), k, m))
 
 
-def _sweep(row: Sequence[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], Fraction]:
-    """Scaled node averages (root level first), the parents' scaled running maxima and c of an int leaf row.
+def _sweep(
+    row: Sequence[int], k: int, m: int
+) -> tuple[tuple[tuple[int, ...], ...], tuple[Sequence[int], ...], Fraction]:
+    """Scaled node averages and scaled running maxima (root level first) and c of an int leaf row.
 
     The row is the k**m leaf values times one unit that clears their
     denominators and is a multiple of k**m, so every node average is an
     exact int; c is the one ``Fraction``, and the unit cancels in it.  The
-    running maximum R(P) is carried down to the leaves' parents P only (at
-    m = 1 the root is every leaf's parent).  A leaf x under P has maximal
-    value max(R(P), x), so its ratio exceeds 1 only as R(P) / x, which is
-    largest at P's least leaf: c is the largest R(P) / (least leaf of P).
+    running maximum R, the largest average on a node's chain from the root,
+    is carried down to the leaves' parents P only, and each level's row is
+    kept as built: levels 0 to m-1, so at m = 1 the root's row only.  A leaf
+    x under P has maximal value max(R(P), x), so its ratio exceeds 1 only as
+    R(P) / x, which is largest at P's least leaf: c is the largest
+    R(P) / (least leaf of P).
     """
     table = [row]
     for _ in range(m):
@@ -148,11 +154,13 @@ def _sweep(row: Sequence[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], .
         table.append(row)
     table.reverse()
     running = table[0]
+    maxima = [running]
     for row in table[1:-1]:
         parents = [0] * len(row)
         for j in range(k):  # child j of every node, at stride k
             parents[j::k] = running
         running = [a if a > r else r for a, r in zip(row, parents)]
+        maxima.append(running)
     leaves = table[-1]
     least = leaves[::k]
     for j in range(1, k):  # child j of every parent, at stride k
@@ -163,7 +171,7 @@ def _sweep(row: Sequence[int], k: int, m: int) -> tuple[tuple[tuple[int, ...], .
     for mf, x in zip(running, least):
         if mf * best_leaf > best_mf * x:
             best_mf, best_leaf = mf, x
-    return tuple(map(tuple, table)), tuple(running), Fraction(best_mf, best_leaf)
+    return tuple(map(tuple, table)), tuple(maxima), Fraction(best_mf, best_leaf)
 
 
 def maximal_function(w: StepWeight | WeightAnalysis) -> tuple[Fraction, ...]:
@@ -185,25 +193,16 @@ def a1_constant(w: StepWeight | WeightAnalysis) -> Fraction:
 
 
 def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, ...]:
-    """Maximal nodes whose average strictly exceeds the threshold.
+    """Maximal nodes whose average strictly exceeds the threshold, in (level, index) order.
 
     The returned nodes are pairwise disjoint and their union is exactly
-    {maximal_function(w) > threshold}.  If the root already qualifies the
-    answer is (root,); if no node qualifies, the empty tuple.
-
-    A top-down walk over the analysis's level rows, with a mask of free
-    nodes, those with no ancestor in the set: a level's hits are its free
-    nodes above the threshold, and a node's children are free when it is
-    free and not a hit.  The walk runs to the leaves without a stop: a node
-    that is not a hit has a child that is not a hit, since its average is
-    the mean of its children's, so once the root is no hit some node stays
-    free at every level.  Nodes come out level by level in index order, so
-    already sorted.  The root is tested before anything else, so a root that
-    qualifies costs one comparison; an empty set costs a walk that finds no
-    hit, so a caller that knows no leaf exceeds the threshold skips the call.
-    Its one caller, :func:`~treea1.verify._audits`, compares these nodes with
-    the stopping family in ``LevelAudit.nodes_are_members``, so the walk
-    reads neither ``scaled_maximal`` nor the family.
+    {maximal_function(w) > threshold}: the root if its average exceeds the
+    threshold, else each node Q with Av(Q) > threshold >= R(parent of Q),
+    the running maximum of averages down the parent's chain.  For Q in the
+    set this is the member interval Av(star Q) <= threshold < Av(Q) of the
+    stopping family.  Its one caller, :func:`~treea1.verify._audits`,
+    compares these nodes with the family in ``LevelAudit.nodes_are_members``,
+    so this reads neither ``scaled_maximal`` nor the family.
     """
     threshold = as_fraction(threshold)
     a = analyze(w)
@@ -212,18 +211,12 @@ def superlevel_set(w: StepWeight | WeightAnalysis, threshold) -> tuple[NodeId, .
     bar, q = threshold.numerator * a.unit, threshold.denominator
     if table[0][0] * q > bar:
         return (ROOT,)
-    out: list[NodeId] = []
-    free = [True]  # per node of the level: no ancestor is in the set; the root is free and no hit
-    for level, row in enumerate(table[1:], 1):
-        below = [False] * len(row)
-        for j in range(k):
-            below[j::k] = free
-        free = below
-        hits = [index for index in itertools.compress(range(len(row)), free) if row[index] * q > bar]
-        for index in hits:
-            out.append(NodeId(level, index))
-            free[index] = False
-    return tuple(out)
+    return tuple([
+        NodeId(level, index)
+        for level, row, parents in zip(itertools.count(1), table[1:], a.scaled_running_maxima)
+        for index, x in enumerate(row)
+        if x * q > bar and parents[index // k] * q <= bar
+    ])
 
 
 def stopping_family(w: StepWeight | WeightAnalysis) -> StoppingFamily:

@@ -446,17 +446,19 @@ def _audits(report: VerificationReport, js: Sequence[int], q: int) -> list[Super
 
     The two flags per t are int comparisons linear in j.  The profile's
     integral up to j / q, times ``profile.n * profile.unit * q``, is the
-    piece's line ``intercept + slope * j``, read from
-    :func:`~treea1.rearrangement._scaled_integral` at j = 0 and j = 1.  The
-    set average total / (unit * count) is at least the prefix average, that
-    integral over ``profile.n * profile.unit * j``, exactly when
-    ``lhs * j >= rhs`` with lhs = total * profile.n * profile.unit -
-    unit * count * slope and rhs = unit * count * intercept.  The measures
-    above/n <= count/n <= j/q, with n leaves, are ``above <= count``, once
-    per piece, and ``count * q <= j * n``.  Each comparison is monotone in j,
-    so :func:`_flag_runs` gives a piece's flags as one run of each value,
-    split at one bisect.  An empty set passes both: lhs = rhs = 0, and its
-    measure flag is true whatever ``above`` is.
+    piece's line ``intercept + slope * j``: the intercept is
+    :func:`~treea1.rearrangement._scaled_integral` at j = 0, and each step of
+    j adds ``profile.n`` cells of the piece's value, so the slope is
+    ``profile.n * value``.  The set average total / (unit * count) is at
+    least the prefix average, that integral over
+    ``profile.n * profile.unit * j``, exactly when ``lhs * j >= rhs`` with
+    lhs = total * profile.n * profile.unit - unit * count * slope and
+    rhs = unit * count * intercept.  The measures above/n <= count/n <= j/q,
+    with n leaves, are ``above <= count``, once per piece, and
+    ``count * q <= j * n``.  Each comparison is monotone in j, so
+    :func:`_flag_runs` gives a piece's flags as one run of each value, split
+    at one bisect.  An empty set passes both: lhs = rhs = 0, and its measure
+    flag is true whatever ``above`` is.
 
     Each record holds its t in lowest terms: per piece, one C-level map of
     ``math.gcd`` over the points and q, and two of ``floordiv``, give the
@@ -501,8 +503,7 @@ def _audits(report: VerificationReport, js: Sequence[int], q: int) -> list[Super
                 for node, width in zip(nodes, widths)
             ),
         )
-        intercept = _scaled_integral(profile, piece, 0, q)
-        slope = _scaled_integral(profile, piece, profile.n, q) - intercept
+        intercept, slope = _scaled_integral(profile, piece, 0, q), profile.n * value
         lhs, rhs = total * profile.n * profile.unit - unit * count * slope, unit * count * intercept
         points = js[lo:hi]
         dominates = _flag_runs(points, lhs, rhs)
@@ -693,7 +694,8 @@ def fuzz_campaign(
     shape = make_shape(k, m)
     grid_values = _canonical_grid(grid)
     selected = _normalize_checks(checks)
-    if _check_int(trials, "trials", 0) > MAX_WEIGHTS:
+    # an exhaustive campaign never reads trials; its count of weights is capped below
+    if _check_int(trials, "trials", 0) > MAX_WEIGHTS and not exhaustive:
         raise ParameterError(f"trials must be at most {MAX_WEIGHTS}, got {trials}")
     _check_int(threads, "threads", 1)
     _check_seed(seed)

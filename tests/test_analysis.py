@@ -104,7 +104,7 @@ def test_bound_only_paths_never_build_the_per_leaf_maximal_function(monkeypatch)
     assert len(built) == 8
     for a in built:
         assert "scaled_maximal" not in a.__dict__
-        assert len(a.scaled_parent_maximal) == len(a.scaled_averages[-2])
+        assert len(a.scaled_running_maxima[-1]) == len(a.scaled_averages[-2])
 
 
 def test_the_per_leaf_maximal_function_is_built_once_on_first_read(monkeypatch):

@@ -109,6 +109,14 @@ def test_campaign_and_search_refuse_runs_above_their_limits(tmp_path, capsys):
     assert f"2**16384 weights is more than {MAX_WEIGHTS}" in err
 
 
+def test_exhaustive_campaigns_ignore_trials_above_the_weight_cap(tmp_path):
+    # an exhaustive campaign never reads trials: the cap applies to the 16 weights it examines
+    summary = treea1.verify.fuzz_campaign(2, 2, MAX_WEIGHTS + 100_000, 0, [1, 2], exhaustive=True)
+    assert len(summary.rows) == 16
+    assert run_cli(["verify", "--k", "2", "--depth", "2", "--grid", "1,2", "--exhaustive",
+                    "--trials", str(MAX_WEIGHTS + 100_000), "--out", str(tmp_path / "x")]) == 0
+
+
 def test_verify_is_byte_deterministic(tmp_path):
     args = ["verify", "--k", "2", "--depth", "3", "--trials", "15", "--seed", "3",
             "--grid", "1,2,3"]

@@ -356,8 +356,18 @@ def _assert_superlevel_sets_match_the_dfs(w):
     averages = {Fraction(x, a.unit) for row in a.scaled_averages for x in row}
     thresholds = averages | {v + d for v in averages for d in (Fraction(1, 7), Fraction(-1, 7))}
     thresholds |= {Fraction(0), Fraction(-1), max(w.leaf_values)}
+    # the member interval: a member Q other than the root is in the set when Av(star Q) <= threshold < Av(Q)
+    star = stopping_family(w).star
+    member_averages = {node: average(w, node) for node in (ROOT, *star)}
     for threshold in sorted(thresholds):
-        assert superlevel_set(a, threshold) == _dfs_superlevel_set(a, threshold), threshold
+        found = superlevel_set(a, threshold)
+        assert found == _dfs_superlevel_set(a, threshold), threshold
+        if member_averages[ROOT] > threshold:
+            assert found == (ROOT,), threshold
+        else:
+            assert found == tuple(
+                node for node, up in star.items() if member_averages[up] <= threshold < member_averages[node]
+            ), threshold
 
 
 @given(step_weights(ks=(2, 3, 4)))

@@ -84,7 +84,11 @@ MUTANTS = (
     Mutant("chunk_profiles_key_drops_the_unit", "src/treea1/verify.py",
            "key = (a.unit, *sorted(counts.items()))", "key = tuple(sorted(counts.items()))", "killed"),
     Mutant("superlevel_set_hits_take_ge", "src/treea1/maximal.py",
-           "if row[index] * q > bar]", "if row[index] * q >= bar]", "killed"),
+           "if x * q > bar and", "if x * q >= bar and", "killed"),
+    Mutant("superlevel_set_drops_the_parent_condition", "src/treea1/maximal.py",
+           "if x * q > bar and parents[index // k] * q <= bar\n", "if x * q > bar\n", "killed"),
+    Mutant("superlevel_set_parent_takes_lt", "src/treea1/maximal.py",
+           "parents[index // k] * q <= bar", "parents[index // k] * q < bar", "killed"),
     Mutant("decomposition_takes_le", "src/treea1/verify.py",
            "table[node.level][node.index] == mf[leaf]", "table[node.level][node.index] <= mf[leaf]", "killed"),
     Mutant("draw_keeps_the_least_rejected_byte", "src/treea1/weights.py",
