@@ -13,8 +13,8 @@ from .errors import ParameterError, ViolationError
 from .rationals import MAX_DECIMAL_EXPONENT, as_fraction, decimal_string
 from .tree import MAX_LEAVES, ROOT, NodeId, TreeShape, leaves_under, make_shape
 from .weights import (
-    ExtremalParams,
     StepWeight,
+    default_family_delta,
     extremal_exact,
     extremal_family,
     family_constant_formula,
@@ -63,7 +63,6 @@ from .verify import (
     check_rearrangement_bound,
     check_stopping_consistency,
     check_weak_type,
-    default_family_delta,
     fuzz_campaign,
     sharpness_sweep,
 )

@@ -27,7 +27,7 @@ from .verify import (
     ALL_CHECKS, MIN_LEAVES_PER_WORKER, _FLAG_FIELDS, _require, audit_superlevel, check_rearrangement_bound,
     fuzz_campaign, sharpness_sweep
 )
-from .weights import _per_leaf, weight_from_text, weight_to_text
+from .weights import _per_leaf, default_family_delta, weight_from_text, weight_to_text
 
 MANIFEST_NAME = "manifest.json"
 # Data-file columns, in file order; each name is also the field it reads.
@@ -234,7 +234,7 @@ def _cmd_extremal(args) -> int:
     c = as_fraction(args.c)
     if args.mode == "exact":
         depths = [2]
-        deltas = [Fraction(1, make_shape(args.k, 2).leaf_count)]  # 1/k**2, once make_shape has refused k < 2
+        deltas = [default_family_delta(args.k, 2)]
     else:
         depths = _parse_int_list(args.depths)
         deltas = _parse_rational_list(args.delta_steps) if args.delta_steps else None

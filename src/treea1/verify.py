@@ -26,7 +26,7 @@ from .rationals import _check_int, _check_t, _detail_string, _positive, as_fract
 from .rearrangement import RearrangedProfile, _scaled_integral, kadic_constant, prefix_average, rearrange, sup_ratio
 from .tree import ROOT, NodeId, TreeShape, make_shape
 from .weights import (
-    ExtremalParams, StepWeight, _canonical_grid, _check_seed, _draw, _from_grid, extremal_family,
+    StepWeight, _canonical_grid, _check_seed, _draw, _from_grid, default_family_delta, extremal_family,
     family_constant_formula, weight_hash, weight_to_text,
 )
 
@@ -772,17 +772,6 @@ class SweepRow:
     gap: Fraction
 
 
-def default_family_delta(k: int, depth: int) -> Fraction:
-    """Largest leaf-aligned delta strictly below 1/k^2 at this depth.
-
-    At depth 2 no such delta exists, so the full cell 1/k^2 is used (the
-    exactified variant).
-    """
-    if depth == 2:
-        return Fraction(1, k**2)
-    return Fraction(k ** (depth - 2) - 1, k**depth)
-
-
 def sharpness_sweep(k: int, c, depths: Sequence[int], deltas: Sequence | None = None) -> tuple[SweepRow, ...]:
     """Evaluate the extremal family across depths and delta values.
 
@@ -795,11 +784,9 @@ def sharpness_sweep(k: int, c, depths: Sequence[int], deltas: Sequence | None = 
         raise ParameterError("at least one depth is required")
     rows: list[SweepRow] = []
     for depth in depths:
-        _check_int(depth, "family depth", 2)
-        make_shape(k, depth)  # refuses too many leaves before k**depth is formed
         delta_list = [as_fraction(d) for d in deltas] if deltas else [default_family_delta(k, depth)]
         for delta in delta_list:
-            w = extremal_family(ExtremalParams(k, c, delta, depth))
+            w = extremal_family(k, c, delta, depth)
             nominal = family_constant_formula(k, c, delta)
             report = check_rearrangement_bound(w)
             _require(("bound",), report)

@@ -205,36 +205,17 @@ def _from_grid(shape: TreeShape, grid: Sequence[Fraction], drawn: bytes | Sequen
     return _coded(shape, tuple(map(grid.__getitem__, order)), tuple(codes))
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
-    """Parameters of the extremal family at depth >= 2.
+def default_family_delta(k: int, depth: int) -> Fraction:
+    """Largest leaf-aligned delta strictly below 1/k^2 at this depth.
 
-    The family puts the large value k*c - k + 1 on a set of measure
-    ``delta`` inside the first grandchild of the root and on one full
-    grandchild of every other branch, and 1 elsewhere.  ``delta`` must be a
-    whole number of leaves at the chosen depth.
+    At depth 2 no such delta exists, so the full cell 1/k^2 is used (the
+    exactified variant).  This is the one place a default delta is formed.
     """
-
-    k: int
-    c: Fraction
-    delta: Fraction
-    depth: int
-
-    def __post_init__(self):
-        _check_int(self.depth, "depth", 2)
-        make_shape(self.k, self.depth)  # refuses a bad k, and too many leaves before k**depth is formed
-        for name in ("c", "delta"):
-            object.__setattr__(self, name, as_fraction(getattr(self, name)))
-        if self.c < 1:
-            raise ParameterError(f"target constant c must be >= 1, got {self.c}")
-        cell = Fraction(1, self.k**2)
-        if not (0 < self.delta <= cell):
-            raise ParameterError(f"delta must lie in (0, 1/k^2] = (0, {cell}], got {self.delta}")
-        scaled = self.delta * self.k**self.depth
-        if scaled.denominator != 1:
-            raise ParameterError(
-                f"delta = {self.delta} is not a whole number of leaves at depth {self.depth}"
-            )
+    _check_int(depth, "family depth", 2)
+    make_shape(k, depth)  # refuses a bad k, and too many leaves, before any power of k is formed
+    if depth == 2:
+        return Fraction(1, k**2)
+    return Fraction(k ** (depth - 2) - 1, k**depth)
 
 
 def extremal_exact(k: int, c) -> StepWeight:
@@ -244,23 +225,33 @@ def extremal_exact(k: int, c) -> StepWeight:
     The value k*c - k + 1 sits on the first grandchild of every level-1 node
     and 1 everywhere else: the extremal family at depth 2 with delta = 1/k^2.
     """
-    return extremal_family(ExtremalParams(k, c, Fraction(1, k**2), 2))
+    return extremal_family(k, c, default_family_delta(k, 2), 2)
 
 
-def extremal_family(params: ExtremalParams) -> StepWeight:
-    """The delta-parameterized family at a given depth.
+def extremal_family(k: int, c, delta, depth: int) -> StepWeight:
+    """The delta-parameterized family at depth >= 2, after checking its parameters.
 
     Value alpha = k*c - k + 1 goes on the leftmost ``delta * k**depth`` leaves
     of the first grandchild of the root and on every leaf of the first
-    grandchild of each remaining branch; 1 fills the rest.  At delta = 1/k^2
-    this coincides leafwise with ``extremal_exact`` after refinement to the
-    same depth.
+    grandchild of each remaining branch; 1 fills the rest.  ``c`` must be at
+    least 1 and ``delta`` a whole number of leaves in (0, 1/k^2].  At
+    delta = 1/k^2 this coincides leafwise with ``extremal_exact`` after
+    refinement to the same depth.
     """
-    k, depth = params.k, params.depth
-    shape = make_shape(k, depth)
+    _check_int(depth, "family depth", 2)
+    shape = make_shape(k, depth)  # refuses a bad k, and too many leaves before k**depth is formed
+    c, delta = as_fraction(c), as_fraction(delta)
+    if c < 1:
+        raise ParameterError(f"target constant c must be >= 1, got {c}")
+    cell = Fraction(1, k**2)
+    if not (0 < delta <= cell):
+        raise ParameterError(f"delta must lie in (0, 1/k^2] = (0, {cell}], got {delta}")
+    scaled = delta * shape.leaf_count
+    if scaled.denominator != 1:
+        raise ParameterError(f"delta = {delta} is not a whole number of leaves at depth {depth}")
+    high = scaled.numerator
     grandchild = k ** (depth - 2)
-    alpha = k * params.c - k + 1
-    high = int(params.delta * shape.leaf_count)
+    alpha = k * c - k + 1
     values = [Fraction(1)] * shape.leaf_count
     values[:high] = [alpha] * high
     for branch in range(1, k):

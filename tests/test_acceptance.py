@@ -17,7 +17,6 @@ from treea1 import (
     check_rearrangement_bound,
     extremal_exact,
     extremal_family,
-    ExtremalParams,
     family_constant_formula,
     fuzz_campaign,
     hill_climb,
@@ -133,10 +132,9 @@ def test_criterion_5_kadic_bound(fuzz_results, exhaustive_result):
 
 
 def test_criterion_6_family_construction_audit():
-    params = ExtremalParams(2, 2, Fraction(3, 16), 4)
     printed = family_constant_formula(2, 2, Fraction(3, 16))
     row = sharpness_sweep(2, 2, [4], [Fraction(3, 16)])[0]
-    report = check_rearrangement_bound(extremal_family(params))
+    report = check_rearrangement_bound(extremal_family(2, 2, Fraction(3, 16), 4))
     ok = (
         printed == Fraction(7, 4)
         and row.nominal_c == Fraction(7, 4)

@@ -22,3 +22,8 @@ def test_each_mutant_declares_an_outcome_and_an_equivalent_one_argues_it():
     for mutant in mutants.MUTANTS:
         assert mutant.expected in ("killed", "equivalent"), mutant.name
         assert bool(mutant.why) == (mutant.expected == "equivalent"), mutant.name
+        # a killed mutant names the tests file its first failure is in, and an equivalent one names none
+        assert bool(mutant.module) == (mutant.expected == "killed"), mutant.name
+        if mutant.module:
+            assert mutant.module.startswith("tests/") and (ROOT / mutant.module).is_file(), mutant.name
+            assert mutant.module != mutants.DECLARATIONS_TEST, mutant.name

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from treea1 import (
-    ROOT, ExtremalParams, NodeId, ParameterError, SearchConfig, check_weak_type, decimal_string, extremal_exact,
-    family_constant_formula, fuzz_campaign, make_shape, random_weight, refine, scale, sharpness_sweep,
+    ROOT, NodeId, ParameterError, SearchConfig, check_weak_type, decimal_string, default_family_delta,
+    extremal_exact, extremal_family, family_constant_formula, fuzz_campaign, make_shape, random_weight, refine, scale,
+    sharpness_sweep,
 )
 from treea1.rationals import _detail_string, _exact_string
 
@@ -17,13 +18,16 @@ COUNT_ARGUMENTS = [
     ("depth m", 1, lambda v: make_shape(2, v)),
     ("refinement levels", 1, lambda v: refine(extremal_exact(2, 2), v)),
     ("seed", 0, lambda v: random_weight(make_shape(2, 1), v, [1])),
-    ("depth", 2, lambda v: ExtremalParams(2, 2, Fraction(1, 4), v)),
+    ("family depth", 2, lambda v: extremal_family(2, 2, Fraction(1, 4), v)),
     ("homogeneity k", 2, lambda v: family_constant_formula(v, 2, Fraction(1, 8))),
     ("trials", 0, lambda v: fuzz_campaign(2, 1, v, 0, [1])),
     ("threads", 1, lambda v: fuzz_campaign(2, 1, 1, 0, [1], threads=v)),
     ("family depth", 2, lambda v: sharpness_sweep(2, 2, [v])),
     ("iterations", 1, lambda v: SearchConfig(make_shape(2, 2), v, 1, 0)),
     ("restarts", 1, lambda v: SearchConfig(make_shape(2, 2), 1, v, 0)),
+    ("family depth", 2, lambda v: default_family_delta(2, v)),
+    ("homogeneity k", 2, lambda v: default_family_delta(v, 3)),
+    ("homogeneity k", 2, lambda v: extremal_exact(v, 2)),
 ]
 _WORDS = {0: "a non-negative integer", 1: "a positive integer"}
 

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from conftest import step_weights
 from treea1 import (
     ROOT,
-    ExtremalParams,
     ParameterError,
     RearrangedProfile,
     a1_constant,
@@ -33,7 +32,7 @@ def test_rearrange_examples():
         (Fraction(1, 2), 3),
         (Fraction(1, 2), 1),
     )
-    family = extremal_family(ExtremalParams(2, 2, Fraction(3, 16), 4))
+    family = extremal_family(2, 2, Fraction(3, 16), 4)
     assert rearrange(family).pieces == ((Fraction(7, 16), 3), (Fraction(9, 16), 1))
 
 

@@ -20,7 +20,6 @@ from conftest import step_weights
 from test_acceptance import FUZZ_GRID
 from treea1 import (
     ALL_CHECKS,
-    ExtremalParams,
     GrowthCheck,
     LevelAudit,
     NodeId,
@@ -267,7 +266,7 @@ def test_audits_match_the_per_t_oracle_on_extremal_weights(k, c, depth):
     _assert_audits_match_oracle(w if depth == 2 else refine(w, depth - 2), reuse_report=False)
     if depth > 2:  # the family with delta below 1/k^2 is not a refinement
         delta = default_family_delta(k, depth)
-        w = extremal_family(ExtremalParams(k, c, delta, depth))
+        w = extremal_family(k, c, delta, depth)
         _assert_audits_match_oracle(w, reuse_report=False)
 
 
@@ -402,7 +401,7 @@ def test_audits_hold_t_in_lowest_terms_like_a_single_t_audit(w):
 
 @pytest.mark.parametrize("w", [
     make_step_weight(make_shape(2, 3), [5, 1, 2, 2, 7, 1, 3, 1]),
-    extremal_family(ExtremalParams(3, 2, default_family_delta(3, 3), 3)),
+    extremal_family(3, 2, default_family_delta(3, 3), 3),
     random_weight(make_shape(2, 6), 5, [1, 2, 3, 5, 10, 100]),
 ])
 def test_single_t_audits_walk_to_their_piece_without_a_bisect(w, monkeypatch):
@@ -964,7 +963,7 @@ def test_sharpness_sweep_raises_with_the_family_weight_when_the_bound_fails(monk
     with pytest.raises(ViolationError) as info:
         sharpness_sweep(2, 2, [4])
     assert info.value.check == "bound"
-    family = extremal_family(ExtremalParams(2, 2, default_family_delta(2, 4), 4))
+    family = extremal_family(2, 2, default_family_delta(2, 4), 4)
     assert info.value.weight_text == weight_to_text(family)
 
 
@@ -982,6 +981,9 @@ def test_default_family_delta():
     assert default_family_delta(2, 2) == Fraction(1, 4)
     assert default_family_delta(2, 4) == Fraction(3, 16)
     assert default_family_delta(3, 3) == Fraction(2, 27)
+    for k, depth in ((2, 21), (0, 3)):  # 2**21 leaves is above MAX_LEAVES; k = 0 has no shape
+        with pytest.raises(ParameterError):
+            default_family_delta(k, depth)
 
 
 def test_a_constant_above_its_bound_fails_the_bound_check(monkeypatch):
@@ -1107,7 +1109,7 @@ def test_tampered_audits_match_a_per_t_recomputation(w, extra, factor):
 @pytest.mark.parametrize("w, pieces", [
     (random_weight(make_shape(3, 3), 1, [1, 2, 3, 5, 10, 100]), 6),
     (random_weight(make_shape(4, 2), 2, [1, 2, 3, 5, 10, 100]), 5),
-    (extremal_family(ExtremalParams(4, 2, default_family_delta(4, 3), 3)), 2),
+    (extremal_family(4, 2, default_family_delta(4, 3), 3), 2),
     (make_step_weight(make_shape(3, 2), [7] * 9), 1),  # one degenerate piece
 ])
 def test_single_t_audits_at_piece_ends_and_off_the_grid_match_the_oracle(w, pieces):

@@ -11,7 +11,6 @@ from conftest import positive_rationals, step_weights
 from treea1 import (
     MAX_DECIMAL_EXPONENT,
     ROOT,
-    ExtremalParams,
     ParameterError,
     StepWeight,
     a1_constant,
@@ -262,32 +261,29 @@ def test_extremal_exact_rejects_bad_parameters():
 
 
 def test_extremal_family_full_cell_matches_exact():
-    params = ExtremalParams(2, 2, Fraction(1, 4), 2)
-    assert extremal_family(params) == extremal_exact(2, 2)
+    assert extremal_family(2, 2, Fraction(1, 4), 2) == extremal_exact(2, 2)
 
 
 def test_extremal_family_partial_cell_pattern():
-    params = ExtremalParams(2, 2, Fraction(3, 16), 4)
-    w = extremal_family(params)
+    w = extremal_family(2, 2, Fraction(3, 16), 4)
     high = {leaf for leaf, v in enumerate(w.leaf_values) if v == 3}
     assert high == {0, 1, 2, 8, 9, 10, 11}
     assert set(w.leaf_values) == {Fraction(1), Fraction(3)}
 
 
 def test_extremal_family_matches_refined_exact_at_full_cell():
-    params = ExtremalParams(2, 2, Fraction(1, 4), 4)
-    assert extremal_family(params) == refine(extremal_exact(2, 2), 2)
+    assert extremal_family(2, 2, Fraction(1, 4), 4) == refine(extremal_exact(2, 2), 2)
 
 
 def test_extremal_params_validation():
     with pytest.raises(ParameterError):  # delta exceeds the first grandchild
-        ExtremalParams(2, 2, Fraction(1, 2), 4)
+        extremal_family(2, 2, Fraction(1, 2), 4)
     with pytest.raises(ParameterError):  # not leaf-aligned at depth 4
-        ExtremalParams(2, 2, Fraction(1, 48), 4)
+        extremal_family(2, 2, Fraction(1, 48), 4)
     with pytest.raises(ParameterError):  # family needs depth >= 2
-        ExtremalParams(2, 2, Fraction(1, 4), 1)
+        extremal_family(2, 2, Fraction(1, 4), 1)
     with pytest.raises(ParameterError):
-        ExtremalParams(2, Fraction(1, 2), Fraction(1, 4), 2)
+        extremal_family(2, Fraction(1, 2), Fraction(1, 4), 2)
 
 
 def test_family_constant_formula_values():
@@ -333,11 +329,10 @@ def test_extremal_exact_calibration(k, c):
 
 @pytest.mark.parametrize("k,depth", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)])
 def test_extremal_family_full_cell_refines_exact(k, depth):
-    params = ExtremalParams(k, 2, Fraction(1, k**2), depth)
     expected = extremal_exact(k, 2)
     if depth > 2:
         expected = refine(expected, depth - 2)
-    assert extremal_family(params) == expected
+    assert extremal_family(k, 2, Fraction(1, k**2), depth) == expected
 
 
 @pytest.mark.parametrize(
@@ -346,7 +341,7 @@ def test_extremal_family_full_cell_refines_exact(k, depth):
 def test_extremal_family_measured_constant_exceeds_grandchild_ratio(delta, depth):
     """For delta strictly inside (0, 1/k^2) the first grandchild's ratio is a floor."""
     k, c, alpha, eps = 2, 2, Fraction(3), Fraction(1)
-    w = extremal_family(ExtremalParams(k, c, delta, depth))
+    w = extremal_family(k, c, delta, depth)
     grandchild_ratio = k**2 * (alpha * delta + (Fraction(1, k**2) - delta) * eps) / eps
     assert a1_constant(w) >= grandchild_ratio
     assert grandchild_ratio > family_constant_formula(k, c, delta)
