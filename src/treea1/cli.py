@@ -237,9 +237,9 @@ def _cmd_extremal(args) -> int:
         deltas = [default_family_delta(args.k, 2)]
     else:
         depths = _parse_int_list(args.depths)
-        deltas = _parse_rational_list(args.delta_steps) if args.delta_steps else None
+        deltas = None if args.delta_steps is None else _parse_rational_list(args.delta_steps)
     parameters = {"k": args.k, "c": _exact_string(c), "mode": args.mode, "depths": depths,
-                  "delta_steps": [_exact_string(d) for d in deltas] if deltas else None}
+                  "delta_steps": None if deltas is None else [_exact_string(d) for d in deltas]}
 
     def job():
         rows = sharpness_sweep(args.k, c, depths, deltas)

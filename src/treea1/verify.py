@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import ParameterError, ViolationError
 from .maximal import WeightAnalysis, a1_constant, analyze, stopping_family, superlevel_set
-from .oracles import maximal_function_bruteforce
+from .oracles import maximal_function_bruteforce, scaled_maximal_bruteforce
 from .rationals import _check_int, _check_t, _detail_string, _positive, as_fraction
 from .rearrangement import RearrangedProfile, _scaled_integral, kadic_constant, prefix_average, rearrange, sup_ratio
 from .tree import ROOT, NodeId, TreeShape, make_shape
@@ -208,21 +208,18 @@ def check_decomposition(w: StepWeight | WeightAnalysis) -> bool:
 
 
 def check_oracle_equality(w: StepWeight | WeightAnalysis) -> bool:
-    """Fast maximal function agrees with :func:`~treea1.oracles.maximal_function_bruteforce`.
+    """Fast maximal function agrees with the prefix-sum oracle, compared in ints.
 
-    The oracle takes and returns ``Fraction``s; inside, it recomputes every
-    node's sum from prefix sums of the leaf values in ints at its own scale,
-    one cross-multiplied comparison per node and per leaf, sharing no code
-    with the kernel's int sweep.  Each oracle value f is compared with the
-    kernel's scaled int x = M(leaf) * unit in ints, ``f.numerator * unit ==
-    x * f.denominator``, so no ``Fraction`` view of the kernel is built.
+    The oracle's int core, :func:`~treea1.oracles.scaled_maximal_bruteforce`,
+    recomputes every node's average from prefix sums of the leaf values at
+    its own scale, sharing no code with the kernel's int sweep.  Both sides
+    clear the same leaf denominators times ``k**m``, so the oracle's scale
+    must equal the analysis's ``unit``, and then its leaf maxima must equal
+    ``scaled_maximal`` int for int; no ``Fraction`` is built.
     """
     a = analyze(w)
-    unit, scaled = a.unit, a.scaled_maximal
-    oracle = maximal_function_bruteforce(a.weight)
-    return len(oracle) == len(scaled) and all(
-        f.numerator * unit == x * f.denominator for f, x in zip(oracle, scaled)
-    )
+    scale, scaled = scaled_maximal_bruteforce(a.weight)
+    return scale == a.unit and scaled == a.scaled_maximal
 
 
 def check_growth_bound(w: StepWeight | WeightAnalysis) -> GrowthCheck:
@@ -776,15 +773,18 @@ def sharpness_sweep(k: int, c, depths: Sequence[int], deltas: Sequence | None = 
     """Evaluate the extremal family across depths and delta values.
 
     With ``deltas=None`` each depth gets its default delta; otherwise every
-    (depth, delta) combination is evaluated and must be leaf-aligned.  A
-    family weight failing the bound check raises ViolationError, as in a campaign.
+    (depth, delta) combination is evaluated and must be leaf-aligned.  An
+    empty list of depths or of deltas is refused.  A family weight failing
+    the bound check raises ViolationError, as in a campaign.
     """
     c = as_fraction(c)
     if not depths:
         raise ParameterError("at least one depth is required")
+    if deltas is not None and not deltas:
+        raise ParameterError("at least one delta is required")
     rows: list[SweepRow] = []
     for depth in depths:
-        delta_list = [as_fraction(d) for d in deltas] if deltas else [default_family_delta(k, depth)]
+        delta_list = [default_family_delta(k, depth)] if deltas is None else [as_fraction(d) for d in deltas]
         for delta in delta_list:
             w = extremal_family(k, c, delta, depth)
             nominal = family_constant_formula(k, c, delta)

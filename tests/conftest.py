@@ -3,11 +3,14 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import Phase, settings, strategies as st
 
 from treea1 import make_shape, make_step_weight
 
 settings.register_profile("treea1", deadline=None, max_examples=50)
+# for tools/mutants.py, which needs a failure, not its shrunk form: chosen on its pytest command line only
+settings.register_profile("treea1-no-shrink", settings.get_profile("treea1"),
+                          phases=[phase for phase in Phase if phase is not Phase.shrink])
 settings.load_profile("treea1")
 
 positive_rationals = st.fractions(

@@ -294,6 +294,21 @@ def test_extremal_usage_errors(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_extremal_refuses_an_empty_delta_list(tmp_path, capsys):
+    for steps in ("", ","):
+        out = tmp_path / f"empty{len(steps)}"
+        assert run_cli(["extremal", "--k", "2", "--c", "2", "--mode", "paper", "--depths", "4",
+                        "--delta-steps", steps, "--out", str(out)]) == 2
+        assert f"error: expected a comma-separated list of rationals, got {steps!r}" in capsys.readouterr().err
+        assert not out.exists()
+    # an empty depth list is refused the same way, by the sweep
+    out = tmp_path / "nodepth"
+    assert run_cli(["extremal", "--k", "2", "--c", "2", "--mode", "paper", "--depths", "",
+                    "--out", str(out)]) == 2
+    assert "error: at least one depth is required" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_search_command(tmp_path):
     out = tmp_path / "run"
     code = run_cli(

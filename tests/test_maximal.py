@@ -28,6 +28,7 @@ from treea1 import (
     superlevel_set,
 )
 import treea1.maximal
+from treea1.oracles import scaled_maximal_bruteforce
 from treea1.tree import ROOT, leaves_under
 
 
@@ -103,6 +104,15 @@ def _enumeration_oracle(w):
     return tuple(out)
 
 
+def _assert_prefix_sum_oracle_is(w, expected):
+    """The Fraction oracle and its int core, at its own scale (lcm of the leaf denominators times k**m), give ``expected``."""
+    assert maximal_function_bruteforce(w) == expected
+    scale, scaled = scaled_maximal_bruteforce(w)
+    assert scale == math.lcm(*(v.denominator for v in w.leaf_values)) * w.shape.k ** w.shape.m == analyze(w).unit
+    assert type(scaled) is tuple and all(type(x) is int for x in scaled)
+    assert tuple(Fraction(x, scale) for x in scaled) == expected
+
+
 # every shape with at most 64 leaves
 SMALL_SHAPES = [(k, m) for k in (2, 3, 4) for m in range(1, 7) if k**m <= 64]
 
@@ -116,15 +126,36 @@ def wide_weights_up_to_64_leaves(draw):
 @settings(max_examples=100)
 @given(wide_weights_up_to_64_leaves())
 def test_prefix_sum_oracle_equals_the_enumeration(w):
-    assert maximal_function_bruteforce(w) == _enumeration_oracle(w)
+    _assert_prefix_sum_oracle_is(w, _enumeration_oracle(w))
 
 
 def test_prefix_sum_oracle_equals_the_enumeration_on_extremal_weights():
     for k in (2, 3, 4):
         for c in (1, Fraction(3, 2), 2, 7):
             w = extremal_exact(k, c)
-            assert maximal_function_bruteforce(w) == _enumeration_oracle(w)
-            assert maximal_function_bruteforce(refine(w)) == _enumeration_oracle(refine(w))
+            _assert_prefix_sum_oracle_is(w, _enumeration_oracle(w))
+            _assert_prefix_sum_oracle_is(refine(w), _enumeration_oracle(refine(w)))
+
+
+def test_int_core_clears_equal_values_in_distinct_objects_and_one_object_at_many_leaves():
+    shape = make_shape(3, 3)
+    shared = Fraction(7, 3)
+    rng = random.Random(27)
+    # equal values in distinct objects: the identity pass keeps each object, and each clears to the same int
+    copies = [Fraction(7, 3) for _ in range(9)] + [Fraction(5, 11) for _ in range(9)] + [Fraction(2**61 - 1)] * 9
+    w = make_step_weight(shape, copies)
+    assert len({id(v) for v in w.leaf_values}) == 19
+    _assert_prefix_sum_oracle_is(w, _enumeration_oracle(w))
+    # one object at most leaves, with a few distinct objects of other values among them
+    values = [shared] * 27
+    for leaf in rng.sample(range(27), 5):
+        values[leaf] = Fraction(rng.randint(1, 50), rng.choice((2**31 - 1, 13, 4)))
+    w = make_step_weight(shape, values)
+    assert sum(v is shared for v in w.leaf_values) == 22
+    _assert_prefix_sum_oracle_is(w, _enumeration_oracle(w))
+    # both at once, in one weight
+    w = make_step_weight(shape, [shared if leaf % 2 else Fraction(7, 3) for leaf in range(27)])
+    _assert_prefix_sum_oracle_is(w, _enumeration_oracle(w))
 
 
 def test_running_maximum_carries_across_levels():

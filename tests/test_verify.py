@@ -545,15 +545,15 @@ def test_structure_checks_pass_exhaustively_on_small_grid():
 
 
 def test_oracle_check_fails_on_a_tampered_maximal_function(tmp_path, monkeypatch):
-    real = treea1.verify.maximal_function_bruteforce
+    real = treea1.verify.scaled_maximal_bruteforce
 
-    def tampered(w):  # the oracle, wrong at the last leaf
-        *head, last = real(w)
-        return (*head, last + 1)
+    def tampered(w):  # the oracle's int core, wrong at the last leaf
+        scale, (*head, last) = real(w)
+        return scale, (*head, last + 1)
 
     w = extremal_exact(2, 2)
     assert check_oracle_equality(w)
-    monkeypatch.setattr(treea1.verify, "maximal_function_bruteforce", tampered)
+    monkeypatch.setattr(treea1.verify, "scaled_maximal_bruteforce", tampered)
     assert not check_oracle_equality(w)
 
     with pytest.raises(ViolationError) as err:
@@ -912,7 +912,7 @@ _FAILING = {
     "growth": ("check_growth_bound", lambda a: GrowthCheck(False)),
     "weak_type": ("_weak_type_failure", lambda a: Fraction(1)),
     "decomposition": ("check_decomposition", lambda a: False),
-    "oracle": ("maximal_function_bruteforce", lambda w: ()),
+    "oracle": ("scaled_maximal_bruteforce", lambda w: (0, ())),
     "kadic": ("kadic_constant", lambda profile, k, depth: Fraction(10**9)),
 }
 
@@ -975,6 +975,14 @@ def test_sharpness_sweep_rejects_misaligned_delta():
     for depth in (1, True):
         with pytest.raises(ParameterError, match="family depth must be an integer >= 2"):
             sharpness_sweep(2, 2, [depth])
+
+
+def test_sharpness_sweep_refuses_an_empty_delta_list_as_it_refuses_an_empty_depth_list():
+    with pytest.raises(ParameterError, match="at least one delta is required"):
+        sharpness_sweep(2, 2, [4], [])
+    with pytest.raises(ParameterError, match="at least one delta is required"):
+        sharpness_sweep(2, 2, [4], ())
+    assert [row.delta for row in sharpness_sweep(2, 2, [4], None)] == [Fraction(3, 16)]  # only None: the default
 
 
 def test_default_family_delta():

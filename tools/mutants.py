@@ -10,7 +10,9 @@ argument.  For each one the harness copies the source tree to a temporary
 directory and applies the edit there.  It runs the named tests file alone
 first, then, if that passes, the tier-1 suite, leaving out
 ``tests/test_mutants.py``, which checks these declarations and so fails on
-any edit.  Both runs use ``-x`` and a fixed ``--hypothesis-seed``.  A mutant
+any edit.  Both runs use ``-x``, a fixed ``--hypothesis-seed`` and the
+``treea1-no-shrink`` Hypothesis profile of ``tests/conftest.py``, since a
+kill needs the first failing example, not a shrunk one.  A mutant
 is killed when either run fails, so it survives only after the full suite
 has passed, and the outcome is the one a full run alone would give.  It
 prints one line per mutant: killed or survived, the time taken and the first
@@ -38,6 +40,8 @@ COPIED = ("src", "tests", "pyproject.toml", "perfbench", ".github", "README.md")
 # checks these declarations, not the code, so every mutant would fail it
 DECLARATIONS_TEST = "tests/test_mutants.py"
 HYPOTHESIS_SEED = 0
+# tests/conftest.py's default profile without the shrink phase; tier-1 runs keep the default
+HYPOTHESIS_PROFILE = "treea1-no-shrink"
 # a mutant that makes the suite hang is caught, not survived
 TIMEOUT_S = 900
 
@@ -114,7 +118,11 @@ MUTANTS = (
     Mutant("rearrange_sorts_ascending", "src/treea1/rearrangement.py",
            "sorted(counts, reverse=True)", "sorted(counts)", "killed", "tests/test_acceptance.py"),
     Mutant("prefix_sum_oracle_drops_the_carried_best", "src/treea1/oracles.py",
-           "else (bs, bw)", "else (s, width)", "killed", "tests/test_acceptance.py"),
+           "best = [x if x > y else y for x, y in zip(averages,", "best = [x for x, y in zip(averages,",
+           "killed", "tests/test_acceptance.py"),
+    Mutant("oracle_check_skips_the_last_leaf", "src/treea1/verify.py",
+           "scale == a.unit and scaled == a.scaled_maximal",
+           "scale == a.unit and scaled[:-1] == a.scaled_maximal[:-1]", "killed", "tests/test_verify.py"),
     Mutant("weak_type_reference_takes_ge", "src/treea1/verify.py",
            "if mf > lam]", "if mf >= lam]", "killed", "tests/test_verify.py"),
     Mutant("member_writer_swaps_the_star", "src/treea1/cli.py",
@@ -172,7 +180,7 @@ def _first_failure(output: str) -> str:
 def _pytest(tree: Path, target: str) -> str | None:
     """Run pytest with ``-x`` on ``target`` in ``tree``: None if it passes, else the first failing test."""
     command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-               f"--hypothesis-seed={HYPOTHESIS_SEED}", target]
+               f"--hypothesis-seed={HYPOTHESIS_SEED}", f"--hypothesis-profile={HYPOTHESIS_PROFILE}", target]
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
         done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
