@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+from functools import partial
 
 
 class ParameterError(ValueError):
@@ -12,6 +13,10 @@ class ViolationError(RuntimeError):
     implementation bug or a genuine counterexample, so the exception carries
     everything needed to reproduce: the serialized weight, the name of the
     failing check and the offending quantity.
+
+    It pickles with the three fields, so one raised in a campaign's pool
+    worker reaches the parent whole; the default pickle would call the
+    constructor with the message alone, which it refuses.
     """
 
     def __init__(self, message: str, *, weight_text: str, check: str, detail: str = ""):
@@ -19,3 +24,7 @@ class ViolationError(RuntimeError):
         self.weight_text = weight_text
         self.check = check
         self.detail = detail
+
+    def __reduce__(self):
+        fields = {"weight_text": self.weight_text, "check": self.check, "detail": self.detail}
+        return partial(type(self), **fields), (str(self),)

@@ -22,11 +22,11 @@ from itertools import accumulate
 from operator import truediv
 from typing import NamedTuple
 
-from .errors import ParameterError, ViolationError
-from .rationals import _check_int, _detail_string
+from .errors import ParameterError
+from .rationals import _check_int
 from .tree import TreeShape
-from .verify import check_rearrangement_bound
-from .weights import StepWeight, _check_seed, weight_to_text
+from .verify import _require, check_rearrangement_bound
+from .weights import StepWeight, _check_seed
 
 # Perturbation factors are drawn from the rational grid 1 + q/_FACTOR_DENOM,
 # |q| <= _STEP_SPAN; a move never takes a leaf below _VALUE_FLOOR.
@@ -79,23 +79,14 @@ class SearchResult:
 
 
 def objective_exact(w: StepWeight) -> Fraction:
-    """sup_ratio(w*) / (k*c - k + 1) as an exact rational; <= 1 always."""
+    """sup_ratio(w*) / (k*c - k + 1) as an exact rational, at most 1.
+
+    The bound check runs first, so a weight whose objective would exceed 1
+    raises ViolationError under check ``bound``, with the bound's detail.
+    """
     report = check_rearrangement_bound(w)
+    _require(("bound",), report)
     return report.sup_ratio / report.bound
-
-
-def _exact_at_most_one(w: StepWeight) -> Fraction:
-    """The exact objective of w, which must stay <= 1 or the bound itself is broken."""
-    exact = objective_exact(w)
-    if exact > 1:
-        text = _detail_string(exact)
-        raise ViolationError(
-            f"search objective {text} exceeds 1, contradicting the bound",
-            weight_text=weight_to_text(w),
-            check="objective",
-            detail=f"exact objective {text}",
-        )
-    return exact
 
 
 def _move(num: int, exp: int, factor: int) -> tuple[int, int]:
@@ -214,12 +205,12 @@ def hill_climb(config: SearchConfig) -> SearchResult:
     by the exact objective.  Moves that do not decrease the objective are
     accepted (the landscape is full of plateaus).  The trace records the
     global best-so-far after every iteration; ties between restarts keep the
-    lowest restart index.  The returned best weight is re-verified exactly
-    and must satisfy objective <= 1.
+    lowest restart index.  The returned best weight, like every fallback,
+    is re-verified by :func:`objective_exact`, whose bound check raises
+    ViolationError if its objective exceeds 1.
     """
     k, m = config.shape.k, config.shape.m
     n = config.shape.leaf_count
-    fallbacks = 0
 
     def evaluate(climb: _FloatClimb, nums: list[int], exps: list[int]) -> float:
         nonlocal fallbacks
@@ -227,7 +218,7 @@ def hill_climb(config: SearchConfig) -> SearchResult:
         if score > 1 + _FLOAT_SLACK:
             # float drift past the slack: fall back to the exact truth
             fallbacks += 1
-            score = float(_exact_at_most_one(StepWeight(config.shape, _leaf_fractions(nums, exps))))
+            score = float(objective_exact(StepWeight(config.shape, _leaf_fractions(nums, exps))))
         return score
 
     master = random.Random(config.seed)
@@ -280,7 +271,7 @@ def hill_climb(config: SearchConfig) -> SearchResult:
 
     assert best_leaves is not None
     best_weight = StepWeight(config.shape, _leaf_fractions(*best_leaves))
-    exact = _exact_at_most_one(best_weight)
+    exact = objective_exact(best_weight)
     return SearchResult(
         best_weight=best_weight,
         best_objective=global_best,

@@ -586,18 +586,27 @@ class CampaignSummary:
     workers: int  # processes that examined weights; 1 for a run in this process
 
 
-def _require(names: Iterable[str], report: VerificationReport) -> None:
-    """Raise ViolationError, carrying the serialized weight, on the first named check that fails."""
+def _require(names: Iterable[str], report: VerificationReport, side: _Rearranged | None = None,
+             trial: int | None = None) -> None:
+    """Raise ViolationError, carrying the serialized weight, on the first named check that fails.
+
+    The one place a failed check becomes a ViolationError, for ``inspect``,
+    sharpness sweeps, the search's exact objective and every campaign weight.
+    ``side`` is the histogram side the ``kadic`` check reads; a campaign's
+    ``trial`` index prefixes the message and the detail.
+    """
     for name in names:
-        detail = _failure(name, report)
+        detail = _failure(name, report, side)
         if detail is not None:
+            prefix = "" if trial is None else f"trial {trial}: "
             text = weight_to_text(report.analysis.weight)
-            raise ViolationError(f"check '{name}' failed: {detail}", weight_text=text, check=name, detail=detail)
+            raise ViolationError(f"{prefix}check '{name}' failed: {detail}", weight_text=text, check=name,
+                                 detail=prefix + detail)
 
 
 def _scan(
     shape: TreeShape, grid: Sequence[Fraction], seed: int | None, indices: range, checks: tuple[str, ...],
-) -> tuple[list[WeightRow], tuple[Fraction, StepWeight] | None, tuple | None]:
+) -> tuple[list[WeightRow], tuple[Fraction, StepWeight] | None]:
     """Check one chunk of a campaign: the weights numbered by ``indices``, in order.
 
     The chunk draws its own weights from the campaign ``seed`` and its range,
@@ -607,15 +616,13 @@ def _scan(
     ``indices.start`` draws of earlier chunks first.  With None, weight i is
     the i-th grid weight in :func:`itertools.product` order, the first leaf
     the most significant digit.  Each weight gets one report, on which
-    :func:`_failure` runs the bound and then each of ``checks``.  The chunk
-    shares the profile side between weights of one leaf histogram: w*, its
-    sup-ratio and witness, and the k-adic constant are built once per
+    :func:`_require` runs the bound and then each of ``checks`` with the
+    weight's index, so the first failure raises and ends the chunk.  The
+    chunk shares the profile side between weights of one leaf histogram: w*,
+    its sup-ratio and witness, and the k-adic constant are built once per
     histogram, in a :class:`_ChunkProfiles` local to this call, while c, the
     bound, the margin and every check are formed per weight.  Returns the
-    rows, the first (margin, weight) of smallest margin, and the first
-    failure, which ends the chunk, as (index, check, detail, weight_text) so
-    the merge step can pick the lowest index deterministically across worker
-    processes.
+    rows and the first (margin, weight) of smallest margin.
     """
     if seed is None:
         draws = islice(product(range(len(grid)), repeat=shape.leaf_count), indices.start, None)
@@ -634,15 +641,12 @@ def _scan(
         a = analyze(w)
         side = profiles.side(a)
         report = check_rearrangement_bound(a, _side=side)
-        for name in names:
-            detail = _failure(name, report, side)
-            if detail is not None:
-                return rows, worst, (index, name, detail, weight_to_text(w))
+        _require(names, report, side, index)
         rows.append(WeightRow(index, weight_hash(w), report.c, report.bound, report.sup_ratio, report.margin,
                               bound_holds=True, **flags))
         if worst is None or report.margin < worst[0]:
             worst = (report.margin, w)
-    return rows, worst, None
+    return rows, worst
 
 
 def _normalize_checks(checks: Iterable[str]) -> tuple[str, ...]:
@@ -671,7 +675,10 @@ def fuzz_campaign(
     for ``seed`` a non-negative int, whichever chunk draws it, so results do
     not depend on ``threads``; the rearrangement bound itself is always
     checked.  The first failing trial (lowest index) aborts the campaign by
-    raising ViolationError with the serialized weight.
+    raising ViolationError with the serialized weight: a chunk raises where
+    it fails, and the builtin ``map`` and the pool's both give the chunks
+    back in index order, so the first chunk that raises, whatever it raises,
+    holds the lowest failing index at any ``threads``.
 
     A random campaign starts at most ``threads`` worker processes, and no
     more than the CPUs or the trials, but none for less than
@@ -728,18 +735,9 @@ def fuzz_campaign(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_scan, *chunks))
 
-    violations = [violation for _, _, violation in batches if violation is not None]
-    if violations:
-        index, check, detail, text = min(violations)
-        raise ViolationError(
-            f"trial {index}: check '{check}' failed: {detail}",
-            weight_text=text,
-            check=check,
-            detail=f"trial {index}: {detail}",
-        )
-    worst = min((pair for _, pair, _ in batches if pair is not None), key=lambda pair: pair[0], default=None)
+    worst = min((pair for _, pair in batches if pair is not None), key=lambda pair: pair[0], default=None)
     return CampaignSummary(
-        rows=tuple(row for rows, _, _ in batches for row in rows),
+        rows=tuple(row for rows, _ in batches for row in rows),
         worst_margin=None if worst is None else worst[0],
         worst_weight_text=None if worst is None else weight_to_text(worst[1]),
         workers=workers,

@@ -11,7 +11,6 @@ from hypothesis import example, given, strategies as st
 
 import treea1.cli
 import treea1.rationals
-import treea1.search
 import treea1.verify
 from treea1 import (
     MAX_DECIMAL_EXPONENT, MAX_MOVES, MAX_WEIGHTS, ParameterError, analyze, extremal_exact, make_shape,
@@ -20,7 +19,9 @@ from treea1 import (
 from treea1.cli import _json_text, main
 from test_acceptance import FUZZ_GRID
 from test_golden import GOLDEN, INSPECT_JSON
-from test_verify import LONG_DENOMINATORS, _inflate_the_sup_ratio
+from test_verify import (
+    LONG_DENOMINATORS, _fail_decomposition_at, _inflate_the_sup_ratio, _inline_pool, _seeded_texts,
+)
 
 
 def run_cli(argv):
@@ -332,7 +333,7 @@ def test_search_command(tmp_path):
 
 
 def test_search_violation_exits_1_with_counterexample(tmp_path, monkeypatch):
-    monkeypatch.setattr(treea1.search, "objective_exact", lambda w: Fraction(2))
+    _inflate_the_sup_ratio(monkeypatch)
     out = tmp_path / "run"
     code = run_cli(
         ["search", "--k", "2", "--depth", "2", "--iters", "20", "--restarts", "1",
@@ -341,7 +342,7 @@ def test_search_violation_exits_1_with_counterexample(tmp_path, monkeypatch):
     assert code == 1
     counterexample = (out / "counterexample.txt").read_text()
     assert counterexample.startswith("2 2 ")
-    assert "check: objective" in counterexample
+    assert "check: bound" in counterexample
     assert not (out / "summary.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["command"] == "search"
@@ -377,6 +378,20 @@ def test_verify_below_the_pool_threshold_runs_in_one_process(tmp_path):
     assert run_cli(args + ["--threads", "2", "--out", str(b)]) == 0
     assert (a / "report.csv").read_bytes() == (b / "report.csv").read_bytes()
     assert _workers(a) == _workers(b) == 1
+
+
+def test_verify_fails_alike_at_any_threads(tmp_path, monkeypatch):
+    """Trials 1 and 4 fail, one in each of two chunks; both runs write trial 1's counterexample."""
+    _, calls = _inline_pool(monkeypatch, 2)
+    _fail_decomposition_at(monkeypatch, _seeded_texts(6), 1, 4)
+    args = ["verify", "--k", "2", "--depth", "3", "--trials", "6", "--seed", "8"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli(args + ["--threads", "1", "--out", str(a)]) == 1
+    assert run_cli(args + ["--threads", "2", "--out", str(b)]) == 1
+    assert [chunk[3] for chunk in calls] == [range(0, 3), range(3, 6)]
+    counterexample = (a / "counterexample.txt").read_bytes()
+    assert counterexample == (b / "counterexample.txt").read_bytes()
+    assert b"check: decomposition\ndetail: trial 1: " in counterexample
 
 
 def test_search_is_byte_deterministic(tmp_path):

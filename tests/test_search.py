@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given
 
 from conftest import step_weights
-import treea1.search
+from test_verify import LONG_DENOMINATORS, _inflate_the_sup_ratio
 from treea1 import (
     ParameterError,
     SearchConfig,
     ViolationError,
+    check_rearrangement_bound,
     decimal_string,
     extremal_exact,
     hill_climb,
@@ -20,7 +21,7 @@ from treea1 import (
     scale,
 )
 from treea1.search import (
-    _FACTOR_DENOM, _FLOAT_SLACK, _STEP_SPAN, _VALUE_FLOOR, MoveCounts, _FloatClimb, _move, _exact_at_most_one
+    _FACTOR_DENOM, _FLOAT_SLACK, _STEP_SPAN, _VALUE_FLOOR, MoveCounts, _FloatClimb, _move
 )
 
 
@@ -114,7 +115,7 @@ def _climb_reference(config: SearchConfig):
     def evaluate(values):
         score = _objective_float(k, m, [float(v) for v in values])
         if score > 1 + _FLOAT_SLACK:
-            return float(_exact_at_most_one(make_step_weight(config.shape, values))), 1
+            return float(objective_exact(make_step_weight(config.shape, values))), 1
         return score, 0
 
     master = random.Random(config.seed)
@@ -292,10 +293,13 @@ def test_hill_climb_counts_exact_fallbacks(monkeypatch):
 
 
 def test_an_objective_past_the_int_string_limit_is_reported_not_raised(monkeypatch, int_str_limit):
-    huge = Fraction(10**4400 + 1, 3)
-    monkeypatch.setattr(treea1.search, "objective_exact", lambda w: huge)
+    _inflate_the_sup_ratio(monkeypatch)
+    a, b = LONG_DENOMINATORS
+    w = make_step_weight(make_shape(2, 2), [2, 2, Fraction(1, a), Fraction(1, b)])
+    report = check_rearrangement_bound(w)
     with pytest.raises(ViolationError) as err:
-        _exact_at_most_one(extremal_exact(2, 2))
-    assert err.value.check == "objective"
-    assert err.value.detail == f"exact objective {decimal_string(huge)}"
-    assert str(err.value) == f"search objective {decimal_string(huge)} exceeds 1, contradicting the bound"
+        objective_exact(w)
+    assert err.value.check == "bound"
+    assert err.value.detail == (f"sup_ratio={decimal_string(report.sup_ratio)} exceeds "
+                                f"bound={decimal_string(report.bound)} (c={decimal_string(report.c)})")
+    assert str(err.value) == f"check 'bound' failed: {err.value.detail}"

@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import itertools
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -666,14 +667,27 @@ def _inline_pool(monkeypatch, cpus):
             return False
 
         def map(self, fn, *iterables):
+            # as Executor.map: every chunk runs before the first result is read, and a
+            # chunk's exception is raised again when its result is reached, in order
+            outcomes = []
             for args in zip(*iterables):
                 calls.append(args)
-                yield fn(*args)
+                try:
+                    outcomes.append((fn(*args), None))
+                except Exception as exc:
+                    outcomes.append((None, exc))
+            return (_result_or_raise(*outcome) for outcome in outcomes)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(treea1.verify.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(treea1.verify, "MIN_LEAVES_PER_WORKER", 1)
     return started, calls
+
+
+def _result_or_raise(result, exc):
+    if exc is not None:
+        raise exc
+    return result
 
 
 def _holds_weight(value) -> bool:
@@ -695,7 +709,7 @@ def test_pooled_campaign_sends_workers_indices_and_seeds_only(monkeypatch):
 
 
 def test_a_campaign_draws_nothing_per_trial_before_its_chunks_run(monkeypatch):
-    monkeypatch.setattr(treea1.verify, "_scan", lambda *args: ([], None, None))
+    monkeypatch.setattr(treea1.verify, "_scan", lambda *args: ([], None))
     tracemalloc.start()
     try:
         fuzz_campaign(2, 1, 50_000, 0, [1, 2], checks=(), threads=1)
@@ -711,7 +725,7 @@ def test_campaign_weight_enumerates_the_grid_in_product_order():
     summary = fuzz_campaign(2, 2, 0, 0, grid, checks=(), exhaustive=True)
     assert [row.weight_hash for row in summary.rows] == hashes
     # a chunk that starts mid-stream enumerates from its own start
-    rows, _, _ = treea1.verify._scan(shape, grid, None, range(37, 81), ())
+    rows, _ = treea1.verify._scan(shape, grid, None, range(37, 81), ())
     assert [(row.index, row.weight_hash) for row in rows] == list(zip(range(37, 81), hashes[37:]))
 
 
@@ -722,7 +736,7 @@ def test_campaign_weight_with_seeds_is_the_seeded_draw():
     summary = fuzz_campaign(3, 2, 9, 4, grid, checks=())
     assert [row.weight_hash for row in summary.rows] == hashes
     # a chunk that starts mid-stream skips exactly the earlier trials' draws
-    rows, _, _ = treea1.verify._scan(shape, grid, 4, range(5, 9), ())
+    rows, _ = treea1.verify._scan(shape, grid, 4, range(5, 9), ())
     assert [(row.index, row.weight_hash) for row in rows] == list(zip(range(5, 9), hashes[5:]))
 
 
@@ -741,6 +755,78 @@ def test_pooled_campaign_raises_the_lowest_violating_index(monkeypatch):
     assert err.value.check == "decomposition"
     assert err.value.detail.startswith("trial 4:")
     assert err.value.weight_text == texts[4]
+
+
+def _seeded_texts(trials: int, seed: int = 8) -> list[str]:
+    """The texts of a seeded k=2 m=3 campaign's weights on grid 1,2,3, by trial; all distinct."""
+    shape, grid, master = make_shape(2, 3), [Fraction(1), Fraction(2), Fraction(3)], random.Random(seed)
+    texts = [weight_to_text(random_weight(shape, master.randrange(2**63), grid)) for _ in range(trials)]
+    assert len(set(texts)) == trials
+    return texts
+
+
+def _fail_decomposition_at(monkeypatch, texts: list[str], *trials: int) -> None:
+    bad = {texts[i] for i in trials}
+    monkeypatch.setattr(treea1.verify, "check_decomposition", lambda a: weight_to_text(a.weight) not in bad)
+
+
+def _fields(err: ViolationError) -> tuple[str, str, str, str]:
+    return str(err), err.weight_text, err.check, err.detail
+
+
+def test_a_violation_pickles_with_its_fields(monkeypatch):
+    _fail_decomposition_at(monkeypatch, _seeded_texts(3), 2)
+    with pytest.raises(ViolationError) as campaign:
+        fuzz_campaign(2, 3, 3, seed=8, grid=[1, 2, 3], checks=("decomposition",))
+    monkeypatch.setattr(treea1.verify, "check_decomposition", lambda a: False)
+    report = check_rearrangement_bound(make_step_weight(make_shape(2, 1), [1, 2]))
+    with pytest.raises(ViolationError) as single:
+        treea1.verify._require(("decomposition",), report)
+    assert campaign.value.detail.startswith("trial 2: ") and not single.value.detail.startswith("trial")
+    for err in (campaign.value, single.value):
+        copy = pickle.loads(pickle.dumps(err))
+        assert type(copy) is ViolationError and _fields(copy) == _fields(err)
+
+
+@pytest.mark.parametrize(("failing", "expected"), [((3, 7), 3), ((7,), 7)])
+def test_a_violation_in_a_pool_worker_reaches_the_parent(monkeypatch, failing, expected):
+    """Two real workers, chunks 0-4 and 5-9; the check is tampered in this process and forked into them."""
+    import multiprocessing
+
+    if multiprocessing.get_start_method() != "fork" or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs the fork start method, which carries the tampered check, and 2 CPUs")
+    monkeypatch.setattr(treea1.verify, "MIN_LEAVES_PER_WORKER", 1)
+    texts = _seeded_texts(10)
+    _fail_decomposition_at(monkeypatch, texts, *failing)
+    with pytest.raises(ViolationError) as err:
+        fuzz_campaign(2, 3, 10, seed=8, grid=[1, 2, 3], checks=("decomposition",), threads=2)
+    assert err.value.check == "decomposition"
+    assert err.value.detail.startswith(f"trial {expected}: ")
+    assert str(err.value).startswith(f"trial {expected}: check 'decomposition' failed: ")
+    assert err.value.weight_text == texts[expected]
+
+
+def test_a_campaign_fails_alike_at_any_threads(monkeypatch):
+    """A check fails at trial 1 and the weight hash refuses trial 3 on: every run raises trial 1's violation."""
+    _, calls = _inline_pool(monkeypatch, 2)
+    texts = _seeded_texts(6)
+    _fail_decomposition_at(monkeypatch, texts, 1)
+    original = treea1.verify.weight_hash
+
+    def refusing_hash(w):
+        if texts.index(weight_to_text(w)) >= 3:
+            raise ParameterError("weight hash refused")
+        return original(w)
+
+    monkeypatch.setattr(treea1.verify, "weight_hash", refusing_hash)
+    raised = []
+    for threads in (1, 2):
+        with pytest.raises(ViolationError) as err:
+            fuzz_campaign(2, 3, 6, 8, [1, 2, 3], checks=("decomposition",), threads=threads)
+        raised.append(_fields(err.value))
+    assert [args[3] for args in calls] == [range(0, 3), range(3, 6)]
+    assert raised[0] == raised[1]
+    assert raised[0][1:3] == (texts[1], "decomposition")
 
 
 def test_fuzz_campaign_starts_no_more_workers_than_chunks(monkeypatch):

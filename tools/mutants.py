@@ -160,6 +160,14 @@ MUTANTS = (
     Mutant("audits_keep_t_unreduced", "src/treea1/verify.py",
            "divisors = list(map(gcd, points, repeat(q)))", "divisors = [1] * len(points)",
            "killed", "tests/test_verify.py"),
+    Mutant("violation_pickle_drops_the_detail", "src/treea1/errors.py",
+           '"check": self.check, "detail": self.detail}', '"check": self.check}', "killed",
+           "tests/test_verify.py"),
+    Mutant("require_drops_the_trial_prefix", "src/treea1/verify.py",
+           'prefix = "" if trial is None else f"trial {trial}: "', 'prefix = ""', "killed",
+           "tests/test_cli.py"),
+    Mutant("objective_exact_skips_the_bound_check", "src/treea1/search.py",
+           '    _require(("bound",), report)\n', "", "killed", "tests/test_cli.py"),
 )
 
 
